@@ -1,29 +1,19 @@
-"""Worker-count policy: MAFOLIATE_THREADS caps the fan-out of sample scans."""
+"""Map over the points of a sample scan.
+
+The map is serial.  A thread pool here measured slower than serial, because
+the per-point work is pure Python and holds the interpreter lock.  The scans
+still go through this one function, so that ``bench/tracer.py`` times them as
+the layer ``parallel.pmap``.
+"""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def worker_count(n_items: int | None = None) -> int:
-    cap = os.environ.get("MAFOLIATE_THREADS")
-    workers = int(cap) if cap else (os.cpu_count() or 1)
-    workers = max(1, workers)
-    if n_items is not None:
-        workers = min(workers, max(1, n_items))
-    return workers
-
-
 def pmap(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Map a pure function over items, bounded by the configured worker count."""
-    seq: Sequence[T] = list(items)
-    workers = worker_count(len(seq))
-    if workers == 1 or len(seq) <= 1:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seq))
+    """Apply fn to each item, in order."""
+    return [fn(x) for x in items]

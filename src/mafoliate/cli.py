@@ -7,7 +7,6 @@ result, not a failure.
 
 Outputs are deterministic for a fixed seed: analysis JSON carries no
 timestamps (wall-clock metadata goes to a separate *_meta.json side channel).
-The env var MAFOLIATE_THREADS caps the parallel fan-out of sample scans.
 """
 
 from __future__ import annotations
@@ -79,6 +78,12 @@ class RunConfig:
         for name in ("eps_D", "tol_type", "tol_ext", "rtol", "atol", "trace_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        least = {"grid": 1, "samples": 1, "fit_samples": 1, "trials": 1,
+                 "transport_samples": 1, "m_max": 2}  # the shortest bracket has length 2
+        for name, low in least.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
     def flow(self) -> FlowConfig:
         return FlowConfig(rtol=self.rtol, atol=self.atol, eps_D=self.eps_D,
@@ -426,11 +431,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_point_values(argv: list[str]) -> list[str]:
+    """Rewrite "--point VALUE" as "--point=VALUE", so argparse does not take a
+    value with a leading minus sign, such as -1,0,0,0, for a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--point":
+            out[-1] = f"--point={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_point_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .calculus import (
     HermitianPolynomial,
@@ -61,6 +59,7 @@ from .errors import (
 )
 from .finite_type import extend_gradient, gradient_anywhere
 from .monge_ampere import EPS_D_DEFAULT, complex_gradient, ma_residual
+from .ode import brentq, solve_ivp
 
 
 @dataclass(frozen=True)

@@ -150,13 +150,19 @@ def test_meta_side_channel_has_timestamp(tmp_path):
     assert "written_at" not in blob
 
 
-def test_thread_cap_env_var(tmp_path, monkeypatch):
-    from mafoliate._parallel import worker_count
+def test_point_with_leading_minus_in_either_spelling(tmp_path):
+    spellings = {"split": ["--point", "-1,0,0,0"], "joined": ["--point=-1,0,0,0"]}
+    for name, spelling in spellings.items():
+        assert run(["type-at", "--poly", "quartic", *spelling, "--out", tmp_path / name]) == 0
+    assert ((tmp_path / "split" / "type_report.json").read_bytes()
+            == (tmp_path / "joined" / "type_report.json").read_bytes())
 
-    monkeypatch.setenv("MAFOLIATE_THREADS", "1")
-    assert worker_count() == 1
-    assert worker_count(50) == 1
-    assert run(["check-ma", "--poly", "euc", "--grid", 6, "--out", tmp_path]) == 0
-    monkeypatch.setenv("MAFOLIATE_THREADS", "3")
-    assert worker_count(50) == 3
-    assert worker_count(2) == 2
+
+@pytest.mark.parametrize("knob, value", [
+    ("grid", 0), ("samples", 0), ("fit_samples", 0), ("trials", 0),
+    ("transport_samples", 0), ("m_max", 1), ("grid", 2.5), ("samples", "3")])
+def test_bad_integer_knob_is_rejected(tmp_path, capsys, knob, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({knob: value}))
+    assert run(["check-ma", "--poly", "euc", "--config", cfg_path, "--out", tmp_path]) == 2
+    assert f"error: {knob} must be an integer of at least" in capsys.readouterr().err

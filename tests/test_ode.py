@@ -1,0 +1,136 @@
+"""The numpy-only integrator and root finder against SciPy, their independent oracle.
+
+``mafoliate.ode`` transcribes SciPy's RK45 ``solve_ivp`` path and its C
+``brentq``, so every comparison here is exact: equal arrays, equal evaluation
+counts, equal messages.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.integrate
+import scipy.optimize
+
+import mafoliate as mf
+from mafoliate import foliation, ode
+
+RTOL = ATOL = 1e-10  # the FlowConfig defaults
+
+
+def _pendulum_pair(t, y):
+    return np.array([y[1], -np.sin(y[0]) + 0.3 * np.cos(t), y[3], -y[2] * (1 + y[0] ** 2)])
+
+
+def _kinked(t, y):
+    """Right-hand side with a jump at t = 0.5, which forces rejected steps."""
+    return -y if t < 0.5 else 10.0 - 40.0 * y
+
+
+def _assert_same_run(f, span, y0, t_eval, rtol=RTOL, atol=ATOL):
+    want = scipy.integrate.solve_ivp(f, span, y0, method="RK45", rtol=rtol, atol=atol,
+                                     t_eval=t_eval)
+    got = ode.solve_ivp(f, span, y0, method="RK45", rtol=rtol, atol=atol, t_eval=t_eval)
+    assert np.array_equal(got.y, want.y)
+    assert np.array_equal(got.t, want.t)
+    assert (got.nfev, got.success, got.message) == (want.nfev, want.success, want.message)
+    return got
+
+
+@pytest.mark.parametrize("end", [1.7, -1.7])
+def test_forward_and_backward_spans_match_scipy(end):
+    t_eval = np.linspace(0.0, end, 9)
+    y0 = np.array([0.4, -0.2, 1.0, 0.5])
+    got = _assert_same_run(_pendulum_pair, (0.0, end), y0, t_eval)
+    assert got.success and got.y.shape == (4, 9)
+
+
+@pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
+@pytest.mark.parametrize("rtol", [1e-3, 1e-8, 1e-16])  # 1e-16 is raised to 100 eps
+def test_rejected_steps_match_scipy(rtol):
+    y0 = np.array([1.0, -2.0])
+    solver = scipy.integrate.RK45(_kinked, 0.0, y0, 2.0, rtol=rtol, atol=1e-9)
+    accepted = 0
+    while solver.status == "running":
+        solver.step()
+        accepted += 1
+    attempted = (solver.nfev - 2) // 6  # two evaluations for the start, six per attempt
+    assert attempted > accepted  # the case does exercise step rejection
+    _assert_same_run(_kinked, (0.0, 2.0), y0, [0.0, 0.3, 0.5, 0.9, 2.0], rtol=rtol, atol=1e-9)
+
+
+def test_blow_up_fails_with_scipys_min_step_message():
+    got = _assert_same_run(lambda t, y: y ** 2, (0.0, 2.0), np.array([1.0]),
+                           [0.0, 0.5, 0.9, 1.5, 2.0])
+    assert not got.success
+    assert got.message == "Required step size is less than spacing between numbers."
+    assert got.y.shape == (1, 3)  # the points before the pole at t = 1
+
+
+def test_leaf_trace_matches_scipy_flows(monkeypatch):
+    """The flows at their real call site: a whole leaf grid, forward and backward in t and s."""
+    p = mf.corpus()["fub"]
+    seed = mf.Point(1.0, 0.5)
+    t_vals, s_vals = foliation.make_grid(-0.2, 0.2, -0.1, 0.1, 0.05)
+    ours = foliation.trace_leaf(p, seed, t_vals, s_vals)
+    monkeypatch.setattr(foliation, "solve_ivp", scipy.integrate.solve_ivp)
+    theirs = foliation.trace_leaf(p, seed, t_vals, s_vals)
+    assert np.array_equal(ours.points, theirs.points)
+    assert np.array_equal(ours.rho_values, theirs.rho_values)
+
+
+@pytest.mark.parametrize("xtol", [1e-14, 1e-3])  # level_set_samples' tolerance, and a coarse one
+def test_brentq_matches_scipy_on_random_brackets(xtol):
+    rng = np.random.default_rng(20050515)
+    compared = 0
+    for _ in range(500):
+        coeffs = rng.normal(size=6)
+        level = rng.normal()
+
+        def f(x, coeffs=coeffs, level=level):
+            return float(np.polyval(coeffs, x)) - level
+
+        a, b = rng.uniform(-3.0, 0.0), rng.uniform(0.0, 3.0)
+        if np.sign(f(a)) == np.sign(f(b)):
+            continue
+        want = scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=8.9e-16)
+        assert ode.brentq(f, a, b, xtol=xtol, rtol=8.9e-16) == want
+        compared += 1
+    assert compared > 100
+    for a, b in ((0.0, 1.0), (-1.0, 0.0)):  # a root at an end of the bracket
+        want = scipy.optimize.brentq(lambda x: x, a, b, xtol=xtol, rtol=8.9e-16)
+        assert ode.brentq(lambda x: x, a, b, xtol=xtol, rtol=8.9e-16) == want
+
+
+def test_level_set_samples_match_scipy_roots(monkeypatch):
+    p = mf.corpus()["weighted"]
+    ours = foliation.level_set_samples(p, 0.7, 12, seed=3)
+    monkeypatch.setattr(foliation, "brentq", scipy.optimize.brentq)
+    theirs = foliation.level_set_samples(p, 0.7, 12, seed=3)
+    assert [q.as_pair() for q in ours] == [q.as_pair() for q in theirs]
+
+
+def test_brentq_errors_match_scipy():
+    with pytest.raises(ValueError, match="NaN"):
+        ode.brentq(lambda x: np.nan if x > 0.5 else x - 0.7, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16)
+    with pytest.raises(ValueError, match="different signs"):
+        ode.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-14, rtol=8.9e-16)
+
+    def step(x):
+        return 1.0 if x > 0 else -1.0
+
+    with pytest.raises(RuntimeError) as want:
+        scipy.optimize.brentq(step, -1.0, 2.0, xtol=1e-300)
+    with pytest.raises(RuntimeError) as got:
+        ode.brentq(step, -1.0, 2.0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    assert str(got.value) == str(want.value)
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(mf.__file__).resolve().parents[1])
+    code = "import sys, mafoliate.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=src)
