@@ -60,6 +60,8 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"coefficient {x!r} is not finite")
         return Fraction(x)  # exact binary expansion
     if isinstance(x, str):
         return Fraction(x)
@@ -622,7 +624,8 @@ def parse_polynomial(source) -> HermitianPolynomial:
     """Parse the interchange format (JSON text, parsed dict, or term list).
 
     Raises RealityViolation if any key lacks its conjugate partner within the
-    coefficient tolerance, NegativeExponent on malformed keys.
+    coefficient tolerance, NegativeExponent on malformed keys or term entries,
+    ValueError on a non-finite coefficient.
     """
     if isinstance(source, (str, bytes)):
         source = json.loads(source)
@@ -635,7 +638,9 @@ def parse_polynomial(source) -> HermitianPolynomial:
         try:
             a = entry["a"]
             b = entry["b"]
-        except (TypeError, KeyError) as exc:
+            if len(a) != 2 or len(b) != 2:
+                raise ValueError("an exponent list must have two entries")
+        except (TypeError, KeyError, ValueError) as exc:
             raise NegativeExponent(f"malformed term entry {entry!r}") from exc
         key = _validate_key((a[0], a[1], b[0], b[1]))
         re = _as_fraction(entry.get("re", 0))

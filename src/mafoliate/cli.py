@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -43,6 +44,7 @@ from .foliation import (
     level_set_samples,
     level_transport,
     make_grid,
+    random_vector,
     trace_leaf,
     weighted_homogeneity_check,
     write_leaf_csv,
@@ -75,15 +77,17 @@ class RunConfig:
     strict: bool = False
 
     def __post_init__(self):
-        for name in ("eps_D", "tol_type", "tol_ext", "rtol", "atol", "trace_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        least = {"grid": 1, "samples": 1, "fit_samples": 1, "trials": 1,
-                 "transport_samples": 1, "m_max": 2}  # the shortest bracket has length 2
-        for name, low in least.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+        least = {"grid": 1, "samples": 1, "fit_samples": 1, "fit_degree": 1, "trials": 1,
+                 "transport_samples": 1, "seed": 0, "m_max": 2}  # the shortest bracket has length 2
+        accepted = {"int": int, "float": (int, float), "str": str, "bool": bool}
+        for f in fields(self):  # f.type is the annotation's text, such as "float"
+            value, low = getattr(self, f.name), least.get(f.name)
+            if (isinstance(value, bool) != (f.type == "bool")
+                    or not isinstance(value, accepted[f.type]) or (low is not None and value < low)):
+                wanted = f"an integer of at least {low}" if low is not None else f"a {f.type}"
+                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
+            if f.type == "float" and not 0 < value < math.inf:
+                raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
 
     def flow(self) -> FlowConfig:
         return FlowConfig(rtol=self.rtol, atol=self.atol, eps_D=self.eps_D,
@@ -91,15 +95,15 @@ class RunConfig:
 
 
 def _load_config(path: str | None) -> RunConfig:
-    cfg = RunConfig()
-    if path:
-        data = json.loads(Path(path).read_text("utf-8"))
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}")
-        cfg = replace(cfg, **data)
-    return cfg
+    if not path:
+        return RunConfig()
+    data = json.loads(Path(path).read_text("utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"config file must hold a JSON object, not {type(data).__name__}")
+    unknown = set(data) - {f.name for f in fields(RunConfig)}
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
+    return RunConfig(**data)
 
 
 def _load_poly(name_or_path: str) -> HermitianPolynomial:
@@ -140,7 +144,11 @@ def _write_json(path: Path, p: HermitianPolynomial, analysis: dict) -> None:
         "poly_sha256": polynomial_hash(p),
         "analysis": _jsonable(analysis),
     }
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", "utf-8")
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path.name} not written: the analysis holds a non-finite value") from exc
+    path.write_text(text + "\n", "utf-8")
 
 
 def _write_meta(path: Path, argv: list[str]) -> None:
@@ -156,9 +164,7 @@ def _sample_points(p: HermitianPolynomial, rng, count: int, d_cutoff: float = 1e
     attempts = 0
     while len(out) < count and attempts < 200 * count:
         attempts += 1
-        row = rng.normal(size=4)
-        v = np.array([complex(row[0], row[1]), complex(row[2], row[3])])
-        v *= rng.uniform(r_lo, r_hi) / np.linalg.norm(v)
+        v = random_vector(rng, r_lo, r_hi)
         if p(v[0], v[1]).real <= 0.0 or det(v[0], v[1]).real <= d_cutoff:
             continue
         out.append(Point(v[0], v[1]))
@@ -168,27 +174,79 @@ def _sample_points(p: HermitianPolynomial, rng, count: int, d_cutoff: float = 1e
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (ok, artifacts written)
+# analysis stages, shared by the subcommands and `report`
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check_ma(p, cfg: RunConfig, out: Path) -> bool:
-    rng = np.random.default_rng(cfg.seed)
-    pts = _sample_points(p, rng, cfg.grid * cfg.grid)
+def _record(obj, **extra) -> dict:
+    """A result dataclass as a report record: its fields by name, then the extra entries."""
+    return {**{f.name: getattr(obj, f.name) for f in fields(obj)}, **extra}
+
+
+def _ma_stage(p, pts: list[Point]) -> tuple[list, dict]:
     reports = pmap(lambda q: ma_residual(eval_jet(p, q)), pts)
     worst = max(reports, key=lambda r: abs(r.normalized))
-    is_ma = abs(worst.normalized) < 1e-9
+    return reports, {"count": len(reports), "max_abs_normalized": abs(worst.normalized),
+                     "worst_point": worst.point, "is_ma": abs(worst.normalized) < 1e-9}
+
+
+def _trace_stage(p, cfg: RunConfig, point: Point) -> tuple:
+    t_vals, s_vals = make_grid(0.0, cfg.trace_t_max, 0.0, cfg.trace_s_max, cfg.trace_step)
+    trace = trace_leaf(p, point, t_vals, s_vals, cfg.flow())
+    return trace, _record(leaf_diagnostics(trace), seed=point,
+                          radiality_defect=trace.diagnostics["radiality_defect"])
+
+
+def _transport_stage(p, cfg: RunConfig, r1: float, r2: float) -> dict:
+    samples = level_set_samples(p, r1, cfg.transport_samples, seed=cfg.seed)
+    return _record(level_transport(p, r1, r2, samples, cfg.flow()))
+
+
+def _fit_weights_dict(p, cfg: RunConfig, rng) -> dict:
+    pts = _sample_points(p, rng, cfg.fit_samples)
+    fit = fit_holomorphic_Z(p, pts, cfg.fit_degree, eps_D=cfg.eps_D)
+    zero = zero_set_check(fit)
+    est = estimate_weights(fit)
+    return {
+        "degree": fit.degree,
+        "coefficients": {
+            "Z1": {f"{a},{b}": c for (a, b), c in sorted(fit.coeff1.items())},
+            "Z2": {f"{a},{b}": c for (a, b), c in sorted(fit.coeff2.items())},
+        },
+        "max_residual": fit.max_residual,
+        "holdout_pairing_residual": fit.holdout_pairing_residual,
+        "zero_set": {
+            "isolated_zero_at_origin": zero.isolated_zero_at_origin,
+            "linear_min_singular": zero.linear_min_singular,
+            "min_on_unit_sphere": zero.min_on_unit_sphere,
+            "other_zeros": zero.other_zeros,
+        },
+        "weights": {"c1": est.c1, "c2": est.c2, "diagonalization_residual": est.residual},
+        "homogeneity_defect": weighted_homogeneity_check(p, est.c1, est.c2,
+                                                         trials=cfg.trials, seed=cfg.seed),
+    }
+
+
+def _weights_ok(doc: dict) -> bool:
+    return (doc["max_residual"] < 1e-6 and doc["homogeneity_defect"] < 1e-6
+            and doc["zero_set"]["isolated_zero_at_origin"])
+
+
+# ---------------------------------------------------------------------------
+# subcommands; each writes its artifacts and returns whether the verdict holds
+# ---------------------------------------------------------------------------
+
+
+def _cmd_check_ma(p, cfg: RunConfig, out: Path, args) -> bool:
+    pts = _sample_points(p, np.random.default_rng(cfg.seed), cfg.grid * cfg.grid)
+    reports, summary = _ma_stage(p, pts)
     write_ma_csv(reports, out / "ma_scan.csv", __version__, polynomial_hash(p))
-    _write_json(out / "ma_summary.json", p, {
-        "count": len(reports),
-        "max_abs_normalized": abs(worst.normalized),
-        "worst_point": worst.point,
-        "is_ma": is_ma,
-    })
-    return is_ma
+    _write_json(out / "ma_summary.json", p, summary)
+    return summary["is_ma"]
 
 
-def _cmd_gradient(p, cfg: RunConfig, out: Path, point: Point) -> bool:
+def _cmd_gradient(p, cfg: RunConfig, out: Path, args) -> bool:
+    point = _parse_point(args.point)
     jet = eval_jet(p, point)
     method = "cofactor" if jet.D > cfg.eps_D else "ray_limit_extension"
     g = gradient_anywhere(p, point, eps_D=cfg.eps_D, tol_ext=cfg.tol_ext)
@@ -201,119 +259,56 @@ def _cmd_gradient(p, cfg: RunConfig, out: Path, point: Point) -> bool:
     return ok
 
 
-def _cmd_type_at(p, cfg: RunConfig, out: Path, point: Point) -> bool:
-    report = point_type(p, point, m_max=cfg.m_max, tol=cfg.tol_type)
+def _cmd_type_at(p, cfg: RunConfig, out: Path, args) -> bool:
+    report = point_type(p, _parse_point(args.point), m_max=cfg.m_max, tol=cfg.tol_type)
     _write_json(out / "type_report.json", p, report.to_json_dict())
     return report.type_m != "exceeds_cap"
 
 
-def _cmd_trace_leaf(p, cfg: RunConfig, out: Path, point: Point) -> bool:
-    t_vals, s_vals = make_grid(0.0, cfg.trace_t_max, 0.0, cfg.trace_s_max, cfg.trace_step)
-    trace = trace_leaf(p, point, t_vals, s_vals, cfg.flow())
-    diag = leaf_diagnostics(trace)
+def _cmd_trace_leaf(p, cfg: RunConfig, out: Path, args) -> bool:
+    trace, rec = _trace_stage(p, cfg, _parse_point(args.point))
     write_leaf_csv(trace, out / "leaf_trace.csv", __version__)
-    _write_json(out / "trace_diagnostics.json", p, {
-        "seed": point, "h_t": diag.h_t, "h_s": diag.h_s,
-        "harmonicity_defect": diag.harmonicity_defect,
-        "monotone_growth": diag.monotone_growth,
-        "parametrization_defect": diag.parametrization_defect,
-        "min_gradient_norm": diag.min_gradient_norm,
-        "growth_rate": diag.growth_rate,
-        "growth_subinterval_spread": diag.growth_subinterval_spread,
-        "level_drift": diag.level_drift,
-        "radiality_defect": trace.diagnostics["radiality_defect"],
-    })
-    return diag.monotone_growth
+    _write_json(out / "trace_diagnostics.json", p, rec)
+    return rec["monotone_growth"]
 
 
-def _burns_dict(v) -> dict:
-    return {
-        "k": v.k, "is_ma": v.is_ma, "ma_max_normalized": v.ma_max_normalized,
-        "ma_worst_point": v.ma_worst_point, "bidegree_pure": v.bidegree_pure,
-        "components": [list(c) for c in v.components],
-        "extreme_components_vanish": v.extreme_components_vanish,
-        "growth_bound": v.growth_bound, "min_on_sphere": v.min_on_sphere,
-        "theorem_consistent": v.theorem_consistent,
-    }
+def _cmd_burns(p, cfg: RunConfig, out: Path, args) -> bool:
+    rec = _record(burns_verify(p, ma_samples=cfg.samples, seed=cfg.seed))
+    _write_json(out / "burns_verdict.json", p, rec)
+    return rec["is_ma"] and rec["theorem_consistent"]
 
 
-def _cmd_burns(p, cfg: RunConfig, out: Path) -> bool:
-    verdict = burns_verify(p, ma_samples=cfg.samples, seed=cfg.seed)
-    _write_json(out / "burns_verdict.json", p, _burns_dict(verdict))
-    return verdict.is_ma and verdict.theorem_consistent
-
-
-def _fit_weights_dict(p, cfg: RunConfig, rng) -> tuple[dict, bool]:
-    pts = _sample_points(p, rng, cfg.fit_samples)
-    fit = fit_holomorphic_Z(p, pts, cfg.fit_degree, eps_D=cfg.eps_D)
-    zero = zero_set_check(fit)
-    est = estimate_weights(fit)
-    defect = weighted_homogeneity_check(p, est.c1, est.c2, trials=cfg.trials, seed=cfg.seed)
-    doc = {
-        "degree": fit.degree,
-        "coefficients": {
-            "Z1": {f"{a},{b}": c for (a, b), c in sorted(fit.coeff1.items())},
-            "Z2": {f"{a},{b}": c for (a, b), c in sorted(fit.coeff2.items())},
-        },
-        "max_residual": fit.max_residual,
-        "holdout_pairing_residual": fit.holdout_pairing_residual,
-        "zero_set": {
-            "isolated_zero_at_origin": zero.isolated_zero_at_origin,
-            "linear_min_singular": zero.linear_min_singular,
-            "min_on_unit_sphere": zero.min_on_unit_sphere,
-            "other_zeros": list(zero.other_zeros),
-        },
-        "weights": {"c1": est.c1, "c2": est.c2, "diagonalization_residual": est.residual},
-        "homogeneity_defect": defect,
-    }
-    ok = fit.max_residual < 1e-6 and defect < 1e-6 and zero.isolated_zero_at_origin
-    return doc, ok
-
-
-def _cmd_weights(p, cfg: RunConfig, out: Path) -> bool:
-    rng = np.random.default_rng(cfg.seed)
-    doc, ok = _fit_weights_dict(p, cfg, rng)
+def _cmd_weights(p, cfg: RunConfig, out: Path, args) -> bool:
+    doc = _fit_weights_dict(p, cfg, np.random.default_rng(cfg.seed))
     _write_json(out / "weights.json", p, doc)
-    return ok
+    return _weights_ok(doc)
 
 
-def _cmd_transport(p, cfg: RunConfig, out: Path, r1: float, r2: float) -> bool:
-    samples = level_set_samples(p, r1, cfg.transport_samples, seed=cfg.seed)
-    rep = level_transport(p, r1, r2, samples, cfg.flow())
-    _write_json(out / "transport.json", p, {
-        "r1": rep.r1, "r2": rep.r2, "rate": rep.rate, "time": rep.time,
-        "max_landing_defect": rep.max_landing_defect,
-        "max_roundtrip_defect": rep.max_roundtrip_defect,
-        "landing_defects": list(rep.landing_defects),
-        "roundtrip_defects": list(rep.roundtrip_defects),
-    })
-    return rep.max_landing_defect < 1e-6 and rep.max_roundtrip_defect < 1e-5
+def _cmd_transport(p, cfg: RunConfig, out: Path, args) -> bool:
+    rec = _transport_stage(p, cfg, args.r1, args.r2)
+    _write_json(out / "transport.json", p, rec)
+    return rec["max_landing_defect"] < 1e-6 and rec["max_roundtrip_defect"] < 1e-5
 
 
-def _cmd_report(p, cfg: RunConfig, out: Path) -> bool:
+def _cmd_report(p, cfg: RunConfig, out: Path, args) -> bool:
     rng = np.random.default_rng(cfg.seed)
-    cfg_echo = asdict(cfg)
-    cfg_echo.pop("out_dir")  # I/O plumbing, kept out of the deterministic document
-    cfg_echo.pop("strict")
+    # out_dir and strict are I/O plumbing, kept out of the deterministic document
+    cfg_echo = {k: v for k, v in asdict(cfg).items() if k not in ("out_dir", "strict")}
     doc: dict = {"config": cfg_echo, "polynomial": serialize_polynomial(p)}
-    oks: list[bool] = []
 
     pts = _sample_points(p, rng, cfg.samples)
-    reports = pmap(lambda q: ma_residual(eval_jet(p, q)), pts)
-    worst = max(reports, key=lambda r: abs(r.normalized))
-    is_ma = abs(worst.normalized) < 1e-9
-    doc["ma"] = {"count": len(reports), "max_abs_normalized": abs(worst.normalized),
-                 "worst_point": worst.point, "is_ma": is_ma}
+    _, doc["ma"] = _ma_stage(p, pts)
 
     grad_defect = 0.0
-    for q in pts[: min(len(pts), 500)]:
+    for q in pts[:500]:
         jet = eval_jet(p, q)
         g = complex_gradient(jet, cfg.eps_D)
         grad_defect = max(grad_defect, abs(g.pairing_check) / jet.rho)
     doc["gradient"] = {"max_relative_pairing_defect": grad_defect}
+    oks = [doc["ma"]["is_ma"], grad_defect < 1e-6]
 
     bk = {"defect_llbar": 0.0, "defect_lz": 0.0, "defect_lzbar": 0.0, "defect_zzbar": 0.0}
-    for q in pts[: min(len(pts), 100)]:
+    for q in pts[:100]:
         rep = bracket_identities_check(p, q, eps_D=cfg.eps_D)
         for key in bk:
             bk[key] = max(bk[key], getattr(rep, key))
@@ -324,57 +319,58 @@ def _cmd_report(p, cfg: RunConfig, out: Path) -> bool:
                    for q in probes]
 
     try:
-        verdict = burns_verify(p, ma_samples=min(cfg.samples, 2000), seed=cfg.seed)
-        doc["burns"] = _burns_dict(verdict)
-        oks.append(verdict.theorem_consistent)
+        doc["burns"] = _record(burns_verify(p, ma_samples=min(cfg.samples, 2000), seed=cfg.seed))
+        oks.append(doc["burns"]["theorem_consistent"])
     except NotHomogeneous as exc:
         doc["burns"] = {"skipped": str(exc)}
 
     # the remaining stages presuppose the equation; on a failing input their
     # errors are analysis outcomes and belong in the record, not on stderr
-    try:
-        fit_doc, fit_ok = _fit_weights_dict(p, cfg, rng)
-        doc["fit_and_weights"] = fit_doc
-        oks.append(fit_ok)
-    except MafoliateError as exc:
-        doc["fit_and_weights"] = {"error": str(exc)}
-        oks.append(False)
+    for name, stage, passed in (
+            ("fit_and_weights", lambda: _fit_weights_dict(p, cfg, rng), _weights_ok),
+            ("transport", lambda: _transport_stage(p, cfg, 1.0, 2.0),
+             lambda rec: rec["max_landing_defect"] < 1e-6),
+            ("trace", lambda: _trace_stage(p, cfg, probes[0])[1],
+             lambda rec: rec["monotone_growth"])):
+        try:
+            doc[name] = stage()
+            oks.append(passed(doc[name]))
+        except MafoliateError as exc:
+            doc[name] = {"error": str(exc)}
+            oks.append(False)
 
-    try:
-        samples = level_set_samples(p, 1.0, cfg.transport_samples, seed=cfg.seed)
-        tr = level_transport(p, 1.0, 2.0, samples, cfg.flow())
-        doc["transport"] = {"rate": tr.rate, "time": tr.time,
-                            "max_landing_defect": tr.max_landing_defect,
-                            "max_roundtrip_defect": tr.max_roundtrip_defect}
-        oks.append(tr.max_landing_defect < 1e-6)
-    except MafoliateError as exc:
-        doc["transport"] = {"error": str(exc)}
-        oks.append(False)
-
-    try:
-        seed_pt = probes[0]
-        t_vals, s_vals = make_grid(0.0, cfg.trace_t_max, 0.0, cfg.trace_s_max, cfg.trace_step)
-        trace = trace_leaf(p, seed_pt, t_vals, s_vals, cfg.flow())
-        diag = leaf_diagnostics(trace)
-        doc["trace"] = {"seed": seed_pt, "harmonicity_defect": diag.harmonicity_defect,
-                        "parametrization_defect": diag.parametrization_defect,
-                        "monotone_growth": diag.monotone_growth,
-                        "growth_rate": diag.growth_rate, "level_drift": diag.level_drift}
-        oks.append(diag.monotone_growth)
-    except MafoliateError as exc:
-        doc["trace"] = {"error": str(exc)}
-        oks.append(False)
-
-    oks += [is_ma, grad_defect < 1e-6]
-    ok = all(oks)
-    doc["ok"] = ok
+    doc["ok"] = all(oks)
     _write_json(out / "report.json", p, doc)
-    return ok
+    return doc["ok"]
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
+
+_POINT = ("--point", {"required": True, "help": "x1,y1,x2,y2"})
+
+# name: (handler, help, extra flags); a flag that sets a RunConfig knob has the
+# knob's name as its dest, and the metavar keeps the flag's own name in --help
+_COMMANDS = {
+    "check-ma": (_cmd_check_ma, "sampled Monge-Ampere residual scan",
+                 [("--grid", {"type": int, "help": "draw grid^2 sample points"})]),
+    "gradient": (_cmd_gradient, "complex gradient at a point (extends across D = 0)", [_POINT]),
+    "type-at": (_cmd_type_at, "finite type of the level set through a point",
+                [_POINT, ("--m-max", {"type": int, "dest": "m_max", "help": "bracket length cap"})]),
+    "trace-leaf": (_cmd_trace_leaf, "trace the foliation leaf through a seed",
+                   [_POINT, ("--step", {"type": float, "dest": "trace_step", "metavar": "STEP",
+                                        "help": "grid step in (t, s)"})]),
+    "burns": (_cmd_burns, "homogeneous-polynomial verdict", []),
+    "weights": (_cmd_weights, "fit Z, extract circular-domain weights",
+                [("--degree", {"type": int, "dest": "fit_degree", "metavar": "DEGREE",
+                               "help": "fit degree"})]),
+    "transport": (_cmd_transport, "flow one level set onto another",
+                  [("--r1", {"type": float, "required": True}),
+                   ("--r2", {"type": float, "required": True}),
+                   ("--samples", {"type": int, "dest": "transport_samples"})]),
+    "report": (_cmd_report, "full pipeline, one combined JSON document", []),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -384,50 +380,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mafoliate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, (handler, help_text, extra) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--poly", required=True,
                         help=f"polynomial JSON file or corpus name {CORPUS_NAMES}")
         sp.add_argument("--config", help="JSON config file (flags override it)")
-        sp.add_argument("--out", help="output directory (default: config out_dir)")
+        sp.add_argument("--out", dest="out_dir", metavar="OUT",
+                        help="output directory (default: config out_dir)")
         sp.add_argument("--seed", type=int, help="random seed")
-        sp.add_argument("--strict", action="store_true",
+        sp.add_argument("--strict", action="store_true", default=None,
                         help="exit 1 when the analysis verdict is violated")
-
-    sp = sub.add_parser("check-ma", help="sampled Monge-Ampere residual scan")
-    common(sp)
-    sp.add_argument("--grid", type=int, help="draw grid^2 sample points")
-
-    sp = sub.add_parser("gradient", help="complex gradient at a point (extends across D = 0)")
-    common(sp)
-    sp.add_argument("--point", required=True, help="x1,y1,x2,y2")
-
-    sp = sub.add_parser("type-at", help="finite type of the level set through a point")
-    common(sp)
-    sp.add_argument("--point", required=True, help="x1,y1,x2,y2")
-    sp.add_argument("--m-max", type=int, dest="m_max", help="bracket length cap")
-
-    sp = sub.add_parser("trace-leaf", help="trace the foliation leaf through a seed")
-    common(sp)
-    sp.add_argument("--point", required=True, help="x1,y1,x2,y2")
-    sp.add_argument("--step", type=float, help="grid step in (t, s)")
-
-    sp = sub.add_parser("burns", help="homogeneous-polynomial verdict")
-    common(sp)
-
-    sp = sub.add_parser("weights", help="fit Z, extract circular-domain weights")
-    common(sp)
-    sp.add_argument("--degree", type=int, help="fit degree")
-
-    sp = sub.add_parser("transport", help="flow one level set onto another")
-    common(sp)
-    sp.add_argument("--r1", type=float, required=True)
-    sp.add_argument("--r2", type=float, required=True)
-    sp.add_argument("--samples", type=int, dest="transport_samples")
-
-    sp = sub.add_parser("report", help="full pipeline, one combined JSON document")
-    common(sp)
-
+        for flag, kwargs in extra:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(run=handler)
     return parser
 
 
@@ -445,51 +410,18 @@ def _glue_point_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_glue_point_values(argv))
+        args = _build_parser().parse_args(_glue_point_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        cfg = _load_config(args.config)
-        overrides = {}
-        for name in ("seed", "grid", "m_max", "transport_samples"):
-            if getattr(args, name, None) is not None:
-                overrides[name] = getattr(args, name)
-        if getattr(args, "step", None) is not None:
-            overrides["trace_step"] = args.step
-        if getattr(args, "degree", None) is not None:
-            overrides["fit_degree"] = args.degree
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if args.strict:
-            overrides["strict"] = True
-        cfg = replace(cfg, **overrides)
-
+        cfg = replace(_load_config(args.config), **{
+            f.name: getattr(args, f.name) for f in fields(RunConfig)
+            if getattr(args, f.name, None) is not None})
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        p = _load_poly(args.poly)
-
-        if args.command == "check-ma":
-            ok = _cmd_check_ma(p, cfg, out)
-        elif args.command == "gradient":
-            ok = _cmd_gradient(p, cfg, out, _parse_point(args.point))
-        elif args.command == "type-at":
-            ok = _cmd_type_at(p, cfg, out, _parse_point(args.point))
-        elif args.command == "trace-leaf":
-            ok = _cmd_trace_leaf(p, cfg, out, _parse_point(args.point))
-        elif args.command == "burns":
-            ok = _cmd_burns(p, cfg, out)
-        elif args.command == "weights":
-            ok = _cmd_weights(p, cfg, out)
-        elif args.command == "transport":
-            ok = _cmd_transport(p, cfg, out, args.r1, args.r2)
-        elif args.command == "report":
-            ok = _cmd_report(p, cfg, out)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
-            return 2
+        ok = args.run(_load_poly(args.poly), cfg, out, args)
         _write_meta(out / f"{args.command.replace('-', '_')}_meta.json", argv)
     except (MafoliateError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -505,6 +505,17 @@ def estimate_weights(fit: HolomorphicFit, tol: float = 1e-8) -> WeightEstimate:
                           tuple(map(tuple, J.tolist())), residual)
 
 
+def random_vector(rng, r_lo: float | None = None, r_hi: float | None = None) -> np.ndarray:
+    """Gaussian direction in C^2, scaled to a radius uniform in [r_lo, r_hi], or to unit length."""
+    row = rng.normal(size=4)
+    v = np.array([complex(row[0], row[1]), complex(row[2], row[3])])
+    if r_lo is None:
+        v /= np.linalg.norm(v)
+    else:
+        v *= rng.uniform(r_lo, r_hi) / np.linalg.norm(v)
+    return v
+
+
 def weighted_homogeneity_check(p: HermitianPolynomial, c1: float, c2: float,
                                trials: int = 1000, seed: int = 0) -> float:
     """Max relative defect of rho(e^{c1 L} z1, e^{c2 L} z2) = |e^L|^2 rho(z) over random (z, L)."""
@@ -513,9 +524,7 @@ def weighted_homogeneity_check(p: HermitianPolynomial, c1: float, c2: float,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        row = rng.normal(size=4)
-        v = np.array([complex(row[0], row[1]), complex(row[2], row[3])])
-        v *= rng.uniform(0.5, 1.5) / np.linalg.norm(v)
+        v = random_vector(rng, 0.5, 1.5)
         lam = complex(rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))
         lhs = p(np.exp(c1 * lam) * v[0], np.exp(c2 * lam) * v[1]).real
         rhs = math.exp(2.0 * lam.real) * p(v[0], v[1]).real
@@ -534,9 +543,7 @@ def level_set_samples(p: HermitianPolynomial, r: float, count: int,
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        row = rng.normal(size=4)
-        v = np.array([complex(row[0], row[1]), complex(row[2], row[3])])
-        v /= np.linalg.norm(v)
+        v = random_vector(rng)
 
         def along(t: float) -> float:
             return p(t * v[0], t * v[1]).real - r
@@ -673,9 +680,7 @@ def burns_verify(p: HermitianPolynomial, sphere_samples: int = 10_000,
     accepted, attempts = 0, 0
     while accepted < ma_samples and attempts < 50 * ma_samples:
         attempts += 1
-        row = rng.normal(size=4)
-        v = np.array([complex(row[0], row[1]), complex(row[2], row[3])])
-        v *= rng.uniform(0.5, 1.5) / np.linalg.norm(v)
+        v = random_vector(rng, 0.5, 1.5)
         q = Point(v[0], v[1])
         if det(v[0], v[1]).real <= d_cutoff:
             continue
@@ -688,9 +693,7 @@ def burns_verify(p: HermitianPolynomial, sphere_samples: int = 10_000,
     growth = 0.0
     mags = np.logspace(-3, 3, 13)
     for _ in range(growth_rays):
-        row = rng.normal(size=4)
-        v = np.array([complex(row[0], row[1]), complex(row[2], row[3])])
-        v /= np.linalg.norm(v)
+        v = random_vector(rng)
         base = math.log(p(v[0], v[1]).real)
         for mag in mags:
             lam = mag * np.exp(2j * math.pi * rng.uniform())

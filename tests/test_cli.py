@@ -122,6 +122,12 @@ def test_input_error_exit_codes(tmp_path):
     bad_poly = tmp_path / "unreal.json"
     bad_poly.write_text('{"terms": [{"a": [1, 0], "b": [0, 1], "re": 1.0}]}')
     assert run(["check-ma", "--poly", bad_poly, "--out", tmp_path]) == 2
+    short_exponents = tmp_path / "short.json"
+    short_exponents.write_text('{"terms": [{"a": [1], "b": [0, 1], "re": 1.0}]}')
+    assert run(["check-ma", "--poly", short_exponents, "--out", tmp_path]) == 2
+    infinite = tmp_path / "infinite.json"
+    infinite.write_text('{"terms": [{"a": [1, 0], "b": [1, 0], "re": 1e400}]}')
+    assert run(["check-ma", "--poly", infinite, "--out", tmp_path]) == 2
     assert run(["nonsense-command"]) == 2
 
 
@@ -160,9 +166,44 @@ def test_point_with_leading_minus_in_either_spelling(tmp_path):
 
 @pytest.mark.parametrize("knob, value", [
     ("grid", 0), ("samples", 0), ("fit_samples", 0), ("trials", 0),
-    ("transport_samples", 0), ("m_max", 1), ("grid", 2.5), ("samples", "3")])
+    ("transport_samples", 0), ("m_max", 1), ("grid", 2.5), ("samples", "3"),
+    ("seed", "7"), ("seed", -1), ("seed", True), ("fit_degree", "2"), ("fit_degree", 0)])
 def test_bad_integer_knob_is_rejected(tmp_path, capsys, knob, value):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({knob: value}))
     assert run(["check-ma", "--poly", "euc", "--config", cfg_path, "--out", tmp_path]) == 2
     assert f"error: {knob} must be an integer of at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"eps_D": "1e-10"}', "eps_D"), ('{"trace_t_max": true}', "trace_t_max"),
+    ('{"atol": NaN}', "atol"), ('{"trace_t_max": Infinity}', "trace_t_max"),
+    ('{"trace_s_max": -1}', "trace_s_max"), ('{"out_dir": 3}', "out_dir"), ('{"strict": 1}', "strict"),
+    ("null", "JSON object"), ("5", "JSON object")])
+def test_bad_config_value_is_rejected(tmp_path, capsys, text, named):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert run(["weights", "--poly", "weighted", "--config", cfg_path, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["gradient", "--poly", "quartic", "--point=1e200,0,1,0"], "gradient.json"),
+    (["type-at", "--poly", "euc", "--point=1e300,0,1,0"], "type_report.json")])
+def test_non_finite_analysis_is_an_error_and_writes_nothing(tmp_path, capsys, argv, name):
+    assert run([*argv, "--out", tmp_path]) == 2
+    assert f"error: {name} not written" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_embeds_the_subcommand_records(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"samples": 100, "fit_samples": 30, "trials": 20,
+                                    "transport_samples": 2, "trace_step": 0.1, "seed": 3}))
+    common = ["--poly", "euc", "--config", cfg_path, "--out", tmp_path]
+    for argv in (["report"], ["transport", "--r1", 1, "--r2", 2], ["burns"]):
+        assert run([*argv, *common]) == 0
+    report = read_json(tmp_path / "report.json")["analysis"]
+    assert report["transport"] == read_json(tmp_path / "transport.json")["analysis"]
+    assert report["burns"] == read_json(tmp_path / "burns_verdict.json")["analysis"]
