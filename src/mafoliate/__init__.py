@@ -35,6 +35,7 @@ from .errors import (
     FlowEscape,
     IncompleteTrace,
     MafoliateError,
+    MalformedPolynomial,
     NegativeExponent,
     NoConvergence,
     NonPositiveRho,

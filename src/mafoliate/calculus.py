@@ -11,9 +11,11 @@ Conventions used throughout the toolkit:
   conjugate of the coefficient of the swapped key ``(b, a)``.  Such validated
   polynomials are :class:`HermitianPolynomial`; they model the exhaustion rho
   and everything built from it.
-* Coefficients are Gaussian rationals (a pair of ``fractions.Fraction``), so
-  all symbolic stages (derivatives, products, bracket towers) are exact.
-  Pointwise evaluation happens in complex double precision.
+* Coefficients are Gaussian rationals, held as Gaussian-integer numerators
+  over one denominator per polynomial (see :class:`Polynomial`), so all
+  symbolic stages (derivatives, products, bracket towers) are exact integer
+  arithmetic.  Pointwise evaluation happens in complex double precision, from
+  correctly rounded coefficients.
 
 The pointwise second-order data of rho is collected in :class:`WirtingerJet`:
 value, holomorphic gradient, Levi matrix ``rho_{mu nubar}``, its determinant
@@ -42,11 +44,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NegativeExponent, NonPositiveRho, RealityViolation
+from .errors import MalformedPolynomial, NegativeExponent, NonPositiveRho, RealityViolation
 
 VARIABLES = ("z1", "z2", "zbar1", "zbar2")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -65,12 +68,12 @@ def _as_fraction(x) -> Fraction:
         return Fraction(x)  # exact binary expansion
     if isinstance(x, str):
         return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    raise MalformedPolynomial(f"cannot interpret {x!r} as an exact rational")
 
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number with rational parts: a coefficient entering or leaving a Polynomial."""
 
     re: Fraction
     im: Fraction
@@ -85,36 +88,11 @@ class GaussianRational:
             return cls(_as_fraction(value[0]), _as_fraction(value[1]))
         return cls(_as_fraction(value), Fraction(0))
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def scaled(self, f: Fraction) -> "GaussianRational":
-        return GaussianRational(self.re * f, self.im * f)
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
-
-
-_QC_ZERO = GaussianRational(Fraction(0), Fraction(0))
-_QC_ONE = GaussianRational(Fraction(1), Fraction(0))
 
 
 class MonomialKey(NamedTuple):
@@ -156,25 +134,48 @@ def _validate_key(key) -> MonomialKey:
     return k
 
 
+def _lowest(num: dict, den: int) -> tuple[dict, int]:
+    """Divide den and every numerator by their gcd; the zero polynomial gets den 1."""
+    g = math.gcd(den, *chain.from_iterable(num.values())) if den != 1 else 1
+    if g == 1:
+        return num, den
+    return {k: (re // g, im // g) for k, (re, im) in num.items()}, den // g
+
+
 class Polynomial:
     """Polynomial in (z1, z2, zbar1, zbar2) with exact Gaussian-rational coefficients.
 
+    ``_num`` maps exponent tuples to nonzero Gaussian-integer numerators
+    ``(re, im)`` over the positive denominator ``_den``, and
+    ``gcd(den, every numerator) == 1`` (the zero polynomial has ``den == 1``).
+    That form is unique, so equality and hashing are exact.  Evaluation
+    converts each coefficient once as ``re / den``; int true division is
+    correctly rounded, so the doubles equal ``float(Fraction(re, den))``.
     Instances are immutable; every operation returns a new object.
     """
 
-    __slots__ = ("_terms", "_hash", "_compiled")
+    __slots__ = ("_num", "_den", "_hash", "_compiled")
 
-    def __init__(self, terms: Mapping[MonomialKey, GaussianRational] | None = None):
-        cleaned: dict[MonomialKey, GaussianRational] = {}
-        if terms:
-            for key, coeff in terms.items():
-                k = _validate_key(key)
-                c = GaussianRational.from_value(coeff)
-                if not c.is_zero():
-                    cleaned[k] = c
-        self._terms = cleaned
-        self._hash = None
-        self._compiled = None
+    def __init__(self, terms: Mapping | Iterable | None = None):
+        """From a mapping, or (key, value) pairs, whose values GaussianRational.from_value
+        takes; values of a repeated key add up."""
+        items = terms.items() if hasattr(terms, "items") else terms or ()
+        exact = [(tuple(_validate_key(k)), GaussianRational.from_value(c)) for k, c in items]
+        den = math.lcm(*(f.denominator for _, c in exact for f in (c.re, c.im)))
+        num: dict = {}
+        for k, c in exact:
+            re, im = num.get(k, (0, 0))
+            num[k] = (re + c.re.numerator * den // c.re.denominator,
+                      im + c.im.numerator * den // c.im.denominator)
+        self._num, self._den = _lowest({k: v for k, v in num.items() if v != (0, 0)}, den)
+        self._hash = self._compiled = None
+
+    @classmethod
+    def _exact(cls, num: dict, den: int = 1) -> "Polynomial":
+        """Trusted constructor: nonzero numerators keyed by plain tuples, already in lowest terms."""
+        out = object.__new__(cls)
+        out._num, out._den, out._hash, out._compiled = num, den, None, None
+        return out
 
     # -- construction helpers -------------------------------------------------
 
@@ -184,40 +185,43 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value) -> "Polynomial":
-        return cls({MonomialKey(0, 0, 0, 0): GaussianRational.from_value(value)})
+        return cls({(0, 0, 0, 0): value})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
         exps = [0, 0, 0, 0]
         exps[_VAR_INDEX[name]] = 1
-        return cls({MonomialKey(*exps): _QC_ONE})
+        return cls._exact({tuple(exps): (1, 0)})
 
     # -- inspection ------------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[MonomialKey, GaussianRational]:
-        return self._terms
+    def terms(self) -> dict[MonomialKey, GaussianRational]:
+        """A fresh {MonomialKey: GaussianRational} view of the coefficients."""
+        d = self._den
+        return {MonomialKey(*k): GaussianRational(Fraction(re, d), Fraction(im, d))
+                for k, (re, im) in self._num.items()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def total_degrees(self) -> set[int]:
-        return {k.total_degree for k in self._terms}
+        return {sum(k) for k in self._num}
 
     def max_exponents(self) -> tuple[int, int, int, int]:
-        if not self._terms:
+        if not self._num:
             return (0, 0, 0, 0)
-        return tuple(max(k[i] for k in self._terms) for i in range(4))  # type: ignore[return-value]
+        return tuple(map(max, zip(*self._num)))  # type: ignore[return-value]
 
     def canonical_terms(self) -> list[tuple[MonomialKey, GaussianRational]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self._terms == other._terms
+        return isinstance(other, Polynomial) and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._den, frozenset(self._num.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -226,46 +230,51 @@ class Polynomial:
         bits = []
         for key, coeff in self.canonical_terms()[:6]:
             bits.append(f"{coeff.to_complex():.4g}*{tuple(key)}")
-        more = "" if len(self._terms) <= 6 else f" +{len(self._terms) - 6} terms"
+        more = "" if len(self._num) <= 6 else f" +{len(self._num) - 6} terms"
         return f"Polynomial({' + '.join(bits)}{more})"
 
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = out.get(key, _QC_ZERO) + coeff
-            if acc.is_zero():
-                out.pop(key, None)
+        den = math.lcm(self._den, other._den)
+        f, g = den // self._den, den // other._den
+        out = dict(self._num) if f == 1 else {k: (re * f, im * f) for k, (re, im) in self._num.items()}
+        for key, (re, im) in other._num.items():
+            old = out.get(key)
+            if old is None:
+                out[key] = (re * g, im * g)
+                continue
+            re, im = old[0] + re * g, old[1] + im * g
+            if re or im:
+                out[key] = (re, im)
             else:
-                out[key] = acc
-        return Polynomial(out)
+                del out[key]
+        return Polynomial._exact(*_lowest(out, den))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({k: -c for k, c in self._terms.items()})
+        return Polynomial._exact({k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             return self.scaled(other)
-        out: dict[MonomialKey, GaussianRational] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                key = MonomialKey(k1.a1 + k2.a1, k1.a2 + k2.a2, k1.b1 + k2.b1, k1.b2 + k2.b2)
-                acc = out.get(key, _QC_ZERO) + c1 * c2
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return Polynomial(out)
+        out: dict = {}
+        get = out.get
+        for (a1, a2, b1, b2), (r1, i1) in self._num.items():
+            for (c1, c2, e1, e2), (r2, i2) in other._num.items():
+                key = (a1 + c1, a2 + c2, b1 + e1, b2 + e2)
+                re, im = get(key, (0, 0))
+                out[key] = (re + r1 * r2 - i1 * i2, im + r1 * i2 + i1 * r2)
+        for key in [k for k, (re, im) in out.items() if not (re or im)]:
+            del out[key]
+        return Polynomial._exact(*_lowest(out, self._den * other._den))
 
     __rmul__ = __mul__
 
     def scaled(self, value) -> "Polynomial":
-        c = GaussianRational.from_value(value)
-        return Polynomial({k: t * c for k, t in self._terms.items()})
+        return Polynomial.__mul__(self, Polynomial.constant(value))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -280,29 +289,27 @@ class Polynomial:
         return result
 
     def conjugate(self) -> "Polynomial":
-        return Polynomial({k.conjugate(): c.conjugate() for k, c in self._terms.items()})
+        return Polynomial._exact({(b1, b2, a1, a2): (re, -im)
+                                  for (a1, a2, b1, b2), (re, im) in self._num.items()}, self._den)
 
     def derive(self, var: str) -> "Polynomial":
         """Exact Wirtinger derivative with respect to one of the four variables."""
         idx = _VAR_INDEX[var]
-        out: dict[MonomialKey, GaussianRational] = {}
-        for key, coeff in self._terms.items():
+        out = {}
+        for key, (re, im) in self._num.items():
             e = key[idx]
-            if e == 0:
-                continue
-            exps = list(key)
-            exps[idx] = e - 1
-            out[MonomialKey(*exps)] = coeff.scaled(Fraction(e))
-        return Polynomial(out)
+            if e:
+                out[key[:idx] + (e - 1,) + key[idx + 1:]] = (re * e, im * e)
+        return Polynomial._exact(*_lowest(out, self._den))
 
     # -- evaluation ------------------------------------------------------------
 
     def _compile(self):
         if self._compiled is None:
-            rows = [
-                (k.a1, k.a2, k.b1, k.b2, c.to_complex())
-                for k, c in self.canonical_terms()
-            ]
+            d = self._den
+            # graded lexicographic, as canonical_terms: __call__ sums the rows in this order
+            rows = [(*k, complex(re / d, im / d))
+                    for k, (re, im) in sorted(self._num.items(), key=lambda kv: (sum(kv[0]), kv[0]))]
             self._compiled = (rows, self.max_exponents())
         return self._compiled
 
@@ -338,38 +345,32 @@ class HermitianPolynomial(Polynomial):
     """
 
     @classmethod
-    def from_terms(cls, terms: Mapping, tol: float = REALITY_TOL) -> "HermitianPolynomial":
-        raw: dict[MonomialKey, GaussianRational] = {}
-        for key, coeff in terms.items():
-            k = _validate_key(key)
-            raw[k] = raw.get(k, _QC_ZERO) + GaussianRational.from_value(coeff)
-
-        merged: dict[MonomialKey, GaussianRational] = {}
-        for key in sorted(raw, key=lambda k: k.sort_key()):
-            if key in merged:
-                continue
+    def from_terms(cls, terms: Mapping | Iterable, tol: float = REALITY_TOL) -> "HermitianPolynomial":
+        """Check conjugate pairing within tol, then keep the exact real part (p + conj p) / 2."""
+        items = list(terms.items() if hasattr(terms, "items") else terms)
+        raw = Polynomial(items)
+        d = raw._den
+        coeffs = dict.fromkeys((_validate_key(k) for k, _ in items), 0j)  # zero entries are checked too
+        coeffs.update({MonomialKey(*k): complex(re / d, im / d) for k, (re, im) in raw._num.items()})
+        for key in sorted(coeffs, key=MonomialKey.sort_key):
             partner = key.conjugate()
-            c = raw[key]
+            c = coeffs[key]
             if partner == key:
-                scale = max(1.0, abs(c.to_complex()))
-                if abs(float(c.im)) > tol * scale:
+                if abs(c.imag) > tol * max(1.0, abs(c)):
                     raise RealityViolation(
-                        f"self-conjugate key {tuple(key)} has non-real coefficient {c.to_complex()}"
+                        f"self-conjugate key {tuple(key)} has non-real coefficient {c}"
                     )
-                merged[key] = GaussianRational(c.re, Fraction(0))
                 continue
-            cp = raw.get(partner, _QC_ZERO)
-            gap = abs(c.to_complex() - cp.to_complex().conjugate())
-            scale = max(1.0, abs(c.to_complex()), abs(cp.to_complex()))
+            cp = coeffs.get(partner, 0j)
+            gap = abs(c - cp.conjugate())
+            scale = max(1.0, abs(c), abs(cp))
             if gap > tol * scale:
                 raise RealityViolation(
-                    f"key {tuple(key)} (coefficient {c.to_complex()}) is not conjugate-paired "
-                    f"with {tuple(partner)} (coefficient {cp.to_complex()})"
+                    f"key {tuple(key)} (coefficient {c}) is not conjugate-paired "
+                    f"with {tuple(partner)} (coefficient {cp})"
                 )
-            half = (c + cp.conjugate()).scaled(Fraction(1, 2))
-            merged[key] = half
-            merged[partner] = half.conjugate()
-        return cls(merged)
+        twice = raw + raw.conjugate()
+        return cls._exact(*_lowest(twice._num, 2 * twice._den))
 
     def value(self, z1: complex, z2: complex) -> float:
         """Evaluate; the imaginary part cancels by conjugate pairing."""
@@ -405,9 +406,7 @@ class HermitianPolynomial(Polynomial):
 
 def _wrap_hermitian(p: Polynomial) -> HermitianPolynomial:
     # trusted internal path: the pairing invariant holds exactly by construction
-    out = HermitianPolynomial()
-    out._terms = p._terms
-    return out
+    return HermitianPolynomial._exact(p._num, p._den)
 
 
 def wirtinger_derive(p: Polynomial, var: str) -> Polynomial:
@@ -625,15 +624,16 @@ def parse_polynomial(source) -> HermitianPolynomial:
 
     Raises RealityViolation if any key lacks its conjugate partner within the
     coefficient tolerance, NegativeExponent on malformed keys or term entries,
-    ValueError on a non-finite coefficient.
+    ValueError on a non-finite coefficient, MalformedPolynomial on a source or
+    coefficient of the wrong type.
     """
     if isinstance(source, (str, bytes)):
         source = json.loads(source)
     if isinstance(source, Mapping) and "terms" in source:
         source = source["terms"]
     if not isinstance(source, Sequence):
-        raise TypeError("polynomial source must be a JSON object with 'terms' or a term list")
-    terms: dict[MonomialKey, GaussianRational] = {}
+        raise MalformedPolynomial("polynomial source must be a JSON object with 'terms' or a term list")
+    terms = []
     for entry in source:
         try:
             a = entry["a"]
@@ -643,11 +643,7 @@ def parse_polynomial(source) -> HermitianPolynomial:
         except (TypeError, KeyError, ValueError) as exc:
             raise NegativeExponent(f"malformed term entry {entry!r}") from exc
         key = _validate_key((a[0], a[1], b[0], b[1]))
-        re = _as_fraction(entry.get("re", 0))
-        im = _as_fraction(entry.get("im", 0))
-        coeff = GaussianRational(re, im)
-        prev = terms.get(key, _QC_ZERO)
-        terms[key] = prev + coeff
+        terms.append((key, (_as_fraction(entry.get("re", 0)), _as_fraction(entry.get("im", 0)))))
     return HermitianPolynomial.from_terms(terms)
 
 

@@ -17,6 +17,10 @@ class NegativeExponent(MafoliateError):
     """A monomial key carries a negative or non-integer exponent."""
 
 
+class MalformedPolynomial(MafoliateError, TypeError):
+    """A polynomial source or coefficient has the wrong type (a JSON number where terms belong)."""
+
+
 class NonPositiveRho(MafoliateError):
     """An operation that requires rho > 0 was invoked where rho <= 0."""
 

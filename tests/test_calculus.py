@@ -324,3 +324,9 @@ def test_polynomial_interchange_rejects_garbage():
         mf.parse_polynomial(42)
     with pytest.raises(json.JSONDecodeError):
         mf.parse_polynomial("not json")
+
+
+def test_repeated_term_entries_add_up():
+    entry = {"a": [1, 0], "b": [1, 0]}
+    p = mf.parse_polynomial({"terms": [{**entry, "re": "1/3"}, {**entry, "re": "1/6"}]})
+    assert p == hp([((1, 0, 1, 0), "1/2")])

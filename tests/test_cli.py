@@ -116,7 +116,7 @@ def test_report_on_negative_case_records_verdicts(tmp_path):
                 "--strict"]) == 1
 
 
-def test_input_error_exit_codes(tmp_path):
+def test_input_error_exit_codes(tmp_path, capsys):
     assert run(["type-at", "--poly", "quartic", "--point", "1,2,3", "--out", tmp_path]) == 2
     assert run(["check-ma", "--poly", tmp_path / "missing.json", "--out", tmp_path]) == 2
     bad_poly = tmp_path / "unreal.json"
@@ -128,6 +128,13 @@ def test_input_error_exit_codes(tmp_path):
     infinite = tmp_path / "infinite.json"
     infinite.write_text('{"terms": [{"a": [1, 0], "b": [1, 0], "re": 1e400}]}')
     assert run(["check-ma", "--poly", infinite, "--out", tmp_path]) == 2
+    capsys.readouterr()
+    for name, text in (("number.json", "5"),
+                       ("list-coefficient.json", '{"terms": [{"a": [1, 0], "b": [1, 0], "re": [1]}]}')):
+        (tmp_path / name).write_text(text)
+        assert run(["check-ma", "--poly", tmp_path / name, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     assert run(["nonsense-command"]) == 2
 
 

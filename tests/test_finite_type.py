@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import sympy as sp
 
 import mafoliate as mf
 from mafoliate.calculus import Polynomial
 from mafoliate.finite_type import LeafChart, bracket_level
 
 from conftest import TERMS, admissible_points
-from oracles import sympy_type
+from oracles import VARS, Z1, Z2, _field_bracket, conj_expr, poly_expr, sympy_type
 
 
 def pvf(c1=None, c2=None, cbar1=None, cbar2=None):
@@ -119,6 +120,31 @@ def test_bracket_L_Lbar_euclidean_value(corpus):
     br = bracket_level(corpus["euc"], 2)[0][1]
     vals = br.evaluate(mf.Point(1.0, 1.0))
     assert vals == (1 + 0j, 1 + 0j, -1 + 0j, -1 + 0j)  # D (Z - Zbar) with D=1, Z=(1,1)
+
+
+def test_bracket_tower_matches_sympy_term_by_term(corpus):
+    # a non-diagonal quartic with rational, non-integer coefficients
+    p = mf.substitute_linear(corpus["quartic"], [[1, 0.5j], [0, 1]])
+    assert any(c.re.denominator > 1 or c.im.denominator > 1 for c in p.terms.values())
+
+    def exact(c):
+        return sp.Rational(c.re) + sp.I * sp.Rational(c.im)
+
+    rho = poly_expr([(k, exact(c)) for k, c in p.terms.items()])
+    d1, d2 = sp.diff(rho, Z1), sp.diff(rho, Z2)
+    gens = {"L": (d2, -d1, sp.Integer(0), sp.Integer(0)),
+            "Lbar": (sp.Integer(0), sp.Integer(0), conj_expr(d2), -conj_expr(d1))}
+    level = [("[L,Lbar]", _field_bracket(gens["L"], gens["Lbar"]))]
+    for length in (2, 3, 4):
+        words = bracket_level(p, length)
+        assert [str(w) for w, _ in words] == [name for name, _ in level]
+        for (_, field), (name, ref) in zip(words, level):
+            for ours, theirs in zip(field.components(), ref):
+                want = sp.Poly(theirs, *VARS).as_dict() if theirs != 0 else {}
+                assert {tuple(k): exact(c) for k, c in ours.terms.items()} == want, name
+        if length < 4:
+            level = [(f"[{name},{g}]", _field_bracket(field, gens[g]))
+                     for name, field in level for g in ("L", "Lbar")]
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,7 @@ def test_scaling_covariance(corpus):
     p = corpus["quartic"]
     c = 3
     pc = mf.HermitianPolynomial.from_terms(
-        {k: coeff.scaled(3) for k, coeff in p.terms.items()}
+        {k: (c * coeff.re, c * coeff.im) for k, coeff in p.terms.items()}
     )
     for q in admissible_points(p, rng, 20):
         jet = mf.eval_jet(p, q)
