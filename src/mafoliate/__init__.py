@@ -12,6 +12,7 @@ from .calculus import (
     BidegreeProfile,
     GaussianRational,
     HermitianPolynomial,
+    JetBatch,
     MinEigenReport,
     MonomialKey,
     Point,
@@ -20,6 +21,8 @@ from .calculus import (
     bidegree_decompose,
     canonical_json,
     eval_jet,
+    eval_jets,
+    evaluate_many,
     parse_polynomial,
     polynomial_hash,
     psh_min_eigen,
@@ -89,6 +92,7 @@ from .monge_ampere import (
     HermitianPairing,
     MAReport,
     complex_gradient,
+    complex_gradients,
     ma_residual,
     ma_scan,
     omega_pairing,

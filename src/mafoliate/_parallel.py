@@ -1,9 +1,11 @@
 """Map over the points of a sample scan.
 
 The map is serial.  A thread pool here measured slower than serial, because
-the per-point work is pure Python and holds the interpreter lock.  The scans
-still go through this one function, so that ``bench/tracer.py`` times them as
-the layer ``parallel.pmap``.
+the per-point work is pure Python and holds the interpreter lock.  No scan
+calls it any more: the scans evaluate their points as one batch
+(``calculus.evaluate_many``).  The module stays only because the benchmark's
+tracer self-test names ``mafoliate._parallel.pmap`` as a target that exists;
+it goes with the next change to the benchmark.
 """
 
 from __future__ import annotations

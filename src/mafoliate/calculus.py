@@ -27,6 +27,21 @@ value, holomorphic gradient, Levi matrix ``rho_{mu nubar}``, its determinant
 which is the pairing of the Levi form against the tangential directions;
 ``rho * D - B`` is the pointwise Monge-Ampere residual used downstream.
 
+Batched evaluation.  :func:`evaluate_many` (and ``Polynomial.evaluate``),
+:func:`eval_jets` and ``monge_ampere.complex_gradients`` evaluate at N points
+at once and return the doubles that ``Polynomial.__call__``, :func:`eval_jet`
+and ``complex_gradient`` return one point at a time: the same compiled rows
+and coefficients, powers grown as ``z^k = z^(k-1) * z``, each polynomial's
+terms added in row order from ``0j``, and every complex product and quotient
+written out in float64 ufuncs in CPython's formula and operand order
+(:func:`cmul`, :func:`cdiv_real`).  numpy's ``complex128`` multiply is not
+used: it may fuse a multiply and an add, which rounds once where CPython
+rounds twice.  Signed zeros, infs and the places of nans agree; which of two
+nan operands an operation returns is not fixed by IEEE 754, so a nan's sign
+bit may differ, and nothing in the toolkit reads it.  A one-point caller (the
+flow's right-hand side, ``point_type``) keeps the scalar path, which is faster
+at N = 1 and stays the reference the tests compare the batch against.
+
 Interchange format (JSON-compatible)::
 
     {"terms": [{"a": [a1, a2], "b": [b1, b2], "re": x, "im": y}, ...]}
@@ -41,6 +56,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -328,6 +344,10 @@ class Polynomial:
             total += c * p1[a1] * p2[a2] * p3[b1] * p4[b2]
         return total
 
+    def evaluate(self, z1, z2) -> np.ndarray:
+        """The value at every point (z1[i], z2[i]), as a complex array; see evaluate_many."""
+        return evaluate_many((self,), z1, z2)[0]
+
 
 def _powers(z: complex, n: int) -> list[complex]:
     out = [1.0 + 0j]
@@ -517,6 +537,172 @@ def eval_jet(p: HermitianPolynomial, q: Point) -> WirtingerJet:
 
 
 # ---------------------------------------------------------------------------
+# batched evaluation: the scalar path's doubles at many points at once
+# ---------------------------------------------------------------------------
+
+_CHUNK = 1 << 14  # rows x points per chunk: 128 KB per float64 temporary
+
+
+def cmul(ar, ai, br, bi):
+    """CPython's complex product (ar + i ai)(br + i bi) on float arrays: (real, imag).
+
+    numpy's own complex multiply may fuse a multiply and an add, rounding once
+    where CPython rounds twice; separate float64 ufuncs cannot.  A real factor
+    x enters as (x, 0.0), as CPython promotes it.
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def cdiv_real(ar, ai, d):
+    """CPython's complex / float on float arrays: d enters as complex(d, 0.0), and a nan
+    divisor gives (nan, nan) with clear sign bits; d must not be zero."""
+    ratio = 0.0 / d
+    denom = d + 0.0 * ratio
+    nan = np.isnan(d)
+    return (np.where(nan, np.nan, (ar + ai * ratio) / denom),
+            np.where(nan, np.nan, (ai - ar * ratio) / denom))
+
+
+def complex_array(re, im) -> np.ndarray:
+    """A complex array with these parts; unlike re + 1j*im, which computes 0*inf = nan."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+class _Stack(NamedTuple):
+    """The compiled rows of several polynomials, as arrays."""
+
+    exps: np.ndarray      # (4, rows): exponents of z1, z2, zbar1, zbar2
+    re: np.ndarray        # (rows, 1): coefficients
+    im: np.ndarray
+    slot: tuple           # (position in its polynomial, polynomial) of each row
+    count: int            # polynomials
+    depth: int            # most rows of any one polynomial
+    top: int              # highest exponent
+
+    def points_per_chunk(self) -> int:
+        return max(1, _CHUNK // max(len(self.re), self.depth * self.count, 4 * (self.top + 1)))
+
+
+@lru_cache(maxsize=256)
+def _stacked(polys: tuple[Polynomial, ...]) -> _Stack:
+    rows = [p._compile()[0] for p in polys]
+    flat = [row for rs in rows for row in rs]
+    exps = np.array([row[:4] for row in flat], dtype=np.intp).reshape(-1, 4).T
+    coef = np.array([row[4] for row in flat], dtype=complex)[:, None]
+    slot = (np.array([i for rs in rows for i in range(len(rs))], dtype=np.intp),
+            np.array([k for k, rs in enumerate(rows) for _ in rs], dtype=np.intp))
+    return _Stack(exps, coef.real, coef.imag, slot, len(polys), max(map(len, rows), default=0),
+                  int(exps.max(initial=0)))
+
+
+def _evaluate_chunk(stack: _Stack, zr: np.ndarray, zi: np.ndarray):
+    n = zr.shape[1]
+    # powers of z1, z2, zbar1, zbar2 as _powers grows them: z^k = z^(k-1) * z
+    vr = np.stack([zr[0], zr[1], zr[0], zr[1]])
+    vi = np.stack([zi[0], zi[1], -zi[0], -zi[1]])
+    pr = np.empty((stack.top + 1, 4, n))
+    pi = np.empty_like(pr)
+    pr[0], pi[0] = 1.0, 0.0
+    for k in range(1, stack.top + 1):
+        pr[k], pi[k] = cmul(pr[k - 1], pi[k - 1], vr, vi)
+    # c * p1[a1] * p2[a2] * p3[b1] * p4[b2], left to right, for every row
+    tr, ti = stack.re, stack.im
+    for var, e in enumerate(stack.exps):
+        tr, ti = cmul(tr, ti, pr[e, var], pi[e, var])
+    # each polynomial's rows summed in row order from 0j; the padding adds +0.0,
+    # which leaves every partial sum unchanged, since none of them is -0.0
+    sr = np.zeros((stack.depth, stack.count, n))
+    si = np.zeros_like(sr)
+    sr[stack.slot], si[stack.slot] = tr, ti
+    total_r = np.zeros((stack.count, n))
+    total_i = np.zeros_like(total_r)
+    for k in range(stack.depth):
+        total_r += sr[k]
+        total_i += si[k]
+    return total_r, total_i
+
+
+@np.errstate(all="ignore")
+def evaluate_many(polys: Sequence[Polynomial], z1, z2) -> np.ndarray:
+    """Values of each polynomial at each point (z1[i], z2[i]): a complex array (len(polys), N).
+
+    Every entry is the complex that ``polys[k](z1[i], z2[i])`` returns, bit for
+    bit (signed zeros and infs included, nans in the same places): the same
+    rows and coefficients, the same powers, each complex product as CPython
+    forms it from float64 products and sums, and each polynomial's terms added
+    in row order.  Points are taken in chunks, so the temporaries stay small
+    for any N.
+    """
+    z = np.stack(np.broadcast_arrays(np.asarray(z1, dtype=complex).ravel(),
+                                     np.asarray(z2, dtype=complex).ravel()))
+    stack = _stacked(tuple(polys))
+    out = np.empty((stack.count, z.shape[1]), dtype=complex)
+    step = stack.points_per_chunk()
+    for start in range(0, z.shape[1], step):
+        part = z[:, start:start + step]
+        out.real[:, start:start + step], out.imag[:, start:start + step] = _evaluate_chunk(
+            stack, part.real, part.imag)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class JetBatch:
+    """The fields of :class:`WirtingerJet` at N points, bit for bit as :func:`eval_jet` gives them.
+
+    Real fields are float arrays, complex ones complex arrays.  ``det`` is the
+    value of the exact determinant polynomial ``jet_polynomials(p).det``, which
+    can differ from ``D`` (formed from the rounded Levi entries) in the last bits.
+    """
+
+    z1: np.ndarray
+    z2: np.ndarray
+    rho: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    h11: np.ndarray
+    h12: np.ndarray
+    h21: np.ndarray
+    h22: np.ndarray
+    D: np.ndarray
+    B: np.ndarray
+    det: np.ndarray
+
+    def pair(self, i: int) -> tuple[complex, complex]:
+        """Point i as Point.as_pair() gives it."""
+        return (complex(self.z1[i]), complex(self.z2[i]))
+
+
+def point_array(points: Iterable[Point]) -> np.ndarray:
+    """The points as rows (z1, z2) of a complex array of shape (N, 2)."""
+    return np.array([q.as_pair() for q in points], dtype=complex).reshape(-1, 2)
+
+
+@np.errstate(all="ignore")
+def eval_jets(p: HermitianPolynomial, z1, z2) -> JetBatch:
+    """eval_jet at every point (z1[i], z2[i]), plus the det polynomial; for many points at once."""
+    jp = jet_polynomials(p)
+    z1 = np.asarray(z1, dtype=complex).ravel()
+    z2 = np.asarray(z2, dtype=complex).ravel()
+    values = evaluate_many((p, jp.d1, jp.d2, jp.h11, jp.h12, jp.h21, jp.h22, jp.det), z1, z2)
+    rho, d1, d2, h11, h12, h21, h22, det = values
+    re, im = values.real, values.imag  # rows 1-6: d1, d2, h11, h12, h21, h22
+    D = (re[3] * re[6] - im[3] * im[6]) - (re[4] * re[5] - im[4] * im[5])
+    # B's four products (u * v) * w side by side: h11 d2 conj(d2), h22 d1 conj(d1),
+    # h12 conj(d1) d2 and h21 d1 conj(d2); only their real parts enter B
+    v_i = im[[2, 1, 1, 1]]
+    v_i[2] = -v_i[2]
+    w_i = -im[[2, 1, 2, 2]]
+    w_i[2] = -w_i[2]
+    uv_r, uv_i = cmul(re[[3, 6, 4, 5]], im[[3, 6, 4, 5]], re[[2, 1, 1, 1]], v_i)
+    x = uv_r * re[[2, 1, 2, 2]] - uv_i * w_i
+    B = ((x[0] + x[1]) - x[2]) - x[3]
+    return JetBatch(z1, z2, rho.real, d1, d2, h11, h12, h21, h22, D, B, det.real)
+
+
+# ---------------------------------------------------------------------------
 # bidegree decomposition
 # ---------------------------------------------------------------------------
 
@@ -652,13 +838,26 @@ def parse_polynomial(source) -> HermitianPolynomial:
 # ---------------------------------------------------------------------------
 
 
+def _matrix_entry(x) -> GaussianRational:
+    # ints (numpy's too), Fractions, strings such as "1/3", (re, im) pairs and
+    # GaussianRationals convert exactly; any other number goes through complex(),
+    # whose doubles embed exactly
+    if isinstance(x, numbers.Integral):
+        return GaussianRational(Fraction(int(x)), Fraction(0))
+    if isinstance(x, (Fraction, str, tuple, GaussianRational)):
+        return GaussianRational.from_value(x)
+    return GaussianRational.from_value(complex(x))
+
+
 def substitute_linear(p: Polynomial, matrix) -> Polynomial:
     """Exact composition p(M w) for a constant 2x2 complex matrix M.
 
-    Matrix entries are converted to exact Gaussian rationals (floats embed
-    exactly), so real-valued inputs stay exactly conjugate-paired.
+    Matrix entries are converted to exact Gaussian rationals: rational entries
+    (``Fraction(1, 3)``, ``"1/3"``, ``(re, im)`` pairs of them) keep their value,
+    and floats and complex numbers embed exactly, so real-valued inputs stay
+    exactly conjugate-paired.
     """
-    m = [[GaussianRational.from_value(complex(matrix[i][j])) for j in range(2)] for i in range(2)]
+    m = [[_matrix_entry(matrix[i][j]) for j in range(2)] for i in range(2)]
     lin = {
         "z1": Polynomial({MonomialKey(1, 0, 0, 0): m[0][0], MonomialKey(0, 1, 0, 0): m[0][1]}),
         "z2": Polynomial({MonomialKey(1, 0, 0, 0): m[1][0], MonomialKey(0, 1, 0, 0): m[1][1]}),

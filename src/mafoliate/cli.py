@@ -16,19 +16,22 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._parallel import pmap
 from .calculus import (
     HermitianPolynomial,
     Point,
     eval_jet,
+    eval_jets,
+    evaluate_many,
     jet_polynomials,
     parse_polynomial,
+    point_array,
     polynomial_hash,
     serialize_polynomial,
 )
@@ -50,7 +53,7 @@ from .foliation import (
     write_leaf_csv,
     zero_set_check,
 )
-from .monge_ampere import complex_gradient, ma_residual, write_ma_csv
+from .monge_ampere import complex_gradients, ma_scan, require_nondegenerate, write_ma_csv
 
 
 @dataclass
@@ -151,23 +154,41 @@ def _write_json(path: Path, p: HermitianPolynomial, analysis: dict) -> None:
     path.write_text(text + "\n", "utf-8")
 
 
-def _write_meta(path: Path, argv: list[str]) -> None:
-    meta = {"written_at_unix": time.time(), "argv": argv}
+class _StageClock:
+    """Wall seconds of each analysis stage, for the *_meta.json side channel."""
+
+    def __init__(self):
+        self.stage_s: dict[str, float] = {}
+
+    @contextmanager
+    def __call__(self, name: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stage_s[name] = time.perf_counter() - start
+
+
+def _write_meta(path: Path, argv: list[str], clock: _StageClock) -> None:
+    meta = {"written_at_unix": time.time(), "argv": argv, "stage_s": clock.stage_s}
     path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n", "utf-8")
 
 
 def _sample_points(p: HermitianPolynomial, rng, count: int, d_cutoff: float = 1e-6,
                    r_lo: float = 0.5, r_hi: float = 1.5) -> list[Point]:
-    """Seeded cloud in an annulus, rejecting rho <= 0 and Levi-degenerate points."""
-    det = jet_polynomials(p).det
+    """Seeded cloud in an annulus, rejecting rho <= 0 and Levi-degenerate points.
+
+    Candidates are drawn in batches of the missing count and tested together,
+    which leaves the generator's stream that of drawing them one at a time."""
+    polys = (p, jet_polynomials(p).det)
     out: list[Point] = []
     attempts = 0
     while len(out) < count and attempts < 200 * count:
-        attempts += 1
-        v = random_vector(rng, r_lo, r_hi)
-        if p(v[0], v[1]).real <= 0.0 or det(v[0], v[1]).real <= d_cutoff:
-            continue
-        out.append(Point(v[0], v[1]))
+        draws = min(count - len(out), 200 * count - attempts)
+        attempts += draws
+        vs = np.array([random_vector(rng, r_lo, r_hi) for _ in range(draws)])
+        rho, det = evaluate_many(polys, vs[:, 0], vs[:, 1]).real
+        out += [Point(a, b) for a, b in vs[~((rho <= 0.0) | (det <= d_cutoff))]]
     if len(out) < count:
         raise MafoliateError(f"could only sample {len(out)}/{count} admissible points")
     return out
@@ -184,7 +205,7 @@ def _record(obj, **extra) -> dict:
 
 
 def _ma_stage(p, pts: list[Point]) -> tuple[list, dict]:
-    reports = pmap(lambda q: ma_residual(eval_jet(p, q)), pts)
+    reports = ma_scan(p, pts)
     worst = max(reports, key=lambda r: abs(r.normalized))
     return reports, {"count": len(reports), "max_abs_normalized": abs(worst.normalized),
                      "worst_point": worst.point, "is_ma": abs(worst.normalized) < 1e-9}
@@ -237,19 +258,21 @@ def _weights_ok(doc: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check_ma(p, cfg: RunConfig, out: Path, args) -> bool:
-    pts = _sample_points(p, np.random.default_rng(cfg.seed), cfg.grid * cfg.grid)
-    reports, summary = _ma_stage(p, pts)
+def _cmd_check_ma(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
+    with clock("ma"):
+        pts = _sample_points(p, np.random.default_rng(cfg.seed), cfg.grid * cfg.grid)
+        reports, summary = _ma_stage(p, pts)
     write_ma_csv(reports, out / "ma_scan.csv", __version__, polynomial_hash(p))
     _write_json(out / "ma_summary.json", p, summary)
     return summary["is_ma"]
 
 
-def _cmd_gradient(p, cfg: RunConfig, out: Path, args) -> bool:
+def _cmd_gradient(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     point = _parse_point(args.point)
-    jet = eval_jet(p, point)
-    method = "cofactor" if jet.D > cfg.eps_D else "ray_limit_extension"
-    g = gradient_anywhere(p, point, eps_D=cfg.eps_D, tol_ext=cfg.tol_ext)
+    with clock("gradient"):
+        jet = eval_jet(p, point)
+        method = "cofactor" if jet.D > cfg.eps_D else "ray_limit_extension"
+        g = gradient_anywhere(p, point, eps_D=cfg.eps_D, tol_ext=cfg.tol_ext)
     ok = abs(g.pairing_check) <= 1e-6 * max(jet.rho, 1.0)
     _write_json(out / "gradient.json", p, {
         "point": point, "method": method, "D": jet.D, "rho": jet.rho,
@@ -259,70 +282,82 @@ def _cmd_gradient(p, cfg: RunConfig, out: Path, args) -> bool:
     return ok
 
 
-def _cmd_type_at(p, cfg: RunConfig, out: Path, args) -> bool:
-    report = point_type(p, _parse_point(args.point), m_max=cfg.m_max, tol=cfg.tol_type)
+def _cmd_type_at(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
+    point = _parse_point(args.point)
+    with clock("type"):
+        report = point_type(p, point, m_max=cfg.m_max, tol=cfg.tol_type)
     _write_json(out / "type_report.json", p, report.to_json_dict())
     return report.type_m != "exceeds_cap"
 
 
-def _cmd_trace_leaf(p, cfg: RunConfig, out: Path, args) -> bool:
-    trace, rec = _trace_stage(p, cfg, _parse_point(args.point))
+def _cmd_trace_leaf(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
+    point = _parse_point(args.point)
+    with clock("trace"):
+        trace, rec = _trace_stage(p, cfg, point)
     write_leaf_csv(trace, out / "leaf_trace.csv", __version__)
     _write_json(out / "trace_diagnostics.json", p, rec)
     return rec["monotone_growth"]
 
 
-def _cmd_burns(p, cfg: RunConfig, out: Path, args) -> bool:
-    rec = _record(burns_verify(p, ma_samples=cfg.samples, seed=cfg.seed))
+def _cmd_burns(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
+    with clock("burns"):
+        rec = _record(burns_verify(p, ma_samples=cfg.samples, seed=cfg.seed))
     _write_json(out / "burns_verdict.json", p, rec)
     return rec["is_ma"] and rec["theorem_consistent"]
 
 
-def _cmd_weights(p, cfg: RunConfig, out: Path, args) -> bool:
-    doc = _fit_weights_dict(p, cfg, np.random.default_rng(cfg.seed))
+def _cmd_weights(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
+    with clock("fit_and_weights"):
+        doc = _fit_weights_dict(p, cfg, np.random.default_rng(cfg.seed))
     _write_json(out / "weights.json", p, doc)
     return _weights_ok(doc)
 
 
-def _cmd_transport(p, cfg: RunConfig, out: Path, args) -> bool:
-    rec = _transport_stage(p, cfg, args.r1, args.r2)
+def _cmd_transport(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
+    with clock("transport"):
+        rec = _transport_stage(p, cfg, args.r1, args.r2)
     _write_json(out / "transport.json", p, rec)
     return rec["max_landing_defect"] < 1e-6 and rec["max_roundtrip_defect"] < 1e-5
 
 
-def _cmd_report(p, cfg: RunConfig, out: Path, args) -> bool:
+def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     rng = np.random.default_rng(cfg.seed)
     # out_dir and strict are I/O plumbing, kept out of the deterministic document
     cfg_echo = {k: v for k, v in asdict(cfg).items() if k not in ("out_dir", "strict")}
     doc: dict = {"config": cfg_echo, "polynomial": serialize_polynomial(p)}
 
-    pts = _sample_points(p, rng, cfg.samples)
-    _, doc["ma"] = _ma_stage(p, pts)
+    with clock("ma"):
+        pts = _sample_points(p, rng, cfg.samples)
+        _, doc["ma"] = _ma_stage(p, pts)
 
-    grad_defect = 0.0
-    for q in pts[:500]:
-        jet = eval_jet(p, q)
-        g = complex_gradient(jet, cfg.eps_D)
-        grad_defect = max(grad_defect, abs(g.pairing_check) / jet.rho)
+    with clock("gradient"):
+        jets = eval_jets(p, *point_array(pts[:500]).T)
+        require_nondegenerate(jets, cfg.eps_D)
+        grad_defect = 0.0
+        for pairing, rho in zip(complex_gradients(jets)[2].tolist(), jets.rho.tolist()):
+            grad_defect = max(grad_defect, abs(pairing) / rho)
     doc["gradient"] = {"max_relative_pairing_defect": grad_defect}
     oks = [doc["ma"]["is_ma"], grad_defect < 1e-6]
 
     bk = {"defect_llbar": 0.0, "defect_lz": 0.0, "defect_lzbar": 0.0, "defect_zzbar": 0.0}
-    for q in pts[:100]:
-        rep = bracket_identities_check(p, q, eps_D=cfg.eps_D)
-        for key in bk:
-            bk[key] = max(bk[key], getattr(rep, key))
+    with clock("bracket_identities"):
+        for q in pts[:100]:
+            rep = bracket_identities_check(p, q, eps_D=cfg.eps_D)
+            for key in bk:
+                bk[key] = max(bk[key], getattr(rep, key))
     doc["bracket_identities"] = bk
 
-    probes = level_set_samples(p, 1.0, 3, seed=cfg.seed)
-    doc["type"] = [point_type(p, q, m_max=cfg.m_max, tol=cfg.tol_type).to_json_dict()
-                   for q in probes]
+    with clock("type"):
+        probes = level_set_samples(p, 1.0, 3, seed=cfg.seed)
+        doc["type"] = [point_type(p, q, m_max=cfg.m_max, tol=cfg.tol_type).to_json_dict()
+                       for q in probes]
 
-    try:
-        doc["burns"] = _record(burns_verify(p, ma_samples=min(cfg.samples, 2000), seed=cfg.seed))
-        oks.append(doc["burns"]["theorem_consistent"])
-    except NotHomogeneous as exc:
-        doc["burns"] = {"skipped": str(exc)}
+    with clock("burns"):
+        try:
+            doc["burns"] = _record(burns_verify(p, ma_samples=min(cfg.samples, 2000), seed=cfg.seed))
+            oks.append(doc["burns"]["theorem_consistent"])
+        except NotHomogeneous as exc:
+            doc["burns"] = {"skipped": str(exc)}
 
     # the remaining stages presuppose the equation; on a failing input their
     # errors are analysis outcomes and belong in the record, not on stderr
@@ -333,7 +368,8 @@ def _cmd_report(p, cfg: RunConfig, out: Path, args) -> bool:
             ("trace", lambda: _trace_stage(p, cfg, probes[0])[1],
              lambda rec: rec["monotone_growth"])):
         try:
-            doc[name] = stage()
+            with clock(name):
+                doc[name] = stage()
             oks.append(passed(doc[name]))
         except MafoliateError as exc:
             doc[name] = {"error": str(exc)}
@@ -421,8 +457,9 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, f.name, None) is not None})
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        ok = args.run(_load_poly(args.poly), cfg, out, args)
-        _write_meta(out / f"{args.command.replace('-', '_')}_meta.json", argv)
+        clock = _StageClock()
+        ok = args.run(_load_poly(args.poly), cfg, out, args, clock)
+        _write_meta(out / f"{args.command.replace('-', '_')}_meta.json", argv, clock)
     except (MafoliateError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

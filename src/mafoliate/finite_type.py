@@ -36,6 +36,7 @@ from .calculus import (
     Polynomial,
     VARIABLES,
     eval_jet,
+    eval_jets,
     jet_polynomials,
 )
 from .errors import (
@@ -47,7 +48,13 @@ from .errors import (
     VanishingPhi,
     ZeroDifferential,
 )
-from .monge_ampere import EPS_D_DEFAULT, GradientValue, complex_gradient
+from .monge_ampere import (
+    EPS_D_DEFAULT,
+    GradientValue,
+    complex_gradient,
+    complex_gradients,
+    degenerate_levi,
+)
 
 TYPE_TOL_DEFAULT = 1e-8
 TYPE_CAP_DEFAULT = 8
@@ -459,27 +466,34 @@ def extend_gradient(p: HermitianPolynomial, q: Point, eps_D: float = EPS_D_DEFAU
     if jet.D > eps_D:
         return complex_gradient(jet, eps_D)
 
-    jp = jet_polynomials(p)
     base_t = t0 if t0 is not None else 0.05 * (1.0 + q.norm())
+    ts = [base_t * ratio**j for j in range(levels)]
+    directions = rays if rays is not None else _DEFAULT_RAYS
+    # every ray point at once; the loop below keeps the per-point checks, and
+    # their order, of evaluating one point at a time
+    pts = [(z1 + t * d1, z2 + t * d2) for d1, d2 in directions for t in ts]
+    z = np.array(pts, dtype=complex).reshape(-1, 2)
+    finite = np.isfinite(z).all(axis=1)
+    jets = eval_jets(p, z[:, 0], z[:, 1])
+    Z1s, Z2s, _ = complex_gradients(jets)
+    rho_l, det_l, D_l = jets.rho.tolist(), jets.det.tolist(), jets.D.tolist()
+    Z_l = list(zip(Z1s.tolist(), Z2s.tolist()))
     results = []
-    for d1, d2 in (rays if rays is not None else _DEFAULT_RAYS):
-        ts, vals = [], []
-        for j in range(levels):
-            t = base_t * ratio**j
-            pt = Point(z1 + t * d1, z2 + t * d2)
-            x, y = pt.as_pair()
-            if p(x, y).real <= 0.0:
+    for r in range(len(directions)):
+        ray_ts, vals = [], []
+        for j, i in enumerate(range(r * len(ts), (r + 1) * len(ts))):
+            if not finite[i]:
+                Point(*pts[i])  # raises the ValueError of a non-finite point
+            if rho_l[i] <= 0.0 or det_l[i] <= eps_D:
                 continue
-            D = jp.det(x, y).real
-            if D <= eps_D:
-                continue
-            g = complex_gradient(eval_jet(p, pt), eps_D)
-            ts.append(t)
-            vals.append((g.Z1, g.Z2))
-        if len(ts) < 4:
+            if D_l[i] <= eps_D:
+                raise degenerate_levi(D_l[i], eps_D, pts[i])
+            ray_ts.append(ts[j])
+            vals.append(Z_l[i])
+        if len(ray_ts) < 4:
             continue
-        Z1 = _neville_to_zero(ts, [v[0] for v in vals])
-        Z2 = _neville_to_zero(ts, [v[1] for v in vals])
+        Z1 = _neville_to_zero(ray_ts, [v[0] for v in vals])
+        Z2 = _neville_to_zero(ray_ts, [v[1] for v in vals])
         results.append((Z1, Z2))
 
     if not results:
@@ -508,8 +522,10 @@ def extend_gradient(p: HermitianPolynomial, q: Point, eps_D: float = EPS_D_DEFAU
 
 def gradient_anywhere(p: HermitianPolynomial, q: Point, eps_D: float = EPS_D_DEFAULT,
                       tol_ext: float = EXT_TOL_DEFAULT) -> GradientValue:
-    """Cofactor gradient where D > eps_D, ray-limit extension otherwise."""
+    """Cofactor gradient where D > eps_D, ray-limit extension otherwise; rho must be positive."""
     jet = eval_jet(p, q)
+    if jet.rho <= 0.0:
+        raise NonPositiveRho(f"rho({q.as_pair()}) = {jet.rho} <= 0")
     if jet.D > eps_D:
         return complex_gradient(jet, eps_D)
     return extend_gradient(p, q, eps_D=eps_D, tol_ext=tol_ext)

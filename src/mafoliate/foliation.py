@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +45,9 @@ from .calculus import (
     Point,
     bidegree_decompose,
     eval_jet,
+    eval_jets,
     jet_polynomials,
+    point_array,
     polynomial_hash,
 )
 from .errors import (
@@ -58,7 +61,13 @@ from .errors import (
     RankDeficientSamples,
 )
 from .finite_type import extend_gradient, gradient_anywhere
-from .monge_ampere import EPS_D_DEFAULT, complex_gradient, ma_residual
+from .monge_ampere import (
+    EPS_D_DEFAULT,
+    complex_gradient,
+    complex_gradients,
+    degenerate_levi,
+    ma_scan,
+)
 from .ode import brentq, solve_ivp
 
 
@@ -199,10 +208,7 @@ def trace_leaf(p: HermitianPolynomial, seed: Point, t_values, s_values,
         for i in range(nt):
             points[i, j] = _unpack(t_states[i])
 
-    rho_values = np.empty((nt, ns))
-    for i in range(nt):
-        for j in range(ns):
-            rho_values[i, j] = p(points[i, j, 0], points[i, j, 1]).real
+    rho_values = np.ascontiguousarray(p.evaluate(points[..., 0], points[..., 1]).real).reshape(nt, ns)
     if np.any(rho_values <= 0.0):
         raise FlowEscape("a grid node left the domain rho > 0")
     u_values = np.log(rho_values)
@@ -216,7 +222,7 @@ def _trace_diagnostics(seed, t_values, s_values, points, rho_values, u_values,
                        s_states, rho0, p) -> dict:
     diag: dict = {}
     # level preservation along the s-flow
-    s_rho = np.array([p(*_unpack(st)).real for st in s_states])
+    s_rho = p.evaluate(*np.ascontiguousarray(s_states).view(complex).T).real  # rows as _unpack reads them
     diag["level_drift"] = float(np.max(np.abs(s_rho - rho0))) / rho0
 
     # exponential growth fit per s-line, plus constancy across sub-intervals
@@ -290,16 +296,22 @@ def leaf_diagnostics(trace: LeafTrace) -> LeafDiagnostics:
 
     pts = trace.points
     fd = (pts[2:, :, :] - pts[:-2, :, :]) / (2 * ht)
+    # cofactor gradients at every interior node at once; gradient_anywhere where they do not apply
+    nodes = pts[1:-1].reshape(-1, 2)
+    jets = eval_jets(trace.poly, nodes[:, 0], nodes[:, 1])
+    Z1, Z2, _ = complex_gradients(jets)
+    cofactor = (~(jets.rho <= 0.0) & (jets.D > trace.cfg.eps_D)).tolist()
     par_defect = 0.0
     min_grad = math.inf
-    for i in range(1, nt - 1):
-        for j in range(ns):
-            q = Point(pts[i, j, 0], pts[i, j, 1])
-            g = gradient_anywhere(trace.poly, q, eps_D=trace.cfg.eps_D,
-                                  tol_ext=trace.cfg.tol_ext)
-            zf = np.array(g.as_vector())
-            min_grad = min(min_grad, float(np.linalg.norm(zf)))
-            par_defect = max(par_defect, float(np.max(np.abs(fd[i - 1, j] - zf))))
+    for k, (i, j) in enumerate(product(range(1, nt - 1), range(ns))):
+        q = Point(pts[i, j, 0], pts[i, j, 1])
+        if cofactor[k]:
+            zf = np.array((Z1[k], Z2[k]))
+        else:
+            zf = np.array(gradient_anywhere(trace.poly, q, eps_D=trace.cfg.eps_D,
+                                            tol_ext=trace.cfg.tol_ext).as_vector())
+        min_grad = min(min_grad, float(np.linalg.norm(zf)))
+        par_defect = max(par_defect, float(np.max(np.abs(fd[i - 1, j] - zf))))
 
     d = trace.diagnostics
     return LeafDiagnostics(ht, hs, harmonicity, monotone, par_defect, min_grad,
@@ -392,15 +404,17 @@ def fit_holomorphic_Z(p: HermitianPolynomial, samples: Sequence[Point], degree: 
     if n - n_hold < 3 * len(basis):
         n_hold = n - 3 * len(basis)
     fit_set = samples[:n - n_hold]
-    holdout = samples[n - n_hold:]
 
+    jets = eval_jets(p, *point_array(samples).T)
+    Z1s, Z2s, _ = complex_gradients(jets)
     A = np.empty((len(fit_set), len(basis)), dtype=complex)
     Zs = np.empty((len(fit_set), 2), dtype=complex)
     for i, q in enumerate(fit_set):
         z1, z2 = q.as_pair()
         A[i] = [z1**a * z2**b for a, b in basis]
-        g = complex_gradient(eval_jet(p, q), eps_D)
-        Zs[i] = g.as_vector()
+        if jets.D[i] <= eps_D:
+            raise degenerate_levi(jets.D[i].item(), eps_D, jets.pair(i))
+        Zs[i] = (Z1s[i], Z2s[i])
     coeffs = []
     for comp in range(2):
         sol, _res, rank, _sv = np.linalg.lstsq(A, Zs[:, comp], rcond=None)
@@ -412,10 +426,10 @@ def fit_holomorphic_Z(p: HermitianPolynomial, samples: Sequence[Point], degree: 
 
     fit = HolomorphicFit(degree, coeffs[0], coeffs[1], max_residual, 0.0)
     hold_res = 0.0
-    for q in holdout:
-        jet = eval_jet(p, q)
-        Z1, Z2 = fit.evaluate(*q.as_pair())
-        gap = abs(jet.d1 * Z1 + jet.d2 * Z2 - jet.rho) / jet.rho
+    for i in range(len(fit_set), n):
+        rho, d1, d2 = jets.rho[i].item(), jets.d1[i].item(), jets.d2[i].item()
+        Z1, Z2 = fit.evaluate(*jets.pair(i))
+        gap = abs(d1 * Z1 + d2 * Z2 - rho) / rho
         hold_res = max(hold_res, gap)
     return HolomorphicFit(degree, coeffs[0], coeffs[1], max_residual, hold_res)
 
@@ -522,12 +536,17 @@ def weighted_homogeneity_check(p: HermitianPolynomial, c1: float, c2: float,
     if c1 <= 0 or c2 <= 0:
         raise ValueError("weights must be positive")
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    lams, points = [], []  # per trial: the moved point, then the point itself
     for _ in range(trials):
         v = random_vector(rng, 0.5, 1.5)
         lam = complex(rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))
-        lhs = p(np.exp(c1 * lam) * v[0], np.exp(c2 * lam) * v[1]).real
-        rhs = math.exp(2.0 * lam.real) * p(v[0], v[1]).real
+        lams.append(lam)
+        points += [(np.exp(c1 * lam) * v[0], np.exp(c2 * lam) * v[1]), (v[0], v[1])]
+    z = np.array(points, dtype=complex).reshape(-1, 2)
+    values = p.evaluate(z[:, 0], z[:, 1]).real.tolist()
+    worst = 0.0
+    for lam, lhs, base in zip(lams, values[::2], values[1::2]):
+        rhs = math.exp(2.0 * lam.real) * base
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
     return worst
 
@@ -623,6 +642,14 @@ class BurnsVerdict:
     theorem_consistent: bool
 
 
+def _first_minimum(p: HermitianPolynomial, batch: np.ndarray, best_val: float, best_dir):
+    """Scan the rows of batch in order, keeping the first value strictly below the best so far."""
+    for v, val in zip(batch, p.evaluate(batch[:, 0], batch[:, 1]).real.tolist()):
+        if val < best_val:
+            best_val, best_dir = val, v
+    return best_val, best_dir
+
+
 def _positive_min_on_sphere(p: HermitianPolynomial, n_samples: int, rng) -> tuple[float, Point]:
     dirs = _sphere_directions(8)
     best_val, best_dir = math.inf, dirs[0]
@@ -634,10 +661,7 @@ def _positive_min_on_sphere(p: HermitianPolynomial, n_samples: int, rng) -> tupl
     cloud /= np.linalg.norm(cloud, axis=1)[:, None]
     batches.append(cloud)
     for batch in batches:
-        for v in batch:
-            val = p(v[0], v[1]).real
-            if val < best_val:
-                best_val, best_dir = val, v
+        best_val, best_dir = _first_minimum(p, batch, best_val, best_dir)
     # local refinement around the worst direction
     for shrink in (0.3, 0.1, 0.03):
         raw = rng.normal(size=(2000, 4))
@@ -645,10 +669,7 @@ def _positive_min_on_sphere(p: HermitianPolynomial, n_samples: int, rng) -> tupl
         pert[:, 0] = best_dir[0] + shrink * (raw[:, 0] + 1j * raw[:, 1])
         pert[:, 1] = best_dir[1] + shrink * (raw[:, 2] + 1j * raw[:, 3])
         pert /= np.linalg.norm(pert, axis=1)[:, None]
-        for v in pert:
-            val = p(v[0], v[1]).real
-            if val < best_val:
-                best_val, best_dir = val, v
+        best_val, best_dir = _first_minimum(p, pert, best_val, best_dir)
     return best_val, Point(best_dir[0], best_dir[1])
 
 
@@ -675,29 +696,38 @@ def burns_verify(p: HermitianPolynomial, sphere_samples: int = 10_000,
     pure = comps == ((k, k),)
     extreme_vanish = (0, total) not in profile.components and (total, 0) not in profile.components
 
+    # rejection sampling in batches: each batch draws only the missing count, so
+    # the generator's stream, and every later draw, is that of one-at-a-time sampling
     det = jet_polynomials(p).det
     ma_max, ma_point = 0.0, Point(1.0, 0.0)
     accepted, attempts = 0, 0
     while accepted < ma_samples and attempts < 50 * ma_samples:
-        attempts += 1
-        v = random_vector(rng, 0.5, 1.5)
-        q = Point(v[0], v[1])
-        if det(v[0], v[1]).real <= d_cutoff:
-            continue
-        accepted += 1
-        rep = ma_residual(eval_jet(p, q))
-        if abs(rep.normalized) > ma_max:
-            ma_max, ma_point = abs(rep.normalized), q
+        draws = min(ma_samples - accepted, 50 * ma_samples - attempts)
+        attempts += draws
+        vs = np.array([random_vector(rng, 0.5, 1.5) for _ in range(draws)])
+        keep = ~(det.evaluate(vs[:, 0], vs[:, 1]).real <= d_cutoff)
+        reports = ma_scan(p, [Point(a, b) for a, b in vs[keep]])
+        accepted += len(reports)
+        for rep in reports:
+            if abs(rep.normalized) > ma_max:
+                ma_max, ma_point = abs(rep.normalized), rep.point
     is_ma = ma_max < ma_threshold
 
     growth = 0.0
     mags = np.logspace(-3, 3, 13)
+    ray_points = []  # per ray: the base point, then one point per magnitude
     for _ in range(growth_rays):
         v = random_vector(rng)
-        base = math.log(p(v[0], v[1]).real)
+        ray_points.append((v[0], v[1]))
         for mag in mags:
             lam = mag * np.exp(2j * math.pi * rng.uniform())
-            val = math.log(p(lam * v[0], lam * v[1]).real)
+            ray_points.append((lam * v[0], lam * v[1]))
+    z = np.array(ray_points, dtype=complex).reshape(-1, 2)
+    values = p.evaluate(z[:, 0], z[:, 1]).real.tolist()
+    for r in range(growth_rays):
+        base = math.log(values[r * (len(mags) + 1)])
+        for m, mag in enumerate(mags):
+            val = math.log(values[r * (len(mags) + 1) + 1 + m])
             growth = max(growth, abs(val - 2 * k * math.log(mag) - base))
 
     return BurnsVerdict(k, is_ma, ma_max, ma_point, pure, comps, extreme_vanish,

@@ -36,7 +36,19 @@ import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .calculus import HermitianPolynomial, Point, WirtingerJet, eval_jet
+import numpy as np
+
+from .calculus import (
+    HermitianPolynomial,
+    JetBatch,
+    Point,
+    WirtingerJet,
+    cdiv_real,
+    cmul,
+    complex_array,
+    eval_jets,
+    point_array,
+)
 from .errors import DegenerateLevi, NonPositiveRho
 
 EPS_D_DEFAULT = 1e-10
@@ -88,12 +100,15 @@ def ma_residual(jet: WirtingerJet) -> MAReport:
     return MAReport(jet.point, jet.rho, jet.D, jet.B, residual, normalized)
 
 
+def degenerate_levi(D: float, eps_D: float, pair: Vector) -> DegenerateLevi:
+    """The error complex_gradient raises at a point where D <= eps_D."""
+    return DegenerateLevi(f"D = {D} <= {eps_D} at {pair}; use the finite-type extension")
+
+
 def complex_gradient(jet: WirtingerJet, eps_D: float = EPS_D_DEFAULT) -> GradientValue:
     """Complex gradient from the 2x2 Levi cofactors; DegenerateLevi when D <= eps_D."""
     if jet.D <= eps_D:
-        raise DegenerateLevi(
-            f"D = {jet.D} <= {eps_D} at {jet.point.as_pair()}; use the finite-type extension"
-        )
+        raise degenerate_levi(jet.D, eps_D, jet.point.as_pair())
     (h11, h12), (h21, h22) = jet.levi
     db1 = jet.d1.conjugate()
     db2 = jet.d2.conjugate()
@@ -101,6 +116,29 @@ def complex_gradient(jet: WirtingerJet, eps_D: float = EPS_D_DEFAULT) -> Gradien
     Z2 = (h11 * db2 - h12 * db1) / jet.D
     pairing = jet.d1 * Z1 + jet.d2 * Z2 - jet.rho
     return GradientValue(Z1, Z2, pairing)
+
+
+@np.errstate(all="ignore")
+def complex_gradients(jets: JetBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z1, Z2 and the pairing defect at every point of the batch, bit for bit as
+    complex_gradient computes them.  Entries where D <= eps_D mean nothing: the
+    caller checks ``jets.D`` where complex_gradient would raise."""
+    h = np.stack([jets.h22, jets.h21, jets.h11, jets.h12])
+    db = np.stack([jets.d1, jets.d2, jets.d2, jets.d1]).conjugate()
+    # cofactor products h22 db1, h21 db2, h11 db2, h12 db1, then the two differences
+    p_r, p_i = cmul(h.real, h.imag, db.real, db.imag)
+    Z_r, Z_i = cdiv_real(p_r[::2] - p_r[1::2], p_i[::2] - p_i[1::2], jets.D)
+    d = np.stack([jets.d1, jets.d2])
+    q_r, q_i = cmul(d.real, d.imag, Z_r, Z_i)
+    Z = complex_array(Z_r, Z_i)
+    return Z[0], Z[1], complex_array((q_r[0] + q_r[1]) - jets.rho, q_i[0] + q_i[1])
+
+
+def require_nondegenerate(jets: JetBatch, eps_D: float) -> None:
+    """Raise what complex_gradient raises at the first point of the batch with D <= eps_D."""
+    bad = np.flatnonzero(jets.D <= eps_D)
+    if bad.size:
+        raise degenerate_levi(jets.D[bad[0]].item(), eps_D, jets.pair(bad[0]))
 
 
 class HermitianPairing:
@@ -140,7 +178,18 @@ def omega_pairing(jet: WirtingerJet, V: Vector, W: Vector, eps_D: float = EPS_D_
 
 
 def ma_scan(p: HermitianPolynomial, points: Iterable[Point]) -> list[MAReport]:
-    return [ma_residual(eval_jet(p, q)) for q in points]
+    """ma_residual of every point's jet, evaluated as one batch; the same reports and errors."""
+    points = list(points)
+    jets = eval_jets(p, *point_array(points).T)
+    bad = np.flatnonzero(jets.rho <= 0.0)
+    if bad.size:
+        raise NonPositiveRho(f"rho = {jets.rho[bad[0]].item()} <= 0 at {jets.pair(bad[0])}")
+    with np.errstate(all="ignore"):
+        rho_D = jets.rho * jets.D
+        residual = rho_D - jets.B
+        normalized = residual / (np.abs(rho_D) + np.abs(jets.B) + 1e-300)
+    return [MAReport(q, *values) for q, *values in zip(
+        points, *(a.tolist() for a in (jets.rho, jets.D, jets.B, residual, normalized)))]
 
 
 MA_CSV_COLUMNS = ("x1", "y1", "x2", "y2", "rho", "D", "B", "residual", "normalized")

@@ -131,3 +131,70 @@ def fd_jet(f, q, h):
             lambda a, b: fd_wirtinger(f, (a, b), first, h), q, second, h
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# one-point-at-a-time ray-limit extension
+# ---------------------------------------------------------------------------
+
+
+def scalar_extend_gradient(p, q, eps_D=1e-10, tol_ext=1e-7, levels=7, ratio=0.5):
+    """The ray-limit extension evaluated one point at a time, as the package did
+    before its ray ladder was batched: the reference the batched one must match
+    bit for bit, errors included."""
+    import numpy as np
+
+    from mafoliate.calculus import Point, eval_jet, jet_polynomials
+    from mafoliate.errors import AllRaysDegenerate, NoConvergence, NonPositiveRho
+    from mafoliate.finite_type import _DEFAULT_RAYS
+    from mafoliate.monge_ampere import GradientValue, complex_gradient
+
+    def neville_to_zero(ts, vals):
+        table = list(vals)
+        n = len(table)
+        for level in range(1, n):
+            for i in range(n - level):
+                t0, t1 = ts[i], ts[i + level]
+                table[i] = (t1 * table[i] - t0 * table[i + 1]) / (t1 - t0)
+        return table[0]
+
+    z1, z2 = q.as_pair()
+    rho = p(z1, z2).real
+    if rho <= 0.0:
+        raise NonPositiveRho(f"rho({q.as_pair()}) = {rho} <= 0")
+    jet = eval_jet(p, q)
+    if jet.D > eps_D:
+        return complex_gradient(jet, eps_D)
+
+    jp = jet_polynomials(p)
+    base_t = 0.05 * (1.0 + q.norm())
+    results = []
+    for d1, d2 in _DEFAULT_RAYS:
+        ts, vals = [], []
+        for j in range(levels):
+            t = base_t * ratio**j
+            pt = Point(z1 + t * d1, z2 + t * d2)
+            x, y = pt.as_pair()
+            if p(x, y).real <= 0.0:
+                continue
+            D = jp.det(x, y).real
+            if D <= eps_D:
+                continue
+            g = complex_gradient(eval_jet(p, pt), eps_D)
+            ts.append(t)
+            vals.append((g.Z1, g.Z2))
+        if len(ts) < 4:
+            continue
+        results.append((neville_to_zero(ts, [v[0] for v in vals]),
+                        neville_to_zero(ts, [v[1] for v in vals])))
+    if not results:
+        raise AllRaysDegenerate(f"no usable approach ray at {q.as_pair()}")
+    arr = np.array(results)
+    spread = float(np.max(np.abs(arr - arr.mean(axis=0))))
+    scale = 1.0 + float(np.max(np.abs(arr)))
+    if spread > tol_ext * scale:
+        raise NoConvergence(
+            f"ray extrapolants disagree by {spread:.3e} (> {tol_ext} relative) at {q.as_pair()}"
+        )
+    Z1, Z2 = (complex(v) for v in arr.mean(axis=0))
+    return GradientValue(Z1, Z2, jet.d1 * Z1 + jet.d2 * Z2 - rho)

@@ -312,6 +312,25 @@ def test_substitute_linear_matches_composition(corpus):
         assert q.value(w1, w2) == pytest.approx(p.value(z[0], z[1]), rel=1e-12)
 
 
+def test_substitute_linear_keeps_rational_entries_exact(corpus):
+    euc = corpus["euc"]
+    third = mf.substitute_linear(euc, [[Fraction(1, 3), 0], [0, 1]])
+    assert third.terms[MonomialKey(1, 0, 1, 0)].re == Fraction(1, 9)
+    for entry in ("1/3", (Fraction(1, 3), 0), mf.GaussianRational(Fraction(1, 3), Fraction(0))):
+        assert mf.substitute_linear(euc, [[entry, 0], [0, 1]]) == third
+    assert mf.substitute_linear(euc, [[np.int64(3), 0], [0, 1]]).terms[MonomialKey(1, 0, 1, 0)].re == 9
+
+
+def test_substitute_linear_float_and_complex_entries_embed_as_before(corpus):
+    p = corpus["quartic"]
+    floats = [[0.1, 0.5j], [np.float64(-0.25), np.complex128(1 + 2j)]]
+    q = mf.substitute_linear(p, floats)
+    # what converting every entry with complex() gave: the doubles, embedded exactly
+    assert q == mf.substitute_linear(p, [[complex(x) for x in row] for row in floats])
+    scaled = mf.substitute_linear(corpus["euc"], [[0.1, 0], [0, 1]])
+    assert scaled.terms[MonomialKey(1, 0, 1, 0)].re == Fraction(0.1) ** 2
+
+
 def test_jet_polynomial_cache_consistency(corpus):
     p = corpus["weighted"]
     jp1 = jet_polynomials(p)

@@ -135,6 +135,11 @@ def test_input_error_exit_codes(tmp_path, capsys):
         assert run(["check-ma", "--poly", tmp_path / name, "--out", tmp_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    # the origin lies outside the domain rho > 0, for gradient as for type-at and trace-leaf
+    assert run(["gradient", "--poly", "euc", "--point=0,0,0,0", "--out", tmp_path / "origin"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rho(") and "<= 0" in err and err.count("\n") == 1
+    assert not (tmp_path / "origin" / "gradient.json").exists()
     assert run(["nonsense-command"]) == 2
 
 
@@ -159,8 +164,17 @@ def test_meta_side_channel_has_timestamp(tmp_path):
     run(["burns", "--poly", "fub", "--out", tmp_path])
     meta = read_json(tmp_path / "burns_meta.json")
     assert "written_at_unix" in meta
+    assert list(meta["stage_s"]) == ["burns"] and meta["stage_s"]["burns"] > 0
     blob = (tmp_path / "burns_verdict.json").read_text()
-    assert "written_at" not in blob
+    assert "written_at" not in blob and "stage_s" not in blob
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"samples": 100, "fit_samples": 30, "trials": 20,
+                                    "transport_samples": 2, "trace_step": 0.1}))
+    assert run(["report", "--poly", "euc", "--config", cfg_path, "--out", tmp_path]) == 0
+    stage_s = read_json(tmp_path / "report_meta.json")["stage_s"]
+    assert sorted(stage_s) == sorted(["ma", "gradient", "bracket_identities", "type", "burns",
+                                      "fit_and_weights", "transport", "trace"])
+    assert all(s >= 0 for s in stage_s.values())
 
 
 def test_point_with_leading_minus_in_either_spelling(tmp_path):
