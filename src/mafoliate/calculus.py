@@ -540,7 +540,8 @@ def eval_jet(p: HermitianPolynomial, q: Point) -> WirtingerJet:
 # batched evaluation: the scalar path's doubles at many points at once
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 14  # rows x points per chunk: 128 KB per float64 temporary
+_CHUNK = 1 << 13  # rows x points per chunk: 64 KB per float64 temporary
+SWEEP_BLOCK = 512  # points per block of a sweep that keeps a record per point
 
 
 def cmul(ar, ai, br, bi):
@@ -548,14 +549,15 @@ def cmul(ar, ai, br, bi):
 
     numpy's own complex multiply may fuse a multiply and an add, rounding once
     where CPython rounds twice; separate float64 ufuncs cannot.  A real factor
-    x enters as (x, 0.0), as CPython promotes it.
+    x enters as (x, 0.0), as CPython before 3.14 promotes it.
     """
     return ar * br - ai * bi, ar * bi + ai * br
 
 
 def cdiv_real(ar, ai, d):
     """CPython's complex / float on float arrays: d enters as complex(d, 0.0), and a nan
-    divisor gives (nan, nan) with clear sign bits; d must not be zero."""
+    divisor gives (nan, nan) with clear sign bits; d must not be zero.  (CPython 3.14
+    divides a complex by a float part by part; this is the rule of 3.10 to 3.13.)"""
     ratio = 0.0 / d
     denom = d + 0.0 * ratio
     nan = np.isnan(d)
@@ -583,7 +585,8 @@ class _Stack(NamedTuple):
     top: int              # highest exponent
 
     def points_per_chunk(self) -> int:
-        return max(1, _CHUNK // max(len(self.re), self.depth * self.count, 4 * (self.top + 1)))
+        # at least 64, so that the 56 points of a ray ladder take one chunk
+        return max(64, _CHUNK // max(len(self.re), self.depth * self.count, 4 * (self.top + 1)))
 
 
 @lru_cache(maxsize=256)
@@ -598,11 +601,11 @@ def _stacked(polys: tuple[Polynomial, ...]) -> _Stack:
                   int(exps.max(initial=0)))
 
 
-def _evaluate_chunk(stack: _Stack, zr: np.ndarray, zi: np.ndarray):
-    n = zr.shape[1]
+def _evaluate_chunk(stack: _Stack, z1: np.ndarray, z2: np.ndarray):
+    n = len(z1)
     # powers of z1, z2, zbar1, zbar2 as _powers grows them: z^k = z^(k-1) * z
-    vr = np.stack([zr[0], zr[1], zr[0], zr[1]])
-    vi = np.stack([zi[0], zi[1], -zi[0], -zi[1]])
+    vr = np.stack([z1.real, z2.real, z1.real, z2.real])
+    vi = np.stack([z1.imag, z2.imag, -z1.imag, -z2.imag])
     pr = np.empty((stack.top + 1, 4, n))
     pi = np.empty_like(pr)
     pr[0], pi[0] = 1.0, 0.0
@@ -636,15 +639,14 @@ def evaluate_many(polys: Sequence[Polynomial], z1, z2) -> np.ndarray:
     in row order.  Points are taken in chunks, so the temporaries stay small
     for any N.
     """
-    z = np.stack(np.broadcast_arrays(np.asarray(z1, dtype=complex).ravel(),
-                                     np.asarray(z2, dtype=complex).ravel()))
+    z1, z2 = (z.reshape(-1) for z in np.broadcast_arrays(np.asarray(z1, dtype=complex),
+                                                         np.asarray(z2, dtype=complex)))
     stack = _stacked(tuple(polys))
-    out = np.empty((stack.count, z.shape[1]), dtype=complex)
+    out = np.empty((stack.count, len(z1)), dtype=complex)
     step = stack.points_per_chunk()
-    for start in range(0, z.shape[1], step):
-        part = z[:, start:start + step]
-        out.real[:, start:start + step], out.imag[:, start:start + step] = _evaluate_chunk(
-            stack, part.real, part.imag)
+    for start in range(0, len(z1), step):
+        part = slice(start, start + step)
+        out.real[:, part], out.imag[:, part] = _evaluate_chunk(stack, z1[part], z2[part])
     return out
 
 

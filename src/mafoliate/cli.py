@@ -186,7 +186,9 @@ def _sample_points(p: HermitianPolynomial, rng, count: int, d_cutoff: float = 1e
     while len(out) < count and attempts < 200 * count:
         draws = min(count - len(out), 200 * count - attempts)
         attempts += draws
-        vs = np.array([random_vector(rng, r_lo, r_hi) for _ in range(draws)])
+        vs = np.empty((draws, 2), dtype=complex)
+        for i in range(draws):
+            vs[i] = random_vector(rng, r_lo, r_hi)
         rho, det = evaluate_many(polys, vs[:, 0], vs[:, 1]).real
         out += [Point(a, b) for a, b in vs[~((rho <= 0.0) | (det <= d_cutoff))]]
     if len(out) < count:

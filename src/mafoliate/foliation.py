@@ -41,6 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .calculus import (
+    SWEEP_BLOCK,
     HermitianPolynomial,
     Point,
     bidegree_decompose,
@@ -536,18 +537,18 @@ def weighted_homogeneity_check(p: HermitianPolynomial, c1: float, c2: float,
     if c1 <= 0 or c2 <= 0:
         raise ValueError("weights must be positive")
     rng = np.random.default_rng(seed)
-    lams, points = [], []  # per trial: the moved point, then the point itself
-    for _ in range(trials):
+    z = np.empty((trials, 2, 2), dtype=complex)  # per trial: the moved point, then the point
+    growth = []
+    for t in range(trials):
         v = random_vector(rng, 0.5, 1.5)
         lam = complex(rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))
-        lams.append(lam)
-        points += [(np.exp(c1 * lam) * v[0], np.exp(c2 * lam) * v[1]), (v[0], v[1])]
-    z = np.array(points, dtype=complex).reshape(-1, 2)
-    values = p.evaluate(z[:, 0], z[:, 1]).real.tolist()
+        z[t] = (np.exp(c1 * lam) * v[0], np.exp(c2 * lam) * v[1]), v
+        growth.append(math.exp(2.0 * lam.real))
+    lhs, base = p.evaluate(z[..., 0], z[..., 1]).real.reshape(trials, 2).T.tolist()
     worst = 0.0
-    for lam, lhs, base in zip(lams, values[::2], values[1::2]):
-        rhs = math.exp(2.0 * lam.real) * base
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
+    for scale, left, right in zip(growth, lhs, base):
+        rhs = scale * right
+        worst = max(worst, abs(left - rhs) / max(abs(rhs), 1e-300))
     return worst
 
 
@@ -643,10 +644,13 @@ class BurnsVerdict:
 
 
 def _first_minimum(p: HermitianPolynomial, batch: np.ndarray, best_val: float, best_dir):
-    """Scan the rows of batch in order, keeping the first value strictly below the best so far."""
-    for v, val in zip(batch, p.evaluate(batch[:, 0], batch[:, 1]).real.tolist()):
-        if val < best_val:
-            best_val, best_dir = val, v
+    """What scanning the rows of batch in order for a value strictly below the best so far
+    keeps: the first row holding the least value below best_val (nans never count)."""
+    vals = p.evaluate(batch[:, 0], batch[:, 1]).real
+    below = np.where(vals < best_val, vals, np.inf)
+    i = int(np.argmin(below))
+    if below[i] < best_val:
+        return vals[i].item(), batch[i]
     return best_val, best_dir
 
 
@@ -696,15 +700,17 @@ def burns_verify(p: HermitianPolynomial, sphere_samples: int = 10_000,
     pure = comps == ((k, k),)
     extreme_vanish = (0, total) not in profile.components and (total, 0) not in profile.components
 
-    # rejection sampling in batches: each batch draws only the missing count, so
+    # rejection sampling in batches: a batch draws at most the missing count, so
     # the generator's stream, and every later draw, is that of one-at-a-time sampling
     det = jet_polynomials(p).det
     ma_max, ma_point = 0.0, Point(1.0, 0.0)
     accepted, attempts = 0, 0
     while accepted < ma_samples and attempts < 50 * ma_samples:
-        draws = min(ma_samples - accepted, 50 * ma_samples - attempts)
+        draws = min(ma_samples - accepted, 50 * ma_samples - attempts, SWEEP_BLOCK)
         attempts += draws
-        vs = np.array([random_vector(rng, 0.5, 1.5) for _ in range(draws)])
+        vs = np.empty((draws, 2), dtype=complex)
+        for i in range(draws):
+            vs[i] = random_vector(rng, 0.5, 1.5)
         keep = ~(det.evaluate(vs[:, 0], vs[:, 1]).real <= d_cutoff)
         reports = ma_scan(p, [Point(a, b) for a, b in vs[keep]])
         accepted += len(reports)

@@ -39,6 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .calculus import (
+    SWEEP_BLOCK,
     HermitianPolynomial,
     JetBatch,
     Point,
@@ -178,18 +179,22 @@ def omega_pairing(jet: WirtingerJet, V: Vector, W: Vector, eps_D: float = EPS_D_
 
 
 def ma_scan(p: HermitianPolynomial, points: Iterable[Point]) -> list[MAReport]:
-    """ma_residual of every point's jet, evaluated as one batch; the same reports and errors."""
+    """ma_residual of every point's jet, evaluated in batches; the same reports and errors."""
     points = list(points)
-    jets = eval_jets(p, *point_array(points).T)
-    bad = np.flatnonzero(jets.rho <= 0.0)
-    if bad.size:
-        raise NonPositiveRho(f"rho = {jets.rho[bad[0]].item()} <= 0 at {jets.pair(bad[0])}")
-    with np.errstate(all="ignore"):
-        rho_D = jets.rho * jets.D
-        residual = rho_D - jets.B
-        normalized = residual / (np.abs(rho_D) + np.abs(jets.B) + 1e-300)
-    return [MAReport(q, *values) for q, *values in zip(
-        points, *(a.tolist() for a in (jets.rho, jets.D, jets.B, residual, normalized)))]
+    reports: list[MAReport] = []
+    for start in range(0, len(points), SWEEP_BLOCK):
+        block = points[start:start + SWEEP_BLOCK]
+        jets = eval_jets(p, *point_array(block).T)
+        bad = np.flatnonzero(jets.rho <= 0.0)
+        if bad.size:
+            raise NonPositiveRho(f"rho = {jets.rho[bad[0]].item()} <= 0 at {jets.pair(bad[0])}")
+        with np.errstate(all="ignore"):
+            rho_D = jets.rho * jets.D
+            residual = rho_D - jets.B
+            normalized = residual / (np.abs(rho_D) + np.abs(jets.B) + 1e-300)
+        reports += [MAReport(q, *values) for q, *values in zip(
+            block, *(a.tolist() for a in (jets.rho, jets.D, jets.B, residual, normalized)))]
+    return reports
 
 
 MA_CSV_COLUMNS = ("x1", "y1", "x2", "y2", "rho", "D", "B", "residual", "normalized")
