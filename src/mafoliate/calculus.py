@@ -690,7 +690,8 @@ def eval_jets(p: HermitianPolynomial, z1, z2) -> JetBatch:
     z2 = np.asarray(z2, dtype=complex).ravel()
     values = evaluate_many((p, jp.d1, jp.d2, jp.h11, jp.h12, jp.h21, jp.h22, jp.det), z1, z2)
     rho, d1, d2, h11, h12, h21, h22, det = values
-    re, im = values.real, values.imag  # rows 1-6: d1, d2, h11, h12, h21, h22
+    re, im = values.real, values.imag  # rows: rho, d1, d2, h11, h12, h21, h22, det
+    # D = (h11 h22 - h12 h21).real
     D = (re[3] * re[6] - im[3] * im[6]) - (re[4] * re[5] - im[4] * im[5])
     # B's four products (u * v) * w side by side: h11 d2 conj(d2), h22 d1 conj(d1),
     # h12 conj(d1) d2 and h21 d1 conj(d2); only their real parts enter B

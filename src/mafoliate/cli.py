@@ -356,7 +356,8 @@ def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
 
     with clock("burns"):
         try:
-            doc["burns"] = _record(burns_verify(p, ma_samples=min(cfg.samples, 2000), seed=cfg.seed))
+            doc["burns"] = _record(burns_verify(p, ma_samples=min(cfg.samples, 2000),
+                                                seed=cfg.seed))
             oks.append(doc["burns"]["theorem_consistent"])
         except NotHomogeneous as exc:
             doc["burns"] = {"skipped": str(exc)}

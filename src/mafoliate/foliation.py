@@ -209,7 +209,8 @@ def trace_leaf(p: HermitianPolynomial, seed: Point, t_values, s_values,
         for i in range(nt):
             points[i, j] = _unpack(t_states[i])
 
-    rho_values = np.ascontiguousarray(p.evaluate(points[..., 0], points[..., 1]).real).reshape(nt, ns)
+    # a contiguous copy, as before: np.log may round differently in its strided loop
+    rho_values = p.evaluate(points[..., 0], points[..., 1]).real.copy().reshape(nt, ns)
     if np.any(rho_values <= 0.0):
         raise FlowEscape("a grid node left the domain rho > 0")
     u_values = np.log(rho_values)
@@ -223,7 +224,8 @@ def _trace_diagnostics(seed, t_values, s_values, points, rho_values, u_values,
                        s_states, rho0, p) -> dict:
     diag: dict = {}
     # level preservation along the s-flow
-    s_rho = p.evaluate(*np.ascontiguousarray(s_states).view(complex).T).real  # rows as _unpack reads them
+    # each state row (x1, y1, x2, y2) read as the pair (z1, z2), as _unpack reads it
+    s_rho = p.evaluate(*np.ascontiguousarray(s_states).view(complex).T).real
     diag["level_drift"] = float(np.max(np.abs(s_rho - rho0))) / rho0
 
     # exponential growth fit per s-line, plus constancy across sub-intervals

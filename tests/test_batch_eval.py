@@ -127,8 +127,10 @@ def test_points_on_the_axes_and_signed_zeros():
     jp = jet_polynomials(p)
     polys = [p, *jp]
     zeros = [0.0, -0.0]
-    z1 = np.array([complex(a, b) for a in zeros for b in zeros] + [1.5 - 0.0j, complex(-0.0, 2.0)] * 2)
-    z2 = np.array([complex(b, a) for a in zeros for b in zeros] + [complex(0.0, -0.0), -0.0j, 0.5, 2j])
+    z1 = np.array([complex(a, b) for a in zeros for b in zeros]
+                  + [1.5 - 0.0j, complex(-0.0, 2.0)] * 2)
+    z2 = np.array([complex(b, a) for a in zeros for b in zeros]
+                  + [complex(0.0, -0.0), -0.0j, 0.5, 2j])
     got = evaluate_many(polys, z1, z2)
     for k, q in enumerate(polys):
         assert_same(got[k], [q(a, b) for a, b in zip(z1, z2)])
@@ -252,5 +254,6 @@ def test_extend_gradient_matches_the_one_point_loop_on_degenerate_lines(coeffs, 
     p = forms_rho(coeffs, a, b)
     u, v = l1 if line == 1 else l2
     s = complex(*t)
-    q = mf.Point(s * v, -s * u)  # a point of {l = 0}, where the Levi form degenerates if the power is >= 2
+    # a point of {l = 0}, where the Levi form degenerates if the power is >= 2
+    q = mf.Point(s * v, -s * u)
     assert outcome(mf.extend_gradient, p, q) == outcome(scalar_extend_gradient, p, q)
