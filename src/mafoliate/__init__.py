@@ -57,6 +57,7 @@ from .finite_type import (
     LeafChart,
     PolyVectorField,
     TypeReport,
+    bracket_identities,
     bracket_identities_check,
     extend_gradient,
     extension_ingredients,

@@ -38,9 +38,12 @@ written out in float64 ufuncs in CPython's formula and operand order
 used: it may fuse a multiply and an add, which rounds once where CPython
 rounds twice.  Signed zeros, infs and the places of nans agree; which of two
 nan operands an operation returns is not fixed by IEEE 754, so a nan's sign
-bit may differ, and nothing in the toolkit reads it.  A one-point caller (the
-flow's right-hand side, ``point_type``) keeps the scalar path, which is faster
-at N = 1 and stays the reference the tests compare the batch against.
+bit may differ, and nothing in the toolkit reads it.  One-point callers keep
+the scalar path, which is faster at N = 1 and stays the reference the tests
+compare the batch against: the flow's right-hand side, ``point_type`` and
+``extension_ingredients``, the base point of ``extend_gradient`` and
+``gradient_anywhere``, ``level_set_samples`` (Brent's method), the probes of
+``level_transport`` and ``psh_min_eigen``.
 
 Interchange format (JSON-compatible)::
 
@@ -682,14 +685,17 @@ def point_array(points: Iterable[Point]) -> np.ndarray:
     return np.array([q.as_pair() for q in points], dtype=complex).reshape(-1, 2)
 
 
-@np.errstate(all="ignore")
-def eval_jets(p: HermitianPolynomial, z1, z2) -> JetBatch:
-    """eval_jet at every point (z1[i], z2[i]), plus the det polynomial; for many points at once."""
+def jet_stack(p: Polynomial) -> tuple[Polynomial, ...]:
+    """The polynomials a JetBatch is made from, in the order jets_from_values reads them."""
     jp = jet_polynomials(p)
-    z1 = np.asarray(z1, dtype=complex).ravel()
-    z2 = np.asarray(z2, dtype=complex).ravel()
-    values = evaluate_many((p, jp.d1, jp.d2, jp.h11, jp.h12, jp.h21, jp.h22, jp.det), z1, z2)
-    rho, d1, d2, h11, h12, h21, h22, det = values
+    return (p, jp.d1, jp.d2, jp.h11, jp.h12, jp.h21, jp.h22, jp.det)
+
+
+@np.errstate(all="ignore")
+def jets_from_values(z1: np.ndarray, z2: np.ndarray, values: np.ndarray) -> JetBatch:
+    """The JetBatch at the points from evaluate_many's values there, whose first
+    rows are those of jet_stack(p)."""
+    rho, d1, d2, h11, h12, h21, h22, det = values[:8]
     re, im = values.real, values.imag  # rows: rho, d1, d2, h11, h12, h21, h22, det
     # D = (h11 h22 - h12 h21).real
     D = (re[3] * re[6] - im[3] * im[6]) - (re[4] * re[5] - im[4] * im[5])
@@ -703,6 +709,13 @@ def eval_jets(p: HermitianPolynomial, z1, z2) -> JetBatch:
     x = uv_r * re[[2, 1, 2, 2]] - uv_i * w_i
     B = ((x[0] + x[1]) - x[2]) - x[3]
     return JetBatch(z1, z2, rho.real, d1, d2, h11, h12, h21, h22, D, B, det.real)
+
+
+def eval_jets(p: HermitianPolynomial, z1, z2) -> JetBatch:
+    """eval_jet at every point (z1[i], z2[i]), plus the det polynomial; for many points at once."""
+    z1 = np.asarray(z1, dtype=complex).ravel()
+    z2 = np.asarray(z2, dtype=complex).ravel()
+    return jets_from_values(z1, z2, evaluate_many(jet_stack(p), z1, z2))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .calculus import (
 )
 from .corpus import CORPUS_NAMES, corpus_text
 from .errors import MafoliateError, NotHomogeneous
-from .finite_type import bracket_identities_check, gradient_anywhere, point_type
+from .finite_type import bracket_identities, gradient_anywhere, point_type
 from .foliation import (
     FlowConfig,
     burns_verify,
@@ -53,7 +53,14 @@ from .foliation import (
     write_leaf_csv,
     zero_set_check,
 )
-from .monge_ampere import complex_gradients, ma_scan, require_nondegenerate, write_ma_csv
+from .monge_ampere import (
+    MA_THRESHOLD,
+    SAMPLE_D_CUTOFF,
+    complex_gradients,
+    ma_scan,
+    require_nondegenerate,
+    write_ma_csv,
+)
 
 
 @dataclass
@@ -174,9 +181,9 @@ def _write_meta(path: Path, argv: list[str], clock: _StageClock) -> None:
     path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n", "utf-8")
 
 
-def _sample_points(p: HermitianPolynomial, rng, count: int, d_cutoff: float = 1e-6,
-                   r_lo: float = 0.5, r_hi: float = 1.5) -> list[Point]:
-    """Seeded cloud in an annulus, rejecting rho <= 0 and Levi-degenerate points.
+def _sample_points(p: HermitianPolynomial, rng, count: int) -> list[Point]:
+    """Seeded cloud in the annulus 0.5 <= |z| <= 1.5, rejecting rho <= 0 and
+    Levi-degenerate points (det <= SAMPLE_D_CUTOFF).
 
     Candidates are drawn in batches of the missing count and tested together,
     which leaves the generator's stream that of drawing them one at a time."""
@@ -188,9 +195,9 @@ def _sample_points(p: HermitianPolynomial, rng, count: int, d_cutoff: float = 1e
         attempts += draws
         vs = np.empty((draws, 2), dtype=complex)
         for i in range(draws):
-            vs[i] = random_vector(rng, r_lo, r_hi)
+            vs[i] = random_vector(rng, 0.5, 1.5)
         rho, det = evaluate_many(polys, vs[:, 0], vs[:, 1]).real
-        out += [Point(a, b) for a, b in vs[~((rho <= 0.0) | (det <= d_cutoff))]]
+        out += [Point(a, b) for a, b in vs[~((rho <= 0.0) | (det <= SAMPLE_D_CUTOFF))]]
     if len(out) < count:
         raise MafoliateError(f"could only sample {len(out)}/{count} admissible points")
     return out
@@ -210,7 +217,7 @@ def _ma_stage(p, pts: list[Point]) -> tuple[list, dict]:
     reports = ma_scan(p, pts)
     worst = max(reports, key=lambda r: abs(r.normalized))
     return reports, {"count": len(reports), "max_abs_normalized": abs(worst.normalized),
-                     "worst_point": worst.point, "is_ma": abs(worst.normalized) < 1e-9}
+                     "worst_point": worst.point, "is_ma": abs(worst.normalized) < MA_THRESHOLD}
 
 
 def _trace_stage(p, cfg: RunConfig, point: Point) -> tuple:
@@ -341,13 +348,10 @@ def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     doc["gradient"] = {"max_relative_pairing_defect": grad_defect}
     oks = [doc["ma"]["is_ma"], grad_defect < 1e-6]
 
-    bk = {"defect_llbar": 0.0, "defect_lz": 0.0, "defect_lzbar": 0.0, "defect_zzbar": 0.0}
     with clock("bracket_identities"):
-        for q in pts[:100]:
-            rep = bracket_identities_check(p, q, eps_D=cfg.eps_D)
-            for key in bk:
-                bk[key] = max(bk[key], getattr(rep, key))
-    doc["bracket_identities"] = bk
+        reps = bracket_identities(p, *point_array(pts[:100]).T, eps_D=cfg.eps_D)
+    doc["bracket_identities"] = {key: max([0.0, *(getattr(r, key) for r in reps)]) for key in
+                                 ("defect_llbar", "defect_lz", "defect_lzbar", "defect_zzbar")}
 
     with clock("type"):
         probes = level_set_samples(p, 1.0, 3, seed=cfg.seed)

@@ -37,11 +37,13 @@ from .calculus import (
     VARIABLES,
     eval_jet,
     eval_jets,
+    evaluate_many,
     jet_polynomials,
+    jet_stack,
+    jets_from_values,
 )
 from .errors import (
     AllRaysDegenerate,
-    DegenerateLevi,
     NoConvergence,
     NonPositiveRho,
     TypeCapExceeded,
@@ -95,14 +97,6 @@ class PolyVectorField:
     def evaluate(self, q: Point) -> tuple[complex, complex, complex, complex]:
         z1, z2 = q.as_pair()
         return tuple(c(z1, z2) for c in self.components())  # type: ignore[return-value]
-
-    def apply_to(self, f: Polynomial) -> Polynomial:
-        """Apply the derivation to a function (all four Wirtinger directions)."""
-        out = Polynomial.zero()
-        for coeff, var in zip(self.components(), VARIABLES):
-            if not coeff.is_zero():
-                out = out + coeff * f.derive(var)
-        return out
 
 
 def tangential_field(p: HermitianPolynomial) -> PolyVectorField:
@@ -240,47 +234,6 @@ def point_type(p: HermitianPolynomial, q: Point, m_max: int = TYPE_CAP_DEFAULT,
 # ---------------------------------------------------------------------------
 
 
-class _GradientCalculus:
-    """Exact rational partial derivatives of Z = N / D, evaluated pointwise."""
-
-    def __init__(self, p: HermitianPolynomial):
-        jp = jet_polynomials(p)
-        self.n = (jp.n1, jp.n2)
-        self.det = jp.det
-        self.dn = tuple(tuple(nj.derive(v) for v in VARIABLES) for nj in self.n)
-        self.ddet = tuple(self.det.derive(v) for v in VARIABLES)
-
-    def at(self, q: Point, eps_D: float) -> tuple[tuple[complex, complex], list[list[complex]]]:
-        z1, z2 = q.as_pair()
-        D = self.det(z1, z2).real
-        if D <= eps_D:
-            raise DegenerateLevi(f"D = {D} <= {eps_D} at {q.as_pair()}")
-        nv = [nj(z1, z2) for nj in self.n]
-        ddet = [dd(z1, z2) for dd in self.ddet]
-        Z = (nv[0] / D, nv[1] / D)
-        dZ = [[(self.dn[j][k](z1, z2) * D - nv[j] * ddet[k]) / D**2 for k in range(4)]
-              for j in range(2)]
-        return Z, dZ
-
-
-@lru_cache(maxsize=64)
-def _gradient_calculus(p: HermitianPolynomial) -> _GradientCalculus:
-    return _GradientCalculus(p)
-
-
-@lru_cache(maxsize=64)
-def _l_partials(p: HermitianPolynomial) -> tuple[tuple[Polynomial, ...], ...]:
-    L = tangential_field(p)
-    return tuple(tuple(c.derive(v) for v in VARIABLES) for c in (L.c1, L.c2))
-
-
-def _span_fit(vec: np.ndarray, basis: list[np.ndarray]) -> tuple[np.ndarray, float]:
-    A = np.stack(basis, axis=1)
-    coeff, *_ = np.linalg.lstsq(A, vec, rcond=None)
-    resid = vec - A @ coeff
-    return coeff, float(np.max(np.abs(resid)))
-
-
 @dataclass(frozen=True)
 class BracketIdentityReport:
     """Defects of the four Levi-form bracket identities at one point.
@@ -304,76 +257,97 @@ class BracketIdentityReport:
     coefficients: dict
 
 
-def bracket_identities_check(p: HermitianPolynomial, q: Point,
-                             eps_D: float = EPS_D_DEFAULT) -> BracketIdentityReport:
-    jet = eval_jet(p, q)
-    if jet.D <= eps_D:
-        raise DegenerateLevi(f"D = {jet.D} <= {eps_D} at {q.as_pair()}")
-    z1, z2 = q.as_pair()
-    grad = complex_gradient(jet, eps_D)
-    Z = np.array(grad.as_vector())
+@lru_cache(maxsize=64)
+def _identity_polynomials(p: HermitianPolynomial) -> tuple[Polynomial, ...]:
+    """jet_stack(p), then the four components of [L, Lbar], n1 and n2, and the four
+    partials of each of n1, n2, det and L's components c1, c2: 34 rows."""
+    jp = jet_polynomials(p)
+    L = tangential_field(p)
+    return (*jet_stack(p), *bracket_level(p, 2)[0][1].components(), jp.n1, jp.n2,
+            *(f.derive(v) for f in (jp.n1, jp.n2, jp.det, L.c1, L.c2) for v in VARIABLES))
+
+
+def _peak(v: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(v), axis=0)
+
+
+def _project(v: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the multiple c b of b nearest v, c = sum conj(b) v / sum |b|^2
+    (one-column least squares), and the residual max |v - c b|."""
+    c = (b.conjugate() * v).sum(axis=0) / (b.conjugate() * b).real.sum(axis=0)
+    return c, _peak(v - c * b)
+
+
+@np.errstate(all="ignore")
+def bracket_identities(p: HermitianPolynomial, z1, z2,
+                       eps_D: float = EPS_D_DEFAULT) -> list[BracketIdentityReport]:
+    """The bracket identity defects at every point (z1[i], z2[i]), from one evaluation.
+
+    The first point, in order, where they are undefined raises: DegenerateLevi
+    where the jet's D or the det polynomial is <= eps_D, ZeroDifferential where
+    L vanishes.  Vectors are arrays of shape (components, points).
+    """
+    z1 = np.asarray(z1, dtype=complex).ravel()
+    z2 = np.asarray(z2, dtype=complex).ravel()
+    values = evaluate_many(_identity_polynomials(p), z1, z2)
+    jets = jets_from_values(z1, z2, values)
+    llbar, n = values[8:12], values[12:14]
+    dn, ddet, dL = values[14:22].reshape(2, 4, -1), values[22:26], values[26:34].reshape(2, 4, -1)
+    D, det = jets.D, jets.det
+    L = np.stack([jets.d2, -jets.d1])  # (1,0) part of L; its (0,1) part is zero
+    L_norm2 = (L.conjugate() * L).real.sum(axis=0)
+    bad = np.flatnonzero((D <= eps_D) | (det <= eps_D) | (L_norm2 == 0.0))
+    if bad.size:
+        i = bad[0]
+        worst = D[i] if D[i] <= eps_D else det[i]
+        if worst <= eps_D:
+            raise degenerate_levi(worst.item(), eps_D, jets.pair(i))
+        raise ZeroDifferential(f"L vanishes at {jets.pair(i)}")
+    Z = np.stack(complex_gradients(jets)[:2])
     Zc = Z.conjugate()
 
-    gens = _generators(p)
-    Lv = np.array(gens["L"].evaluate(q))  # (c1, c2, 0, 0)
-    L10 = Lv[:2]
-    Lb01 = L10.conjugate()
-
     # (a) [L, Lbar] against the cofactor field D (Z - Zbar)
-    w = np.array(bracket_level(p, 2)[0][1].evaluate(q))
-    target = np.concatenate([jet.D * Z, -jet.D * Zc])
-    scale_a = 1.0 + abs(jet.D) * float(np.max(np.abs(Z)))
-    defect_llbar = float(np.max(np.abs(w - target))) / scale_a
+    defect_llbar = _peak(llbar - np.concatenate([D * Z, -D * Zc])) / (1.0 + np.abs(D) * _peak(Z))
 
-    # exact rational partials of Z for the remaining brackets
-    gc = _gradient_calculus(p)
-    _, dZ = gc.at(q, eps_D)
-    lp = _l_partials(p)
-    lpv = [[lp[j][k](z1, z2) for k in range(4)] for j in range(2)]
+    # partials of Z = N / det by the quotient rule: dZ[j, k] is Z^j derived in VARIABLES[k]
+    dZ = (dn * det - n[:, None] * ddet) / det**2
+    dZb = dZ[:, 2:]
 
     # (b) [L, Z] = phi1 L
-    lz = np.array([
-        sum(L10[k] * dZ[j][k] for k in range(2)) - sum(Z[k] * lpv[j][k] for k in range(2))
-        for j in range(2)
-    ])
-    denom = float(np.vdot(L10, L10).real)
-    if denom == 0.0:
-        raise ZeroDifferential(f"L vanishes at {q.as_pair()}")
-    phi1 = complex(np.vdot(L10, lz)) / denom
-    defect_lz = float(np.max(np.abs(lz - phi1 * L10))) / (1.0 + float(np.max(np.abs(lz))))
+    lz = (L * dZ[:, :2]).sum(axis=1) - (Z * dL[:, :2]).sum(axis=1)
+    phi1, r = _project(lz, L)
+    defect_lz = r / (1.0 + _peak(lz))
 
-    # (c) [L, Zbar] = psi1 L + psi2 Lbar
-    lzb_10 = np.array([
-        -sum(Zc[k] * lpv[j][2 + k] for k in range(2)) for j in range(2)
-    ])
-    lzb_01 = np.array([
-        sum(L10[k] * dZ[j][2 + k].conjugate() for k in range(2)) for j in range(2)
-    ])
-    psi1, r1 = _span_fit(lzb_10, [L10])
-    psi2, r2 = _span_fit(lzb_01, [Lb01])
-    scale_c = 1.0 + max(float(np.max(np.abs(lzb_10))), float(np.max(np.abs(lzb_01))))
-    defect_lzbar = max(r1, r2) / scale_c
+    # (c) [L, Zbar] = psi1 L + psi2 Lbar, part by part
+    lzb_10 = -(Zc * dL[:, 2:]).sum(axis=1)
+    lzb_01 = (L * dZb.conjugate()).sum(axis=1)
+    psi1, r1 = _project(lzb_10, L)
+    psi2, r2 = _project(lzb_01, L.conjugate())
+    defect_lzbar = np.maximum(r1, r2) / (1.0 + np.maximum(_peak(lzb_10), _peak(lzb_01)))
 
     # (d) [Z, Zbar] = eta1 L + eta2 Lbar, equivalently tangent to the level set
-    zzb_10 = np.array([
-        -sum(Zc[k] * dZ[j][2 + k] for k in range(2)) for j in range(2)
-    ])
-    zzb_01 = np.array([
-        sum(Z[k] * dZ[j][2 + k].conjugate() for k in range(2)) for j in range(2)
-    ])
-    eta1, r1 = _span_fit(zzb_10, [L10])
-    eta2, r2 = _span_fit(zzb_01, [Lb01])
-    scale_d = 1.0 + max(float(np.max(np.abs(zzb_10))), float(np.max(np.abs(zzb_01))))
-    defect_zzbar = max(r1, r2) / scale_d
-    d10 = np.array([jet.d1, jet.d2])
-    drho_val = complex(np.dot(d10, zzb_10) + np.dot(d10.conjugate(), zzb_01))
-    drho_zzbar = abs(drho_val) / (jet.gradient_scale() * scale_d)
+    zzb_10 = -(Zc * dZb).sum(axis=1)
+    zzb_01 = (Z * dZb.conjugate()).sum(axis=1)
+    eta1, r1 = _project(zzb_10, L)
+    eta2, r2 = _project(zzb_01, L.conjugate())
+    scale_d = 1.0 + np.maximum(_peak(zzb_10), _peak(zzb_01))
+    defect_zzbar = np.maximum(r1, r2) / scale_d
+    d = np.stack([jets.d1, jets.d2])
+    drho = (d * zzb_10).sum(axis=0) + (d.conjugate() * zzb_01).sum(axis=0)
+    drho_zzbar = np.abs(drho) / ((1.0 + _peak(d)) * scale_d)
 
-    return BracketIdentityReport(
-        q, defect_llbar, defect_lz, defect_lzbar, defect_zzbar, drho_zzbar,
-        {"phi1": phi1, "psi1": complex(psi1[0]), "psi2": complex(psi2[0]),
-         "eta1": complex(eta1[0]), "eta2": complex(eta2[0])},
-    )
+    defects = zip(*(a.tolist() for a in (defect_llbar, defect_lz, defect_lzbar, defect_zzbar,
+                                         drho_zzbar)))
+    coefficients = zip(*(a.tolist() for a in (phi1, psi1, psi2, eta1, eta2)))
+    names = ("phi1", "psi1", "psi2", "eta1", "eta2")
+    return [BracketIdentityReport(Point(a, b), *dv, dict(zip(names, cv)))
+            for a, b, dv, cv in zip(z1.tolist(), z2.tolist(), defects, coefficients)]
+
+
+def bracket_identities_check(p: HermitianPolynomial, q: Point,
+                             eps_D: float = EPS_D_DEFAULT) -> BracketIdentityReport:
+    """bracket_identities at the one point q."""
+    return bracket_identities(p, *q.as_pair(), eps_D=eps_D)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +401,9 @@ def _neville_to_zero(ts: Sequence[float], vals: Sequence[complex]) -> complex:
     return table[0]
 
 
-def _chart_gradient(p: HermitianPolynomial, chart: LeafChart, h: float = 1e-6) -> tuple[complex, complex]:
+def _chart_gradient(p: HermitianPolynomial, chart: LeafChart) -> tuple[complex, complex]:
     w1, w2 = chart.w_point
+    h = 1e-6
 
     def u(a: complex, b: complex) -> float:
         x, y = chart.to_ambient(a, b)
@@ -448,9 +423,7 @@ def _chart_gradient(p: HermitianPolynomial, chart: LeafChart, h: float = 1e-6) -
 def extend_gradient(p: HermitianPolynomial, q: Point, eps_D: float = EPS_D_DEFAULT,
                     tol_ext: float = EXT_TOL_DEFAULT,
                     rays: Sequence[tuple[complex, complex]] | None = None,
-                    leaf_chart: LeafChart | None = None,
-                    t0: float | None = None, levels: int = 7,
-                    ratio: float = 0.5) -> GradientValue:
+                    leaf_chart: LeafChart | None = None) -> GradientValue:
     """Gradient at a Levi-degenerate point, as the common limit along approach rays.
 
     Each usable ray contributes a polynomial extrapolation of the cofactor
@@ -466,8 +439,9 @@ def extend_gradient(p: HermitianPolynomial, q: Point, eps_D: float = EPS_D_DEFAU
     if jet.D > eps_D:
         return complex_gradient(jet, eps_D)
 
-    base_t = t0 if t0 is not None else 0.05 * (1.0 + q.norm())
-    ts = [base_t * ratio**j for j in range(levels)]
+    # seven ray parameters, halving from 0.05 (1 + |q|)
+    base_t = 0.05 * (1.0 + q.norm())
+    ts = [base_t * 0.5**j for j in range(7)]
     directions = rays if rays is not None else _DEFAULT_RAYS
     # every ray point at once; the loop below keeps the per-point checks, and
     # their order, of evaluating one point at a time

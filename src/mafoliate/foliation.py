@@ -64,6 +64,8 @@ from .errors import (
 from .finite_type import extend_gradient, gradient_anywhere
 from .monge_ampere import (
     EPS_D_DEFAULT,
+    MA_THRESHOLD,
+    SAMPLE_D_CUTOFF,
     complex_gradient,
     complex_gradients,
     degenerate_levi,
@@ -80,14 +82,13 @@ class FlowConfig:
     atol: float = 1e-10
     max_steps: int = 500_000
     eps_D: float = EPS_D_DEFAULT
-    hysteresis: float = 10.0
     tol_ext: float = 1e-7
 
     def __post_init__(self):
         if min(self.rtol, self.atol, self.eps_D, self.tol_ext) <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_steps <= 0 or self.hysteresis < 1.0:
-            raise ValueError("max_steps must be positive and hysteresis >= 1")
+        if self.max_steps <= 0:
+            raise ValueError("max_steps must be positive")
 
 
 def _pack(z1: complex, z2: complex) -> np.ndarray:
@@ -119,7 +120,7 @@ class _GradientFlow:
         q = Point(z1, z2)
         D = self.det(z1, z2).real
         if self.extended:
-            if D > self.cfg.hysteresis * self.cfg.eps_D:
+            if D > 10.0 * self.cfg.eps_D:  # hysteresis, see the module docstring
                 self.extended = False
         elif D <= self.cfg.eps_D:
             self.extended = True
@@ -466,30 +467,31 @@ class ZeroSetReport:
     other_zeros: tuple
 
 
-def zero_set_check(fit: HolomorphicFit, search_radius: float = 1.0,
-                   n_directions: int = 240, n_radii: int = 6,
-                   zero_tol: float = 1e-7) -> ZeroSetReport:
-    """Verify min |Z| >= c r on shrinking spheres (isolated zero) and report stray zeros."""
-    dirs = _sphere_directions(n_directions)
+_ZERO_TOL = 1e-7  # |Z_fit| below this counts as a zero
+
+
+def zero_set_check(fit: HolomorphicFit) -> ZeroSetReport:
+    """Verify min |Z| >= c r on the spheres of radius r = 2^-j, j < 6 (an isolated
+    zero), and report stray zeros; each sphere is sampled at 240 directions at once."""
+    dirs = _sphere_directions(240)
     J = fit.jacobian_at_zero()
     smin = float(np.linalg.svd(J, compute_uv=False)[-1])
     origin_value = float(np.hypot(*[abs(c) for c in fit.evaluate(0.0, 0.0)]))
 
     shell_minima = []
     other_zeros = []
-    for j in range(n_radii):
-        r = search_radius * 0.5**j
-        vals = np.array([float(np.linalg.norm(fit.evaluate(r * d[0], r * d[1])))
-                         for d in dirs])
+    for j in range(6):
+        r = 0.5**j
+        Z1, Z2 = fit.evaluate(r * dirs[:, 0], r * dirs[:, 1])
+        # a component without terms evaluates to the scalar 0
+        vals = np.broadcast_to(np.hypot(np.abs(Z1), np.abs(Z2)), len(dirs))
         shell_minima.append((r, float(vals.min())))
-        for d in dirs[vals < zero_tol * (1.0 + r)]:
+        for d in dirs[vals < _ZERO_TOL * (1.0 + r)]:
             other_zeros.append(Point(r * d[0], r * d[1]))
 
-    unit_vals = [np.linalg.norm(fit.evaluate(d[0], d[1])) for d in dirs]
-    min_unit = float(np.min(unit_vals))
-
-    isolated = smin > zero_tol and all(m >= 0.5 * smin * r for r, m in shell_minima)
-    return ZeroSetReport(isolated, smin, origin_value, min_unit,
+    isolated = smin > _ZERO_TOL and all(m >= 0.5 * smin * r for r, m in shell_minima)
+    # the first shell is the unit sphere
+    return ZeroSetReport(isolated, smin, origin_value, shell_minima[0][1],
                          tuple(shell_minima), tuple(other_zeros[:32]))
 
 
@@ -503,7 +505,8 @@ class WeightEstimate:
     residual: float
 
 
-def estimate_weights(fit: HolomorphicFit, tol: float = 1e-8) -> WeightEstimate:
+def estimate_weights(fit: HolomorphicFit) -> WeightEstimate:
+    tol = 1e-8  # relative, for a zero constant term and real eigenvalues
     J = fit.jacobian_at_zero()
     scale = 1.0 + float(np.max(np.abs(J)))
     const = fit.constant_part()
@@ -680,10 +683,8 @@ def _positive_min_on_sphere(p: HermitianPolynomial, n_samples: int, rng) -> tupl
 
 
 def burns_verify(p: HermitianPolynomial, sphere_samples: int = 10_000,
-                 ma_samples: int = 2000, growth_rays: int = 64,
-                 ma_threshold: float = 1e-9, d_cutoff: float = 1e-6,
-                 seed: int = 0) -> BurnsVerdict:
-    """Homogeneity-gated verdict: MA statistics, bidegree purity, and ray growth."""
+                 ma_samples: int = 2000, seed: int = 0) -> BurnsVerdict:
+    """Homogeneity-gated verdict: MA statistics, bidegree purity, and growth along 64 rays."""
     degrees = p.total_degrees()
     if len(degrees) != 1:
         raise NotHomogeneous(f"mixed total degrees {sorted(degrees)}")
@@ -713,18 +714,18 @@ def burns_verify(p: HermitianPolynomial, sphere_samples: int = 10_000,
         vs = np.empty((draws, 2), dtype=complex)
         for i in range(draws):
             vs[i] = random_vector(rng, 0.5, 1.5)
-        keep = ~(det.evaluate(vs[:, 0], vs[:, 1]).real <= d_cutoff)
+        keep = ~(det.evaluate(vs[:, 0], vs[:, 1]).real <= SAMPLE_D_CUTOFF)
         reports = ma_scan(p, [Point(a, b) for a, b in vs[keep]])
         accepted += len(reports)
         for rep in reports:
             if abs(rep.normalized) > ma_max:
                 ma_max, ma_point = abs(rep.normalized), rep.point
-    is_ma = ma_max < ma_threshold
+    is_ma = ma_max < MA_THRESHOLD
 
     growth = 0.0
-    mags = np.logspace(-3, 3, 13)
+    rays, mags = 64, np.logspace(-3, 3, 13)
     ray_points = []  # per ray: the base point, then one point per magnitude
-    for _ in range(growth_rays):
+    for _ in range(rays):
         v = random_vector(rng)
         ray_points.append((v[0], v[1]))
         for mag in mags:
@@ -732,7 +733,7 @@ def burns_verify(p: HermitianPolynomial, sphere_samples: int = 10_000,
             ray_points.append((lam * v[0], lam * v[1]))
     z = np.array(ray_points, dtype=complex).reshape(-1, 2)
     values = p.evaluate(z[:, 0], z[:, 1]).real.tolist()
-    for r in range(growth_rays):
+    for r in range(rays):
         base = math.log(values[r * (len(mags) + 1)])
         for m, mag in enumerate(mags):
             val = math.log(values[r * (len(mags) + 1) + 1 + m])

@@ -53,6 +53,8 @@ from .calculus import (
 from .errors import DegenerateLevi, NonPositiveRho
 
 EPS_D_DEFAULT = 1e-10
+MA_THRESHOLD = 1e-9  # a sampled scan calls log rho a solution below this worst |normalized|
+SAMPLE_D_CUTOFF = 1e-6  # sampled points keep the det polynomial above this
 
 Vector = tuple[complex, complex]
 

@@ -198,3 +198,90 @@ def scalar_extend_gradient(p, q, eps_D=1e-10, tol_ext=1e-7, levels=7, ratio=0.5)
         )
     Z1, Z2 = (complex(v) for v in arr.mean(axis=0))
     return GradientValue(Z1, Z2, jet.d1 * Z1 + jet.d2 * Z2 - rho)
+
+
+# ---------------------------------------------------------------------------
+# one-point-at-a-time bracket identities
+# ---------------------------------------------------------------------------
+
+
+def scalar_bracket_identities(p, q, eps_D=1e-10):
+    """The Levi-form bracket identity defects at one point, as the package computed
+    them before they were batched: scalar polynomial evaluations and a least-squares
+    fit per span.  The reference the batched ones must match to rounding."""
+    import numpy as np
+
+    from mafoliate.calculus import VARIABLES, eval_jet, jet_polynomials
+    from mafoliate.errors import DegenerateLevi, ZeroDifferential
+    from mafoliate.finite_type import BracketIdentityReport, bracket_level, tangential_field
+    from mafoliate.monge_ampere import complex_gradient
+
+    def span_fit(vec, basis):
+        A = np.stack(basis, axis=1)
+        coeff, *_ = np.linalg.lstsq(A, vec, rcond=None)
+        return coeff, float(np.max(np.abs(vec - A @ coeff)))
+
+    jet = eval_jet(p, q)
+    if jet.D <= eps_D:
+        raise DegenerateLevi(f"D = {jet.D} <= {eps_D} at {q.as_pair()}")
+    z1, z2 = q.as_pair()
+    Z = np.array(complex_gradient(jet, eps_D).as_vector())
+    Zc = Z.conjugate()
+
+    L = tangential_field(p)
+    L10 = np.array(L.evaluate(q))[:2]
+    Lb01 = L10.conjugate()
+
+    # (a) [L, Lbar] against the cofactor field D (Z - Zbar)
+    w = np.array(bracket_level(p, 2)[0][1].evaluate(q))
+    target = np.concatenate([jet.D * Z, -jet.D * Zc])
+    scale_a = 1.0 + abs(jet.D) * float(np.max(np.abs(Z)))
+    defect_llbar = float(np.max(np.abs(w - target))) / scale_a
+
+    # exact rational partials of Z = N / D, and of L's components
+    jp = jet_polynomials(p)
+    D = jp.det(z1, z2).real
+    if D <= eps_D:
+        raise DegenerateLevi(f"D = {D} <= {eps_D} at {q.as_pair()}")
+    nv = [jp.n1(z1, z2), jp.n2(z1, z2)]
+    ddet = [jp.det.derive(v)(z1, z2) for v in VARIABLES]
+    dZ = [[(nj.derive(v)(z1, z2) * D - nv[j] * ddet[k]) / D**2 for k, v in enumerate(VARIABLES)]
+          for j, nj in enumerate((jp.n1, jp.n2))]
+    lpv = [[c.derive(v)(z1, z2) for v in VARIABLES] for c in (L.c1, L.c2)]
+
+    # (b) [L, Z] = phi1 L
+    lz = np.array([
+        sum(L10[k] * dZ[j][k] for k in range(2)) - sum(Z[k] * lpv[j][k] for k in range(2))
+        for j in range(2)
+    ])
+    denom = float(np.vdot(L10, L10).real)
+    if denom == 0.0:
+        raise ZeroDifferential(f"L vanishes at {q.as_pair()}")
+    phi1 = complex(np.vdot(L10, lz)) / denom
+    defect_lz = float(np.max(np.abs(lz - phi1 * L10))) / (1.0 + float(np.max(np.abs(lz))))
+
+    # (c) [L, Zbar] = psi1 L + psi2 Lbar
+    lzb_10 = np.array([-sum(Zc[k] * lpv[j][2 + k] for k in range(2)) for j in range(2)])
+    lzb_01 = np.array([sum(L10[k] * dZ[j][2 + k].conjugate() for k in range(2))
+                       for j in range(2)])
+    psi1, r1 = span_fit(lzb_10, [L10])
+    psi2, r2 = span_fit(lzb_01, [Lb01])
+    scale_c = 1.0 + max(float(np.max(np.abs(lzb_10))), float(np.max(np.abs(lzb_01))))
+    defect_lzbar = max(r1, r2) / scale_c
+
+    # (d) [Z, Zbar] = eta1 L + eta2 Lbar, equivalently tangent to the level set
+    zzb_10 = np.array([-sum(Zc[k] * dZ[j][2 + k] for k in range(2)) for j in range(2)])
+    zzb_01 = np.array([sum(Z[k] * dZ[j][2 + k].conjugate() for k in range(2)) for j in range(2)])
+    eta1, r1 = span_fit(zzb_10, [L10])
+    eta2, r2 = span_fit(zzb_01, [Lb01])
+    scale_d = 1.0 + max(float(np.max(np.abs(zzb_10))), float(np.max(np.abs(zzb_01))))
+    defect_zzbar = max(r1, r2) / scale_d
+    d10 = np.array([jet.d1, jet.d2])
+    drho_val = complex(np.dot(d10, zzb_10) + np.dot(d10.conjugate(), zzb_01))
+    drho_zzbar = abs(drho_val) / (jet.gradient_scale() * scale_d)
+
+    return BracketIdentityReport(
+        q, defect_llbar, defect_lz, defect_lzbar, defect_zzbar, drho_zzbar,
+        {"phi1": phi1, "psi1": complex(psi1[0]), "psi2": complex(psi2[0]),
+         "eta1": complex(eta1[0]), "eta2": complex(eta2[0])},
+    )

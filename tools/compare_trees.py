@@ -1,0 +1,135 @@
+"""Run one benchmark workload's jobs in two source trees and compare what they write.
+
+    python3 tools/compare_trees.py PARENT CHANGE --workload report-mix --seed 301
+
+PARENT and CHANGE are source checkouts (each with src/mafoliate).  The job list
+comes from this checkout's bench/workloads.py, built once, so both trees see the
+same inputs.  Each job runs once per tree as a fresh ``python3 -m mafoliate.cli``
+process.  Per job this prints the two exit codes, whether stderr is equal, each
+side's gate result (mismatches, known defect), and for every output file but
+``*_meta.json`` either "equal" or the dotted JSON paths that differ with the
+largest absolute difference of their numbers.
+
+Exit status: 1 when any exit code, stderr or gate result differs, else 0.
+Differing output bytes alone are reported, not failed: a change may move values
+within their tolerances.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+sys.dont_write_bytecode = True  # leave no __pycache__ in bench/
+
+import workloads  # noqa: E402
+
+
+def run_job(tree: Path, job, out: Path, cwd: Path) -> tuple[int, str, dict | None]:
+    out.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run([sys.executable, "-m", "mafoliate.cli", *job.argv, "--out", str(out)],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+    try:
+        doc = json.loads((out / job.output).read_text("utf-8")) if proc.returncode == 0 else None
+    except (OSError, ValueError):
+        doc = None
+    return proc.returncode, proc.stderr, doc
+
+
+def gate(job, code: int, doc: dict | None, stderr: str) -> tuple:
+    """The benchmark's verdict on one run: (mismatches, known defect)."""
+    mismatches = workloads.check(job, code, doc)
+    defect = workloads.known_defect(job, mismatches, doc, stderr)
+    return [list(map(str, m)) for m in mismatches], defect
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def json_diff(a, b, path: str = "") -> dict[str, float]:
+    """Dotted path -> |a - b| for each differing number, inf for any other difference."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        missing = object()
+        items = [(f"{path}.{k}" if path else k, a.get(k, missing), b.get(k, missing))
+                 for k in sorted(set(a) | set(b))]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        items = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
+    elif _number(a) and _number(b):
+        return {} if a == b else {path: abs(a - b)}
+    else:
+        return {} if a == b else {path: math.inf}
+    out: dict[str, float] = {}
+    for sub, x, y in items:
+        out.update(json_diff(x, y, sub))
+    return out
+
+
+def compare_outputs(left: Path, right: Path) -> list[str]:
+    lines = []
+    names = sorted({p.name for d in (left, right) for p in d.iterdir()
+                    if p.is_file() and not p.name.endswith("_meta.json")})
+    for name in names:
+        a, b = left / name, right / name
+        if not (a.is_file() and b.is_file()):
+            lines.append(f"    {name}: only in {'parent' if a.is_file() else 'change'}")
+            continue
+        if a.read_bytes() == b.read_bytes():
+            lines.append(f"    {name}: equal")
+            continue
+        try:
+            diff = json_diff(json.loads(a.read_text("utf-8")), json.loads(b.read_text("utf-8")))
+        except ValueError:
+            lines.append(f"    {name}: bytes differ (not JSON)")
+            continue
+        lines.append(f"    {name}: {len(diff)} path(s) differ")
+        lines += [f"      {p}: max |difference| {gap:.3g}" for p, gap in sorted(diff.items())]
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        if not (tree / "src" / "mafoliate" / "cli.py").is_file():
+            parser.error(f"no toolkit source under {tree}")
+
+    differs = False
+    with tempfile.TemporaryDirectory(prefix="compare-trees-") as tmp:
+        work = Path(tmp)
+        jobs = workloads.build(args.workload, args.seed, work / "inputs")
+        for job in jobs:
+            runs = {side: run_job(tree, job, work / side / job.id, work)
+                    for side, tree in trees.items()}
+            (code_a, err_a, doc_a), (code_b, err_b, doc_b) = runs.values()
+            gate_a, gate_b = gate(job, code_a, doc_a, err_a), gate(job, code_b, doc_b, err_b)
+            same = code_a == code_b and err_a == err_b and gate_a == gate_b
+            differs |= not same
+            print(f"{job.id}: {'same' if same else 'DIFFERENT'}")
+            print(f"  exit codes {code_a} / {code_b}; "
+                  f"stderr {'equal' if err_a == err_b else 'differs'}")
+            print(f"  gate parent {gate_a}; change {gate_b}")
+            for line in compare_outputs(work / "parent" / job.id, work / "change" / job.id):
+                print(line)
+    verdict = "differ" if differs else "are equal"
+    print(f"{args.workload} seed {args.seed}: {len(jobs)} jobs; "
+          f"exit codes, stderr and gate results {verdict}")
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
