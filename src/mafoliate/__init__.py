@@ -1,9 +1,10 @@
 """mafoliate: desk-scale verification of Monge-Ampere exhaustions on C^2.
 
-Exact Wirtinger calculus for real polynomials in (z, zbar), pointwise
-Monge-Ampere residuals and the complex gradient, finite-type analysis via
-exact Lie brackets with gradient extension across Levi-degenerate points,
-foliation leaf tracing, and the homogeneous / weighted-circular verdicts.
+Exact Wirtinger calculus for real polynomials in (z, zbar), an exact
+Monge-Ampere certificate with pointwise residuals as its oracle, the complex
+gradient, finite-type analysis via exact Lie brackets with gradient extension
+across Levi-degenerate points, foliation leaf tracing, and the homogeneous /
+weighted-circular verdicts.
 """
 
 __version__ = "0.1.0"
@@ -61,7 +62,6 @@ from .finite_type import (
     bracket_identities_check,
     extend_gradient,
     extension_ingredients,
-    gradient_anywhere,
     lie_bracket,
     pair_d_rho,
     point_type,
@@ -94,6 +94,7 @@ from .monge_ampere import (
     MAReport,
     complex_gradient,
     complex_gradients,
+    is_ma_exact,
     ma_residual,
     ma_scan,
     omega_pairing,

@@ -41,9 +41,9 @@ nan operands an operation returns is not fixed by IEEE 754, so a nan's sign
 bit may differ, and nothing in the toolkit reads it.  One-point callers keep
 the scalar path, which is faster at N = 1 and stays the reference the tests
 compare the batch against: the flow's right-hand side, ``point_type`` and
-``extension_ingredients``, the base point of ``extend_gradient`` and
-``gradient_anywhere``, ``level_set_samples`` (Brent's method), the probes of
-``level_transport`` and ``psh_min_eigen``.
+``extension_ingredients``, the base point of ``extend_gradient``,
+``level_set_samples`` (Brent's method), the probes of ``level_transport``
+and ``psh_min_eigen``.
 
 Interchange format (JSON-compatible)::
 

@@ -37,7 +37,7 @@ from .calculus import (
 )
 from .corpus import CORPUS_NAMES, corpus_text
 from .errors import MafoliateError, NotHomogeneous
-from .finite_type import bracket_identities, gradient_anywhere, point_type
+from .finite_type import bracket_identities, extend_gradient, point_type
 from .foliation import (
     FlowConfig,
     burns_verify,
@@ -54,9 +54,9 @@ from .foliation import (
     zero_set_check,
 )
 from .monge_ampere import (
-    MA_THRESHOLD,
     SAMPLE_D_CUTOFF,
     complex_gradients,
+    is_ma_exact,
     ma_scan,
     require_nondegenerate,
     write_ma_csv,
@@ -181,13 +181,14 @@ def _write_meta(path: Path, argv: list[str], clock: _StageClock) -> None:
     path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n", "utf-8")
 
 
-def _sample_points(p: HermitianPolynomial, rng, count: int) -> list[Point]:
+def _sample_points(p: HermitianPolynomial, rng, count: int, eps_D: float) -> list[Point]:
     """Seeded cloud in the annulus 0.5 <= |z| <= 1.5, rejecting rho <= 0 and
-    Levi-degenerate points (det <= SAMPLE_D_CUTOFF).
+    Levi-degenerate points (det <= max(SAMPLE_D_CUTOFF, eps_D)).
 
     Candidates are drawn in batches of the missing count and tested together,
     which leaves the generator's stream that of drawing them one at a time."""
     polys = (p, jet_polynomials(p).det)
+    cutoff = max(SAMPLE_D_CUTOFF, eps_D)
     out: list[Point] = []
     attempts = 0
     while len(out) < count and attempts < 200 * count:
@@ -197,7 +198,7 @@ def _sample_points(p: HermitianPolynomial, rng, count: int) -> list[Point]:
         for i in range(draws):
             vs[i] = random_vector(rng, 0.5, 1.5)
         rho, det = evaluate_many(polys, vs[:, 0], vs[:, 1]).real
-        out += [Point(a, b) for a, b in vs[~((rho <= 0.0) | (det <= SAMPLE_D_CUTOFF))]]
+        out += [Point(a, b) for a, b in vs[~((rho <= 0.0) | (det <= cutoff))]]
     if len(out) < count:
         raise MafoliateError(f"could only sample {len(out)}/{count} admissible points")
     return out
@@ -214,10 +215,11 @@ def _record(obj, **extra) -> dict:
 
 
 def _ma_stage(p, pts: list[Point]) -> tuple[list, dict]:
+    """The exact certificate's verdict, with the sampled scan's worst residual as its oracle."""
     reports = ma_scan(p, pts)
     worst = max(reports, key=lambda r: abs(r.normalized))
     return reports, {"count": len(reports), "max_abs_normalized": abs(worst.normalized),
-                     "worst_point": worst.point, "is_ma": abs(worst.normalized) < MA_THRESHOLD}
+                     "worst_point": worst.point, "is_ma": is_ma_exact(p)}
 
 
 def _trace_stage(p, cfg: RunConfig, point: Point) -> tuple:
@@ -233,7 +235,7 @@ def _transport_stage(p, cfg: RunConfig, r1: float, r2: float) -> dict:
 
 
 def _fit_weights_dict(p, cfg: RunConfig, rng) -> dict:
-    pts = _sample_points(p, rng, cfg.fit_samples)
+    pts = _sample_points(p, rng, cfg.fit_samples, cfg.eps_D)
     fit = fit_holomorphic_Z(p, pts, cfg.fit_degree, eps_D=cfg.eps_D)
     zero = zero_set_check(fit)
     est = estimate_weights(fit)
@@ -269,7 +271,8 @@ def _weights_ok(doc: dict) -> bool:
 
 def _cmd_check_ma(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     with clock("ma"):
-        pts = _sample_points(p, np.random.default_rng(cfg.seed), cfg.grid * cfg.grid)
+        pts = _sample_points(p, np.random.default_rng(cfg.seed), cfg.grid * cfg.grid,
+                             cfg.eps_D)
         reports, summary = _ma_stage(p, pts)
     write_ma_csv(reports, out / "ma_scan.csv", __version__, polynomial_hash(p))
     _write_json(out / "ma_summary.json", p, summary)
@@ -281,7 +284,7 @@ def _cmd_gradient(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> boo
     with clock("gradient"):
         jet = eval_jet(p, point)
         method = "cofactor" if jet.D > cfg.eps_D else "ray_limit_extension"
-        g = gradient_anywhere(p, point, eps_D=cfg.eps_D, tol_ext=cfg.tol_ext)
+        g = extend_gradient(p, point, eps_D=cfg.eps_D, tol_ext=cfg.tol_ext)
     ok = abs(g.pairing_check) <= 1e-6 * max(jet.rho, 1.0)
     _write_json(out / "gradient.json", p, {
         "point": point, "method": method, "D": jet.D, "rho": jet.rho,
@@ -310,7 +313,7 @@ def _cmd_trace_leaf(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> b
 
 def _cmd_burns(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     with clock("burns"):
-        rec = _record(burns_verify(p, ma_samples=cfg.samples, seed=cfg.seed))
+        rec = _record(burns_verify(p, seed=cfg.seed))
     _write_json(out / "burns_verdict.json", p, rec)
     return rec["is_ma"] and rec["theorem_consistent"]
 
@@ -336,7 +339,7 @@ def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     doc: dict = {"config": cfg_echo, "polynomial": serialize_polynomial(p)}
 
     with clock("ma"):
-        pts = _sample_points(p, rng, cfg.samples)
+        pts = _sample_points(p, rng, cfg.samples, cfg.eps_D)
         _, doc["ma"] = _ma_stage(p, pts)
 
     with clock("gradient"):
@@ -360,8 +363,7 @@ def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
 
     with clock("burns"):
         try:
-            doc["burns"] = _record(burns_verify(p, ma_samples=min(cfg.samples, 2000),
-                                                seed=cfg.seed))
+            doc["burns"] = _record(burns_verify(p, seed=cfg.seed))
             oks.append(doc["burns"]["theorem_consistent"])
         except NotHomogeneous as exc:
             doc["burns"] = {"skipped": str(exc)}
@@ -396,7 +398,7 @@ _POINT = ("--point", {"required": True, "help": "x1,y1,x2,y2"})
 # name: (handler, help, extra flags); a flag that sets a RunConfig knob has the
 # knob's name as its dest, and the metavar keeps the flag's own name in --help
 _COMMANDS = {
-    "check-ma": (_cmd_check_ma, "sampled Monge-Ampere residual scan",
+    "check-ma": (_cmd_check_ma, "exact Monge-Ampere verdict, with a sampled residual scan",
                  [("--grid", {"type": int, "help": "draw grid^2 sample points"})]),
     "gradient": (_cmd_gradient, "complex gradient at a point (extends across D = 0)", [_POINT]),
     "type-at": (_cmd_type_at, "finite type of the level set through a point",

@@ -424,7 +424,8 @@ def extend_gradient(p: HermitianPolynomial, q: Point, eps_D: float = EPS_D_DEFAU
                     tol_ext: float = EXT_TOL_DEFAULT,
                     rays: Sequence[tuple[complex, complex]] | None = None,
                     leaf_chart: LeafChart | None = None) -> GradientValue:
-    """Gradient at a Levi-degenerate point, as the common limit along approach rays.
+    """Complex gradient at a point with rho > 0: the cofactor formula where D > eps_D,
+    otherwise the common limit along approach rays.
 
     Each usable ray contributes a polynomial extrapolation of the cofactor
     formula to ray parameter 0; the extrapolants must agree within `tol_ext`
@@ -492,14 +493,3 @@ def extend_gradient(p: HermitianPolynomial, q: Point, eps_D: float = EPS_D_DEFAU
 
     pairing = jet.d1 * Z1 + jet.d2 * Z2 - rho
     return GradientValue(Z1, Z2, pairing)
-
-
-def gradient_anywhere(p: HermitianPolynomial, q: Point, eps_D: float = EPS_D_DEFAULT,
-                      tol_ext: float = EXT_TOL_DEFAULT) -> GradientValue:
-    """Cofactor gradient where D > eps_D, ray-limit extension otherwise; rho must be positive."""
-    jet = eval_jet(p, q)
-    if jet.rho <= 0.0:
-        raise NonPositiveRho(f"rho({q.as_pair()}) = {jet.rho} <= 0")
-    if jet.D > eps_D:
-        return complex_gradient(jet, eps_D)
-    return extend_gradient(p, q, eps_D=eps_D, tol_ext=tol_ext)

@@ -21,7 +21,10 @@ The verdict operations:
 * ``burns_verify`` checks a positive homogeneous polynomial of degree 2k for
   the chain: log rho solves the Monge-Ampere equation  =>  rho has pure
   bidegree (k, k), plus the extreme-component vanishing and the ray growth
-  law log rho(lambda z) = 2k log|lambda| + log rho(z).
+  law log rho(lambda z) = 2k log|lambda| + log rho(z).  The equation is
+  decided by the exact certificate ``monge_ampere.is_ma_exact`` and the
+  bidegree by the exact decomposition, so the chain's verdict samples only
+  for positivity on the sphere and for the growth law.
 * ``fit_holomorphic_Z`` / ``estimate_weights`` recover the linear model of Z
   at its zero; the eigenvalues (c1, c2) are the weights in the circular-domain
   law rho(e^{c1 lambda} z1, e^{c2 lambda} z2) = |e^lambda|^2 rho(z), which
@@ -41,7 +44,6 @@ from typing import Sequence
 import numpy as np
 
 from .calculus import (
-    SWEEP_BLOCK,
     HermitianPolynomial,
     Point,
     bidegree_decompose,
@@ -61,15 +63,13 @@ from .errors import (
     NotPositive,
     RankDeficientSamples,
 )
-from .finite_type import extend_gradient, gradient_anywhere
+from .finite_type import extend_gradient
 from .monge_ampere import (
     EPS_D_DEFAULT,
-    MA_THRESHOLD,
-    SAMPLE_D_CUTOFF,
     complex_gradient,
     complex_gradients,
     degenerate_levi,
-    ma_scan,
+    is_ma_exact,
 )
 from .ode import brentq, solve_ivp
 
@@ -300,7 +300,7 @@ def leaf_diagnostics(trace: LeafTrace) -> LeafDiagnostics:
 
     pts = trace.points
     fd = (pts[2:, :, :] - pts[:-2, :, :]) / (2 * ht)
-    # cofactor gradients at every interior node at once; gradient_anywhere where they do not apply
+    # cofactor gradients at every interior node at once; extend_gradient where they do not apply
     nodes = pts[1:-1].reshape(-1, 2)
     jets = eval_jets(trace.poly, nodes[:, 0], nodes[:, 1])
     Z1, Z2, _ = complex_gradients(jets)
@@ -312,8 +312,8 @@ def leaf_diagnostics(trace: LeafTrace) -> LeafDiagnostics:
         if cofactor[k]:
             zf = np.array((Z1[k], Z2[k]))
         else:
-            zf = np.array(gradient_anywhere(trace.poly, q, eps_D=trace.cfg.eps_D,
-                                            tol_ext=trace.cfg.tol_ext).as_vector())
+            zf = np.array(extend_gradient(trace.poly, q, eps_D=trace.cfg.eps_D,
+                                          tol_ext=trace.cfg.tol_ext).as_vector())
         min_grad = min(min_grad, float(np.linalg.norm(zf)))
         par_defect = max(par_defect, float(np.max(np.abs(fd[i - 1, j] - zf))))
 
@@ -634,12 +634,10 @@ def level_transport(p: HermitianPolynomial, r1: float, r2: float,
 
 @dataclass(frozen=True)
 class BurnsVerdict:
-    """Joint record of the Monge-Ampere flag, bidegree purity, and growth law."""
+    """Joint record of the exact Monge-Ampere and bidegree verdicts, and the sampled growth law."""
 
     k: int
     is_ma: bool
-    ma_max_normalized: float
-    ma_worst_point: Point
     bidegree_pure: bool
     components: tuple
     extreme_components_vanish: bool
@@ -683,8 +681,9 @@ def _positive_min_on_sphere(p: HermitianPolynomial, n_samples: int, rng) -> tupl
 
 
 def burns_verify(p: HermitianPolynomial, sphere_samples: int = 10_000,
-                 ma_samples: int = 2000, seed: int = 0) -> BurnsVerdict:
-    """Homogeneity-gated verdict: MA statistics, bidegree purity, and growth along 64 rays."""
+                 seed: int = 0) -> BurnsVerdict:
+    """Homogeneity-gated verdict: the exact MA certificate, bidegree purity, and growth
+    along 64 rays; NotPositive when the sampled sphere minimum is not positive."""
     degrees = p.total_degrees()
     if len(degrees) != 1:
         raise NotHomogeneous(f"mixed total degrees {sorted(degrees)}")
@@ -702,25 +701,7 @@ def burns_verify(p: HermitianPolynomial, sphere_samples: int = 10_000,
     comps = tuple(sorted(profile.components))
     pure = comps == ((k, k),)
     extreme_vanish = (0, total) not in profile.components and (total, 0) not in profile.components
-
-    # rejection sampling in batches: a batch draws at most the missing count, so
-    # the generator's stream, and every later draw, is that of one-at-a-time sampling
-    det = jet_polynomials(p).det
-    ma_max, ma_point = 0.0, Point(1.0, 0.0)
-    accepted, attempts = 0, 0
-    while accepted < ma_samples and attempts < 50 * ma_samples:
-        draws = min(ma_samples - accepted, 50 * ma_samples - attempts, SWEEP_BLOCK)
-        attempts += draws
-        vs = np.empty((draws, 2), dtype=complex)
-        for i in range(draws):
-            vs[i] = random_vector(rng, 0.5, 1.5)
-        keep = ~(det.evaluate(vs[:, 0], vs[:, 1]).real <= SAMPLE_D_CUTOFF)
-        reports = ma_scan(p, [Point(a, b) for a, b in vs[keep]])
-        accepted += len(reports)
-        for rep in reports:
-            if abs(rep.normalized) > ma_max:
-                ma_max, ma_point = abs(rep.normalized), rep.point
-    is_ma = ma_max < MA_THRESHOLD
+    is_ma = is_ma_exact(p)
 
     growth = 0.0
     rays, mags = 64, np.logspace(-3, 3, 13)
@@ -739,5 +720,5 @@ def burns_verify(p: HermitianPolynomial, sphere_samples: int = 10_000,
             val = math.log(values[r * (len(mags) + 1) + 1 + m])
             growth = max(growth, abs(val - 2 * k * math.log(mag) - base))
 
-    return BurnsVerdict(k, is_ma, ma_max, ma_point, pure, comps, extreme_vanish,
-                        growth, min_sphere, (not is_ma) or pure)
+    return BurnsVerdict(k, is_ma, pure, comps, extreme_vanish, growth, min_sphere,
+                        (not is_ma) or pure)

@@ -15,6 +15,13 @@ complex gradient
 the unique (1,0) field with sum_mu rho_{mu nubar} Z^mu = rho_nubar, and the
 equation is equivalent to the eigenfunction identity d(rho)(Z) = rho.
 
+Both sides are polynomials: with N^mu = D * Z^mu the cofactor numerators,
+B = rho_1 N^1 + rho_2 N^2, so ``is_ma_exact`` decides the equation by
+checking that rho * D - rho_1 N^1 - rho_2 N^2 is the zero polynomial.  The
+equation is required on the open set rho > 0, and a polynomial vanishing on
+a nonempty open set vanishes identically, so the check is complete.  The
+sampled residuals of ``ma_scan`` stay as its independent numeric oracle.
+
 The pairing evaluator treats (1,1)-forms matrix-style,
 
     ddc_f(V, W) = sum f_{mu nubar} V^mu conj(W^nu),
@@ -48,12 +55,12 @@ from .calculus import (
     cmul,
     complex_array,
     eval_jets,
+    jet_polynomials,
     point_array,
 )
 from .errors import DegenerateLevi, NonPositiveRho
 
 EPS_D_DEFAULT = 1e-10
-MA_THRESHOLD = 1e-9  # a sampled scan calls log rho a solution below this worst |normalized|
 SAMPLE_D_CUTOFF = 1e-6  # sampled points keep the det polynomial above this
 
 Vector = tuple[complex, complex]
@@ -92,6 +99,12 @@ class GradientValue:
 
     def norm(self) -> float:
         return max(abs(self.Z1), abs(self.Z2))
+
+
+def is_ma_exact(p: HermitianPolynomial) -> bool:
+    """Whether log p solves the Monge-Ampere equation: rho * D - B is the zero polynomial."""
+    jp = jet_polynomials(p)
+    return (p * jp.det - (jp.d1 * jp.n1 + jp.d2 * jp.n2)).is_zero()
 
 
 def ma_residual(jet: WirtingerJet) -> MAReport:

@@ -116,6 +116,18 @@ def test_report_on_negative_case_records_verdicts(tmp_path):
                 "--strict"]) == 1
 
 
+def test_report_samples_above_the_configured_eps_D(tmp_path):
+    # weighted's det polynomial falls to 0.0023 on the default samples; with
+    # eps_D = 0.01 the sampler must reject those points, not the gradient stage
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"eps_D": 0.01, "samples": 200, "fit_samples": 40,
+                                    "trials": 50, "transport_samples": 2, "trace_step": 0.05}))
+    assert run(["report", "--poly", "weighted", "--config", cfg_path, "--out", tmp_path]) == 0
+    doc = read_json(tmp_path / "report.json")["analysis"]
+    assert doc["ok"] is True
+    assert doc["ma"]["count"] == 200
+
+
 def test_input_error_exit_codes(tmp_path, capsys):
     assert run(["type-at", "--poly", "quartic", "--point", "1,2,3", "--out", tmp_path]) == 2
     assert run(["check-ma", "--poly", tmp_path / "missing.json", "--out", tmp_path]) == 2

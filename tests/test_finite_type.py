@@ -376,8 +376,8 @@ def test_extend_on_nondegenerate_point_delegates(corpus):
 
 def test_gradient_anywhere_switches(corpus):
     p = corpus["quartic"]
-    g_dir = mf.gradient_anywhere(p, mf.Point(1.0, 1.0))
-    g_ext = mf.gradient_anywhere(p, mf.Point(1.0, 0.0))
+    g_dir = mf.extend_gradient(p, mf.Point(1.0, 1.0))
+    g_ext = mf.extend_gradient(p, mf.Point(1.0, 0.0))
     assert g_dir.Z1 == pytest.approx(0.5)
     assert g_ext.Z1 == pytest.approx(0.5, rel=1e-9)
     assert g_ext.Z2 == pytest.approx(0.0, abs=1e-10)

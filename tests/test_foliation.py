@@ -319,22 +319,21 @@ def test_level_set_samples_land_on_level(corpus):
 
 
 def test_burns_fub(corpus):
-    v = mf.burns_verify(corpus["fub"], sphere_samples=2000, ma_samples=400)
+    v = mf.burns_verify(corpus["fub"], sphere_samples=2000)
     assert v.k == 2 and v.is_ma and v.bidegree_pure and v.extreme_components_vanish
     assert v.growth_bound < 1e-9
     assert v.theorem_consistent
 
 
 def test_burns_quartic(corpus):
-    v = mf.burns_verify(corpus["quartic"], sphere_samples=2000, ma_samples=400)
+    v = mf.burns_verify(corpus["quartic"], sphere_samples=2000)
     assert v.k == 2 and v.is_ma and v.bidegree_pure
     assert v.growth_bound < 1e-9
 
 
 def test_burns_bad_is_recorded_negative(corpus):
-    v = mf.burns_verify(corpus["bad"], sphere_samples=2000, ma_samples=400)
+    v = mf.burns_verify(corpus["bad"], sphere_samples=2000)
     assert not v.is_ma
-    assert abs(v.ma_max_normalized) > 1e-3
     assert not v.bidegree_pure
     assert v.theorem_consistent  # the purity conclusion is not claimed without the equation
 

@@ -1,6 +1,7 @@
-"""Run one benchmark workload's jobs in two source trees and compare what they write.
+"""Run benchmark workloads' jobs in two source trees and compare what they write.
 
     python3 tools/compare_trees.py PARENT CHANGE --workload report-mix --seed 301
+    python3 tools/compare_trees.py PARENT CHANGE --workload report-mix type-deep --seed 301 5151
 
 PARENT and CHANGE are source checkouts (each with src/mafoliate).  The job list
 comes from this checkout's bench/workloads.py, built once, so both trees see the
@@ -8,7 +9,11 @@ same inputs.  Each job runs once per tree as a fresh ``python3 -m mafoliate.cli`
 process.  Per job this prints the two exit codes, whether stderr is equal, each
 side's gate result (mismatches, known defect), and for every output file but
 ``*_meta.json`` either "equal" or the dotted JSON paths that differ with the
-largest absolute difference of their numbers.
+largest absolute difference of their numbers.  Each workload runs at every
+given seed.  A closing summary gives, per workload and side, the failed and
+attempted job counts (a job fails when its gate reports a mismatch, as in
+bench/run.py), the failures by known-defect name, and the failures that match
+no known defect.
 
 Exit status: 1 when any exit code, stderr or gate result differs, else 0.
 Differing output bytes alone are reported, not failed: a change may move values
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from collections import Counter
 import math
 import os
 import subprocess
@@ -96,12 +102,23 @@ def compare_outputs(left: Path, right: Path) -> list[str]:
     return lines
 
 
+def tally_line(workload: str, side: str, gates: list[tuple]) -> str:
+    """failed/attempted, failures by known defect and the rest, for one side of a workload."""
+    failed = [defect for mismatches, defect in gates if mismatches]
+    named = Counter(d for d in failed if d is not None)
+    parts = [f"{workload} {side}: failed {len(failed)}/{len(gates)}",
+             *(f"{name} {count}" for name, count in sorted(named.items())),
+             f"outside the known defects {failed.count(None)}"]
+    return "; ".join(parts)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", required=True, nargs="+", action="extend",
+                        choices=workloads.WORKLOADS)
+    parser.add_argument("--seed", type=int, required=True, nargs="+", action="extend")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
@@ -109,25 +126,35 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"no toolkit source under {tree}")
 
     differs = False
-    with tempfile.TemporaryDirectory(prefix="compare-trees-") as tmp:
-        work = Path(tmp)
-        jobs = workloads.build(args.workload, args.seed, work / "inputs")
-        for job in jobs:
-            runs = {side: run_job(tree, job, work / side / job.id, work)
-                    for side, tree in trees.items()}
-            (code_a, err_a, doc_a), (code_b, err_b, doc_b) = runs.values()
-            gate_a, gate_b = gate(job, code_a, doc_a, err_a), gate(job, code_b, doc_b, err_b)
-            same = code_a == code_b and err_a == err_b and gate_a == gate_b
-            differs |= not same
-            print(f"{job.id}: {'same' if same else 'DIFFERENT'}")
-            print(f"  exit codes {code_a} / {code_b}; "
-                  f"stderr {'equal' if err_a == err_b else 'differs'}")
-            print(f"  gate parent {gate_a}; change {gate_b}")
-            for line in compare_outputs(work / "parent" / job.id, work / "change" / job.id):
-                print(line)
+    gates: dict[tuple[str, str], list] = {}  # (workload, side) -> gate results of its jobs
+    for workload in dict.fromkeys(args.workload):
+        for seed in dict.fromkeys(args.seed):
+            with tempfile.TemporaryDirectory(prefix="compare-trees-") as tmp:
+                work = Path(tmp)
+                jobs = workloads.build(workload, seed, work / "inputs")
+                print(f"== {workload} seed {seed}")
+                for job in jobs:
+                    runs = {side: run_job(tree, job, work / side / job.id, work)
+                            for side, tree in trees.items()}
+                    (code_a, err_a, doc_a), (code_b, err_b, doc_b) = runs.values()
+                    gate_a = gate(job, code_a, doc_a, err_a)
+                    gate_b = gate(job, code_b, doc_b, err_b)
+                    gates.setdefault((workload, "parent"), []).append(gate_a)
+                    gates.setdefault((workload, "change"), []).append(gate_b)
+                    same = code_a == code_b and err_a == err_b and gate_a == gate_b
+                    differs |= not same
+                    print(f"{job.id}: {'same' if same else 'DIFFERENT'}")
+                    print(f"  exit codes {code_a} / {code_b}; "
+                          f"stderr {'equal' if err_a == err_b else 'differs'}")
+                    print(f"  gate parent {gate_a}; change {gate_b}")
+                    for line in compare_outputs(work / "parent" / job.id,
+                                                work / "change" / job.id):
+                        print(line)
+    print("== summary")
+    for (workload, side), results in gates.items():
+        print(tally_line(workload, side, results))
     verdict = "differ" if differs else "are equal"
-    print(f"{args.workload} seed {args.seed}: {len(jobs)} jobs; "
-          f"exit codes, stderr and gate results {verdict}")
+    print(f"exit codes, stderr and gate results {verdict}")
     return 1 if differs else 0
 
 
