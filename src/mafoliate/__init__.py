@@ -55,16 +55,18 @@ from .errors import (
 from .finite_type import (
     BracketIdentityReport,
     BracketWord,
-    LeafChart,
     PolyVectorField,
     TypeReport,
     bracket_identities,
     bracket_identities_check,
     extend_gradient,
     extension_ingredients,
+    gradient,
+    gradients,
     lie_bracket,
     pair_d_rho,
     point_type,
+    polynomial_gradient,
     tangential_field,
 )
 from .foliation import (

@@ -40,10 +40,10 @@ rounds twice.  Signed zeros, infs and the places of nans agree; which of two
 nan operands an operation returns is not fixed by IEEE 754, so a nan's sign
 bit may differ, and nothing in the toolkit reads it.  One-point callers keep
 the scalar path, which is faster at N = 1 and stays the reference the tests
-compare the batch against: the flow's right-hand side, ``point_type`` and
-``extension_ingredients``, the base point of ``extend_gradient``,
-``level_set_samples`` (Brent's method), the probes of ``level_transport``
-and ``psh_min_eigen``.
+compare the batch against: ``finite_type.gradient`` (the flow's right-hand
+side), ``point_type`` and ``extension_ingredients``, the base point of
+``extend_gradient``, ``level_set_samples`` (Brent's method), the probes of
+``level_transport`` and ``psh_min_eigen``.
 
 Interchange format (JSON-compatible)::
 
@@ -151,6 +151,10 @@ def _validate_key(key) -> MonomialKey:
     if min(k) < 0:
         raise NegativeExponent(f"negative exponent in key {tuple(k)}")
     return k
+
+
+def _grlex(key: tuple) -> tuple:
+    return (sum(key), key)  # graded lexicographic, as MonomialKey.sort_key
 
 
 def _lowest(num: dict, den: int) -> tuple[dict, int]:
@@ -311,6 +315,31 @@ class Polynomial:
         return Polynomial._exact({(b1, b2, a1, a2): (re, -im)
                                   for (a1, a2, b1, b2), (re, im) in self._num.items()}, self._den)
 
+    def exact_quotient(self, g: "Polynomial") -> "Polynomial | None":
+        """The q with q * g == self, or None when g does not divide self.
+
+        Division by g in graded-lex order, ended by the first leading term that
+        LT(g) does not divide: that term would stay in the remainder, and {g} is a
+        Groebner basis of its ideal, so the remainder is zero exactly when g divides.
+        """
+        if not g._num:
+            raise ZeroDivisionError("division by the zero polynomial")
+        lead = max(g._num, key=_grlex)
+        gr, gi = g._num[lead]
+        quotient, rest = Polynomial.zero(), self
+        while rest._num:
+            key = max(rest._num, key=_grlex)
+            shift = tuple(a - b for a, b in zip(key, lead))
+            if min(shift) < 0:
+                return None
+            re, im = rest._num[key]  # (re + i im) / rest._den over (gr + i gi) / g._den
+            term = Polynomial._exact(*_lowest(
+                {shift: ((re * gr + im * gi) * g._den, (im * gr - re * gi) * g._den)},
+                (gr * gr + gi * gi) * rest._den))
+            quotient = quotient + term
+            rest = rest - term * g
+        return quotient
+
     def derive(self, var: str) -> "Polynomial":
         """Exact Wirtinger derivative with respect to one of the four variables."""
         idx = _VAR_INDEX[var]
@@ -328,7 +357,7 @@ class Polynomial:
             d = self._den
             # graded lexicographic, as canonical_terms: __call__ sums the rows in this order
             rows = [(*k, complex(re / d, im / d))
-                    for k, (re, im) in sorted(self._num.items(), key=lambda kv: (sum(kv[0]), kv[0]))]
+                    for k, (re, im) in sorted(self._num.items(), key=lambda kv: _grlex(kv[0]))]
             self._compiled = (rows, self.max_exponents())
         return self._compiled
 

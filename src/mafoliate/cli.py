@@ -37,7 +37,7 @@ from .calculus import (
 )
 from .corpus import CORPUS_NAMES, corpus_text
 from .errors import MafoliateError, NotHomogeneous
-from .finite_type import bracket_identities, extend_gradient, point_type
+from .finite_type import bracket_identities, gradient, point_type, polynomial_gradient
 from .foliation import (
     FlowConfig,
     burns_verify,
@@ -282,14 +282,14 @@ def _cmd_check_ma(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> boo
 def _cmd_gradient(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     point = _parse_point(args.point)
     with clock("gradient"):
+        g = gradient(p, point, cfg.eps_D, cfg.tol_ext)
         jet = eval_jet(p, point)
-        method = "cofactor" if jet.D > cfg.eps_D else "ray_limit_extension"
-        g = extend_gradient(p, point, eps_D=cfg.eps_D, tol_ext=cfg.tol_ext)
+        method = ("polynomial" if polynomial_gradient(p) is not None
+                  else "cofactor" if jet.D > cfg.eps_D else "ray_limit_extension")
     ok = abs(g.pairing_check) <= 1e-6 * max(jet.rho, 1.0)
     _write_json(out / "gradient.json", p, {
-        "point": point, "method": method, "D": jet.D, "rho": jet.rho,
-        "Z": [g.Z1, g.Z2], "pairing_check": g.pairing_check,
-        "gradient_identity_ok": ok,
+        "point": point, "method": method, "D": jet.D, "rho": jet.rho, "Z": [g.Z1, g.Z2],
+        "pairing_check": g.pairing_check, "gradient_identity_ok": ok,
     })
     return ok
 
@@ -400,7 +400,8 @@ _POINT = ("--point", {"required": True, "help": "x1,y1,x2,y2"})
 _COMMANDS = {
     "check-ma": (_cmd_check_ma, "exact Monge-Ampere verdict, with a sampled residual scan",
                  [("--grid", {"type": int, "help": "draw grid^2 sample points"})]),
-    "gradient": (_cmd_gradient, "complex gradient at a point (extends across D = 0)", [_POINT]),
+    "gradient": (_cmd_gradient, "complex gradient at a point (the exact polynomial Z where "
+                 "det divides, else extended across D = 0)", [_POINT]),
     "type-at": (_cmd_type_at, "finite type of the level set through a point",
                 [_POINT, ("--m-max", {"type": int, "dest": "m_max", "help": "bracket length cap"})]),
     "trace-leaf": (_cmd_trace_leaf, "trace the foliation leaf through a seed",

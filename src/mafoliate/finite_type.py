@@ -14,11 +14,12 @@ words span all bracket words of a given length (Jacobi identity), so the search
 is complete; antisymmetry makes [Lbar, L] redundant at length two.  All bracket
 coefficients are exact polynomials, and the pairing is evaluated pointwise.
 
-Where the Levi determinant D vanishes, the complex gradient is recovered in two
-independent ways: as the limit of the cofactor formula along approach rays
-avoiding the degenerate set (polynomial extrapolation to the ray parameter 0),
-and, when a chart flattening the foliation is available, from the leaf-chart
-formula Z = (1 / u_w1) d/dw1 pushed to ambient coordinates.
+The complex gradient Z = (n1, n2) / det extends across the Levi-degenerate
+set, and ``gradient`` decides how, once per polynomial: where det divides both
+cofactor numerators exactly, ``polynomial_gradient`` gives Z as a polynomial
+field, defined everywhere; otherwise ``extend_gradient`` takes the limit of the
+cofactor formula along approach rays (polynomial extrapolation to the ray
+parameter 0) where D <= eps_D.  The ray limit stays the exact Z's numeric oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,11 +77,6 @@ class PolyVectorField:
     c2: Polynomial
     cbar1: Polynomial
     cbar2: Polynomial
-
-    @classmethod
-    def holomorphic_part(cls, field: "PolyVectorField") -> "PolyVectorField":
-        zero = Polynomial.zero()
-        return cls(field.c1, field.c2, zero, zero)
 
     def components(self) -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
         return (self.c1, self.c2, self.cbar1, self.cbar2)
@@ -351,7 +347,7 @@ def bracket_identities_check(p: HermitianPolynomial, q: Point,
 
 
 # ---------------------------------------------------------------------------
-# extension across Levi-degenerate points
+# the complex gradient across Levi-degenerate points
 # ---------------------------------------------------------------------------
 
 
@@ -365,20 +361,12 @@ def extension_ingredients(p: HermitianPolynomial, q: Point, m_max: int = TYPE_CA
         entry for entry in bracket_level(p, report.type_m)  # type: ignore[arg-type]
         if entry[0] == report.witness
     )
-    V = PolyVectorField.holomorphic_part(field)
+    V = PolyVectorField(field.c1, field.c2, Polynomial.zero(), Polynomial.zero())
     rho = p(*q.as_pair()).real
     phi = report.pairing_value / rho
     if abs(phi) <= tol:
         raise VanishingPhi(f"phi = {phi} at {q.as_pair()}")
     return V, phi
-
-
-@dataclass(frozen=True)
-class LeafChart:
-    """Holomorphic chart w -> z flattening the foliation to {w2 = const}."""
-
-    to_ambient: Callable[[complex, complex], tuple[complex, complex]]
-    w_point: tuple[complex, complex]
 
 
 _DEFAULT_RAYS: tuple[tuple[complex, complex], ...] = tuple(
@@ -401,36 +389,15 @@ def _neville_to_zero(ts: Sequence[float], vals: Sequence[complex]) -> complex:
     return table[0]
 
 
-def _chart_gradient(p: HermitianPolynomial, chart: LeafChart) -> tuple[complex, complex]:
-    w1, w2 = chart.w_point
-    h = 1e-6
-
-    def u(a: complex, b: complex) -> float:
-        x, y = chart.to_ambient(a, b)
-        return float(np.log(p(x, y).real))
-
-    # Wirtinger d/dw1 of the real function u, by central differences
-    du_dx = (u(w1 + h, w2) - u(w1 - h, w2)) / (2 * h)
-    du_dy = (u(w1 + 1j * h, w2) - u(w1 - 1j * h, w2)) / (2 * h)
-    u_w1 = 0.5 * (du_dx - 1j * du_dy)
-    # holomorphic derivative of the chart along w1
-    zp = chart.to_ambient(w1 + h, w2)
-    zm = chart.to_ambient(w1 - h, w2)
-    dchart = ((zp[0] - zm[0]) / (2 * h), (zp[1] - zm[1]) / (2 * h))
-    return (dchart[0] / u_w1, dchart[1] / u_w1)
-
-
 def extend_gradient(p: HermitianPolynomial, q: Point, eps_D: float = EPS_D_DEFAULT,
                     tol_ext: float = EXT_TOL_DEFAULT,
-                    rays: Sequence[tuple[complex, complex]] | None = None,
-                    leaf_chart: LeafChart | None = None) -> GradientValue:
+                    rays: Sequence[tuple[complex, complex]] | None = None) -> GradientValue:
     """Complex gradient at a point with rho > 0: the cofactor formula where D > eps_D,
     otherwise the common limit along approach rays.
 
     Each usable ray contributes a polynomial extrapolation of the cofactor
     formula to ray parameter 0; the extrapolants must agree within `tol_ext`
-    relative (NoConvergence otherwise).  A supplied leaf chart is used as an
-    independent cross-check through Z = (1 / u_w1) d/dw1.
+    relative (NoConvergence otherwise).
     """
     z1, z2 = q.as_pair()
     rho = p(z1, z2).real
@@ -482,14 +449,49 @@ def extend_gradient(p: HermitianPolynomial, q: Point, eps_D: float = EPS_D_DEFAU
             f"ray extrapolants disagree by {spread:.3e} (> {tol_ext} relative) at {q.as_pair()}"
         )
     Z1, Z2 = (complex(v) for v in arr.mean(axis=0))
-
-    if leaf_chart is not None:
-        c1, c2 = _chart_gradient(p, leaf_chart)
-        gap = max(abs(c1 - Z1), abs(c2 - Z2))
-        if gap > tol_ext * scale:
-            raise NoConvergence(
-                f"leaf-chart value ({c1}, {c2}) disagrees with ray limit ({Z1}, {Z2})"
-            )
-
     pairing = jet.d1 * Z1 + jet.d2 * Z2 - rho
     return GradientValue(Z1, Z2, pairing)
+
+
+@lru_cache(maxsize=64)
+def polynomial_gradient(p: HermitianPolynomial) -> tuple[Polynomial, Polynomial] | None:
+    """(Z1, Z2) = (n1, n2) / det as polynomials when det divides both cofactor numerators
+    exactly, else None: then Z is defined everywhere, with no limit and no test of D."""
+    jp = jet_polynomials(p)
+    Z = [None if jp.det.is_zero() else n.exact_quotient(jp.det) for n in (jp.n1, jp.n2)]
+    return None if None in Z else tuple(Z)
+
+
+def gradient(p: HermitianPolynomial, q: Point, eps_D: float, tol_ext: float) -> GradientValue:
+    """The complex gradient at a point with rho > 0: the polynomial Z where it exists,
+    otherwise extend_gradient (the cofactor formula, or the ray limit where D <= eps_D)."""
+    Z = polynomial_gradient(p)
+    if Z is None:
+        return extend_gradient(p, q, eps_D=eps_D, tol_ext=tol_ext)
+    z1, z2 = q.as_pair()
+    rho = p(z1, z2).real
+    if rho <= 0.0:
+        raise NonPositiveRho(f"rho({q.as_pair()}) = {rho} <= 0")
+    jp = jet_polynomials(p)
+    Z1, Z2 = Z[0](z1, z2), Z[1](z1, z2)
+    return GradientValue(Z1, Z2, jp.d1(z1, z2) * Z1 + jp.d2(z1, z2) * Z2 - rho)
+
+
+def gradients(p: HermitianPolynomial, z1, z2, eps_D: float,
+              tol_ext: float) -> tuple[np.ndarray, np.ndarray]:
+    """Z1 and Z2 of gradient at every point (z1[i], z2[i]), from one batched evaluation,
+    and from gradient itself, point by point in order, where the batch does not apply."""
+    z1 = np.asarray(z1, dtype=complex).ravel()
+    z2 = np.asarray(z2, dtype=complex).ravel()
+    Z = polynomial_gradient(p)
+    if Z is not None:
+        rho, Z1, Z2 = evaluate_many((p, *Z), z1, z2)
+        scalar = rho.real <= 0.0
+    else:
+        jets = eval_jets(p, z1, z2)
+        Z1, Z2, _ = complex_gradients(jets)
+        scalar = (jets.rho <= 0.0) | ~(jets.D > eps_D)  # extend_gradient's own test
+    for i in np.flatnonzero(scalar):  # where the batch formula does not hold or gradient raises
+        g = gradient(p, Point(z1[i], z2[i]), eps_D, tol_ext)
+        Z1[i], Z2[i] = g.Z1, g.Z2
+    return Z1, Z2

@@ -11,10 +11,10 @@ rho), and rho grows along t at one fixed exponential rate.  The rate is a
 parametrization artifact, so it is measured and reported, never asserted
 against a fixed constant; classification logic uses ratios of rates only.
 
-Integration uses an adaptive embedded 4(5) Runge-Kutta pair.  A trace switches
-from the cofactor gradient to the ray-limit extension when D falls below
-eps_D, and back once D exceeds ten times that threshold (hysteresis against
-thrashing at the edge of the degenerate set).
+Integration uses an adaptive embedded 4(5) Runge-Kutta pair.  The right-hand
+side and ``leaf_diagnostics`` take Z from ``finite_type.gradient``: the exact
+polynomial Z where det divides the cofactor numerators, with no test of D;
+otherwise extend_gradient's one test of the jet's D.
 
 The verdict operations:
 
@@ -38,7 +38,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -47,9 +46,7 @@ from .calculus import (
     HermitianPolynomial,
     Point,
     bidegree_decompose,
-    eval_jet,
     eval_jets,
-    jet_polynomials,
     point_array,
     polynomial_hash,
 )
@@ -63,10 +60,9 @@ from .errors import (
     NotPositive,
     RankDeficientSamples,
 )
-from .finite_type import extend_gradient
+from .finite_type import gradient, gradients
 from .monge_ampere import (
     EPS_D_DEFAULT,
-    complex_gradient,
     complex_gradients,
     degenerate_levi,
     is_ma_exact,
@@ -100,14 +96,12 @@ def _unpack(y) -> tuple[complex, complex]:
 
 
 class _GradientFlow:
-    """ODE right-hand side dz/dtau = rot * Z(z), with degenerate-set handoff."""
+    """ODE right-hand side dz/dtau = rot * Z(z), with Z from finite_type.gradient."""
 
     def __init__(self, p: HermitianPolynomial, cfg: FlowConfig, rot: complex):
         self.p = p
         self.cfg = cfg
         self.rot = rot
-        self.det = jet_polynomials(p).det
-        self.extended = False
         self.evals = 0
 
     def __call__(self, _t, y):
@@ -117,20 +111,8 @@ class _GradientFlow:
         z1, z2 = _unpack(y)
         if self.p(z1, z2).real <= 0.0:
             raise FlowEscape(f"flow left the domain rho > 0 at ({z1}, {z2})")
-        q = Point(z1, z2)
-        D = self.det(z1, z2).real
-        if self.extended:
-            if D > 10.0 * self.cfg.eps_D:  # hysteresis, see the module docstring
-                self.extended = False
-        elif D <= self.cfg.eps_D:
-            self.extended = True
-        if self.extended:
-            g = extend_gradient(self.p, q, eps_D=self.cfg.eps_D, tol_ext=self.cfg.tol_ext)
-        else:
-            g = complex_gradient(eval_jet(self.p, q), self.cfg.eps_D)
-        w1 = self.rot * g.Z1
-        w2 = self.rot * g.Z2
-        return np.array([w1.real, w1.imag, w2.real, w2.imag])
+        g = gradient(self.p, Point(z1, z2), self.cfg.eps_D, self.cfg.tol_ext)
+        return _pack(self.rot * g.Z1, self.rot * g.Z2)
 
 
 def _flow_states(rhs, y0: np.ndarray, values, cfg: FlowConfig) -> np.ndarray:
@@ -146,15 +128,13 @@ def _flow_states(rhs, y0: np.ndarray, values, cfg: FlowConfig) -> np.ndarray:
         ts = values[idx_list]
         target = ts[-1]
         if target == 0.0:
-            for i in idx_list:
-                states[i] = y0
+            states[idx_list] = y0
             continue
         sol = solve_ivp(rhs, (0.0, float(target)), np.asarray(y0, dtype=float),
                         method="RK45", rtol=cfg.rtol, atol=cfg.atol, t_eval=ts)
         if not sol.success:
             raise FlowEscape(f"integration failed: {sol.message}")
-        for col, i in enumerate(idx_list):
-            states[i] = sol.y[:, col]
+        states[idx_list] = sol.y.T
     return states
 
 
@@ -162,8 +142,7 @@ def flow_point(p: HermitianPolynomial, q: Point, time: float,
                cfg: FlowConfig | None = None, rot: complex = 1.0) -> Point:
     """Single endpoint of the flow dz/dtau = rot * Z(z) started at q."""
     cfg = cfg or FlowConfig()
-    rhs = _GradientFlow(p, cfg, rot)
-    state = _flow_states(rhs, _pack(*q.as_pair()), [time], cfg)[0]
+    state = _flow_states(_GradientFlow(p, cfg, rot), _pack(*q.as_pair()), [time], cfg)[0]
     return Point(*_unpack(state))
 
 
@@ -207,8 +186,7 @@ def trace_leaf(p: HermitianPolynomial, seed: Point, t_values, s_values,
     points = np.empty((nt, ns, 2), dtype=complex)
     for j in range(ns):
         t_states = _flow_states(_GradientFlow(p, cfg, 1.0 + 0j), s_states[j], t_values, cfg)
-        for i in range(nt):
-            points[i, j] = _unpack(t_states[i])
+        points[:, j] = t_states.view(complex)  # rows (x1, y1, x2, y2) as (z1, z2), as _unpack
 
     # a contiguous copy, as before: np.log may round differently in its strided loop
     rho_values = p.evaluate(points[..., 0], points[..., 1]).real.copy().reshape(nt, ns)
@@ -300,22 +278,11 @@ def leaf_diagnostics(trace: LeafTrace) -> LeafDiagnostics:
 
     pts = trace.points
     fd = (pts[2:, :, :] - pts[:-2, :, :]) / (2 * ht)
-    # cofactor gradients at every interior node at once; extend_gradient where they do not apply
     nodes = pts[1:-1].reshape(-1, 2)
-    jets = eval_jets(trace.poly, nodes[:, 0], nodes[:, 1])
-    Z1, Z2, _ = complex_gradients(jets)
-    cofactor = (~(jets.rho <= 0.0) & (jets.D > trace.cfg.eps_D)).tolist()
-    par_defect = 0.0
-    min_grad = math.inf
-    for k, (i, j) in enumerate(product(range(1, nt - 1), range(ns))):
-        q = Point(pts[i, j, 0], pts[i, j, 1])
-        if cofactor[k]:
-            zf = np.array((Z1[k], Z2[k]))
-        else:
-            zf = np.array(extend_gradient(trace.poly, q, eps_D=trace.cfg.eps_D,
-                                          tol_ext=trace.cfg.tol_ext).as_vector())
-        min_grad = min(min_grad, float(np.linalg.norm(zf)))
-        par_defect = max(par_defect, float(np.max(np.abs(fd[i - 1, j] - zf))))
+    Z = np.stack(gradients(trace.poly, nodes[:, 0], nodes[:, 1], trace.cfg.eps_D,
+                           trace.cfg.tol_ext), axis=-1)
+    par_defect = float(np.max(np.abs(fd - Z.reshape(fd.shape))))
+    min_grad = min(float(np.linalg.norm(z)) for z in Z)
 
     d = trace.diagnostics
     return LeafDiagnostics(ht, hs, harmonicity, monotone, par_defect, min_grad,
@@ -367,10 +334,8 @@ class HolomorphicFit:
         return cls(degree, dict(coeff1), dict(coeff2), 0.0, math.nan)
 
     def evaluate(self, z1: complex, z2: complex) -> tuple[complex, complex]:
-        out = []
-        for coeffs in (self.coeff1, self.coeff2):
-            out.append(sum(c * z1**a * z2**b for (a, b), c in coeffs.items()))
-        return (out[0], out[1])
+        return tuple(sum(c * z1**a * z2**b for (a, b), c in coeffs.items())
+                     for coeffs in (self.coeff1, self.coeff2))
 
     def constant_part(self) -> tuple[complex, complex]:
         return (self.coeff1.get((0, 0), 0j), self.coeff2.get((0, 0), 0j))
@@ -382,12 +347,8 @@ class HolomorphicFit:
         ])
 
     def nonlinear_mass(self) -> float:
-        mass = 0.0
-        for coeffs in (self.coeff1, self.coeff2):
-            for (a, b), c in coeffs.items():
-                if a + b >= 2:
-                    mass = max(mass, abs(c))
-        return mass
+        return max([0.0, *(abs(c) for coeffs in (self.coeff1, self.coeff2)
+                           for (a, b), c in coeffs.items() if a + b >= 2)])
 
     def coefficient(self, component: int, key: tuple[int, int]) -> complex:
         return (self.coeff1 if component == 1 else self.coeff2).get(key, 0j)
@@ -641,7 +602,7 @@ class BurnsVerdict:
     bidegree_pure: bool
     components: tuple
     extreme_components_vanish: bool
-    growth_bound: float
+    growth_bound: float | None  # None unless bidegree_pure: the law needs pure bidegree
     min_on_sphere: float
     theorem_consistent: bool
 
@@ -660,14 +621,12 @@ def _first_minimum(p: HermitianPolynomial, batch: np.ndarray, best_val: float, b
 def _positive_min_on_sphere(p: HermitianPolynomial, n_samples: int, rng) -> tuple[float, Point]:
     dirs = _sphere_directions(8)
     best_val, best_dir = math.inf, dirs[0]
-    batches = [dirs]
     raw = rng.normal(size=(max(n_samples - len(dirs), 0), 4))
     cloud = np.empty((len(raw), 2), dtype=complex)
     cloud[:, 0] = raw[:, 0] + 1j * raw[:, 1]
     cloud[:, 1] = raw[:, 2] + 1j * raw[:, 3]
     cloud /= np.linalg.norm(cloud, axis=1)[:, None]
-    batches.append(cloud)
-    for batch in batches:
+    for batch in (dirs, cloud):
         best_val, best_dir = _first_minimum(p, batch, best_val, best_dir)
     # local refinement around the worst direction
     for shrink in (0.3, 0.1, 0.03):
@@ -680,10 +639,32 @@ def _positive_min_on_sphere(p: HermitianPolynomial, n_samples: int, rng) -> tupl
     return best_val, Point(best_dir[0], best_dir[1])
 
 
+def _growth_bound(p: HermitianPolynomial, k: int, rng) -> float:
+    """Max |log rho(lambda v) - 2k log|lambda| - log rho(v)| over 64 rays and 13 |lambda|."""
+    growth = 0.0
+    rays, mags = 64, np.logspace(-3, 3, 13)
+    ray_points = []  # per ray: the base point, then one point per magnitude
+    for _ in range(rays):
+        v = random_vector(rng)
+        ray_points.append((v[0], v[1]))
+        for mag in mags:
+            lam = mag * np.exp(2j * math.pi * rng.uniform())
+            ray_points.append((lam * v[0], lam * v[1]))
+    z = np.array(ray_points, dtype=complex).reshape(-1, 2)
+    values = p.evaluate(z[:, 0], z[:, 1]).real.tolist()
+    for r in range(rays):
+        base = math.log(values[r * (len(mags) + 1)])
+        for m, mag in enumerate(mags):
+            val = math.log(values[r * (len(mags) + 1) + 1 + m])
+            growth = max(growth, abs(val - 2 * k * math.log(mag) - base))
+    return growth
+
+
 def burns_verify(p: HermitianPolynomial, sphere_samples: int = 10_000,
                  seed: int = 0) -> BurnsVerdict:
-    """Homogeneity-gated verdict: the exact MA certificate, bidegree purity, and growth
-    along 64 rays; NotPositive when the sampled sphere minimum is not positive."""
+    """Homogeneity-gated verdict: the exact MA certificate, bidegree purity, and, for pure
+    bidegree, growth along 64 rays; NotPositive when the sampled sphere minimum is not
+    positive."""
     degrees = p.total_degrees()
     if len(degrees) != 1:
         raise NotHomogeneous(f"mixed total degrees {sorted(degrees)}")
@@ -703,22 +684,6 @@ def burns_verify(p: HermitianPolynomial, sphere_samples: int = 10_000,
     extreme_vanish = (0, total) not in profile.components and (total, 0) not in profile.components
     is_ma = is_ma_exact(p)
 
-    growth = 0.0
-    rays, mags = 64, np.logspace(-3, 3, 13)
-    ray_points = []  # per ray: the base point, then one point per magnitude
-    for _ in range(rays):
-        v = random_vector(rng)
-        ray_points.append((v[0], v[1]))
-        for mag in mags:
-            lam = mag * np.exp(2j * math.pi * rng.uniform())
-            ray_points.append((lam * v[0], lam * v[1]))
-    z = np.array(ray_points, dtype=complex).reshape(-1, 2)
-    values = p.evaluate(z[:, 0], z[:, 1]).real.tolist()
-    for r in range(rays):
-        base = math.log(values[r * (len(mags) + 1)])
-        for m, mag in enumerate(mags):
-            val = math.log(values[r * (len(mags) + 1) + 1 + m])
-            growth = max(growth, abs(val - 2 * k * math.log(mag) - base))
-
+    growth = _growth_bound(p, k, rng) if pure else None
     return BurnsVerdict(k, is_ma, pure, comps, extreme_vanish, growth, min_sphere,
                         (not is_ma) or pure)

@@ -56,9 +56,17 @@ def test_gradient_extends_at_degenerate_point(tmp_path):
     assert run(["gradient", "--poly", "weighted", "--point", "1,0,0,0",
                 "--out", tmp_path]) == 0
     doc = read_json(tmp_path / "gradient.json")["analysis"]
-    assert doc["method"] == "ray_limit_extension"
+    assert doc["method"] == "polynomial"
     assert doc["Z"][0][0] == pytest.approx(1 / 3, rel=1e-8)
     assert doc["gradient_identity_ok"] is True
+
+
+def test_gradient_without_polynomial_Z_uses_the_cofactor_formula(tmp_path):
+    # det does not divide the cofactor numerators of bad; D > eps_D at (1, 1)
+    assert run(["gradient", "--poly", "bad", "--point", "1,0,1,0", "--out", tmp_path]) == 0
+    doc = read_json(tmp_path / "gradient.json")["analysis"]
+    assert doc["D"] > 1e-10
+    assert doc["method"] == "cofactor"
 
 
 def test_trace_leaf_outputs(tmp_path):

@@ -6,7 +6,7 @@ import sympy as sp
 
 import mafoliate as mf
 from mafoliate.calculus import Polynomial
-from mafoliate.finite_type import LeafChart, bracket_level
+from mafoliate.finite_type import bracket_level
 
 from conftest import TERMS, admissible_points
 from oracles import VARS, Z1, Z2, _field_bracket, conj_expr, poly_expr, sympy_type
@@ -351,20 +351,6 @@ def test_extend_gradient_identity_at_degenerate_points(corpus):
 def test_extend_all_rays_degenerate(corpus):
     with pytest.raises(mf.AllRaysDegenerate):
         mf.extend_gradient(corpus["quartic"], mf.Point(0.0, 1.0), rays=[(0.0, 1.0)])
-
-
-def test_extend_leaf_chart_cross_check(corpus):
-    # radial chart near (0, 1): w -> (w1 w2, w1); the leaf through (0, 1) is {w2 = 0}
-    chart = LeafChart(lambda w1, w2: (w1 * w2, w1), (1.0 + 0j, 0j))
-    g = mf.extend_gradient(corpus["quartic"], mf.Point(0.0, 1.0), leaf_chart=chart)
-    assert g.Z2 == pytest.approx(0.5, rel=1e-9)
-
-
-def test_extend_leaf_chart_mismatch_raises(corpus):
-    # chart anchored at the wrong parameter point disagrees with the ray limit
-    chart = LeafChart(lambda w1, w2: (w1 * w2, w1), (2.0 + 0j, 0j))
-    with pytest.raises(mf.NoConvergence):
-        mf.extend_gradient(corpus["quartic"], mf.Point(0.0, 1.0), leaf_chart=chart)
 
 
 def test_extend_on_nondegenerate_point_delegates(corpus):

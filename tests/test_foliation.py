@@ -338,6 +338,12 @@ def test_burns_bad_is_recorded_negative(corpus):
     assert v.theorem_consistent  # the purity conclusion is not claimed without the equation
 
 
+def test_burns_growth_bound_only_for_pure_bidegree(corpus):
+    # on impure bidegree rho(lambda z) depends on arg lambda, so there is no law to bound
+    assert mf.burns_verify(corpus["bad"], sphere_samples=2000).growth_bound is None
+    assert mf.burns_verify(corpus["fub"], sphere_samples=2000).growth_bound < 1e-9
+
+
 def test_burns_rejects_inhomogeneous(corpus):
     with pytest.raises(mf.NotHomogeneous):
         mf.burns_verify(corpus["weighted"])

@@ -6,14 +6,15 @@
 PARENT and CHANGE are source checkouts (each with src/mafoliate).  The job list
 comes from this checkout's bench/workloads.py, built once, so both trees see the
 same inputs.  Each job runs once per tree as a fresh ``python3 -m mafoliate.cli``
-process.  Per job this prints the two exit codes, whether stderr is equal, each
-side's gate result (mismatches, known defect), and for every output file but
+process.  Per job this prints the two exit codes, each side's wall seconds,
+whether stderr is equal, each side's gate result (mismatches, known defect),
+and for every output file but
 ``*_meta.json`` either "equal" or the dotted JSON paths that differ with the
 largest absolute difference of their numbers.  Each workload runs at every
 given seed.  A closing summary gives, per workload and side, the failed and
 attempted job counts (a job fails when its gate reports a mismatch, as in
-bench/run.py), the failures by known-defect name, and the failures that match
-no known defect.
+bench/run.py), the failures by known-defect name, the failures that match no
+known defect, and the wall seconds of all its jobs.
 
 Exit status: 1 when any exit code, stderr or gate result differs, else 0.
 Differing output bytes alone are reported, not failed: a change may move values
@@ -30,6 +31,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,16 +41,19 @@ sys.dont_write_bytecode = True  # leave no __pycache__ in bench/
 import workloads  # noqa: E402
 
 
-def run_job(tree: Path, job, out: Path, cwd: Path) -> tuple[int, str, dict | None]:
+def run_job(tree: Path, job, out: Path, cwd: Path) -> tuple[int, str, dict | None, float]:
+    """Exit code, stderr, the parsed output (None if the job failed) and wall seconds."""
     out.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "mafoliate.cli", *job.argv, "--out", str(out)],
                           cwd=cwd, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
     try:
         doc = json.loads((out / job.output).read_text("utf-8")) if proc.returncode == 0 else None
     except (OSError, ValueError):
         doc = None
-    return proc.returncode, proc.stderr, doc
+    return proc.returncode, proc.stderr, doc, wall
 
 
 def gate(job, code: int, doc: dict | None, stderr: str) -> tuple:
@@ -102,13 +107,14 @@ def compare_outputs(left: Path, right: Path) -> list[str]:
     return lines
 
 
-def tally_line(workload: str, side: str, gates: list[tuple]) -> str:
-    """failed/attempted, failures by known defect and the rest, for one side of a workload."""
+def tally_line(workload: str, side: str, gates: list[tuple], walls: list[float]) -> str:
+    """failed/attempted, failures by known defect and the rest, and the total wall seconds,
+    for one side of a workload."""
     failed = [defect for mismatches, defect in gates if mismatches]
     named = Counter(d for d in failed if d is not None)
     parts = [f"{workload} {side}: failed {len(failed)}/{len(gates)}",
              *(f"{name} {count}" for name, count in sorted(named.items())),
-             f"outside the known defects {failed.count(None)}"]
+             f"outside the known defects {failed.count(None)}", f"wall {sum(walls):.2f} s"]
     return "; ".join(parts)
 
 
@@ -127,6 +133,7 @@ def main(argv: list[str] | None = None) -> int:
 
     differs = False
     gates: dict[tuple[str, str], list] = {}  # (workload, side) -> gate results of its jobs
+    walls: dict[tuple[str, str], list] = {}  # (workload, side) -> wall seconds of its jobs
     for workload in dict.fromkeys(args.workload):
         for seed in dict.fromkeys(args.seed):
             with tempfile.TemporaryDirectory(prefix="compare-trees-") as tmp:
@@ -136,15 +143,17 @@ def main(argv: list[str] | None = None) -> int:
                 for job in jobs:
                     runs = {side: run_job(tree, job, work / side / job.id, work)
                             for side, tree in trees.items()}
-                    (code_a, err_a, doc_a), (code_b, err_b, doc_b) = runs.values()
+                    (code_a, err_a, doc_a, wall_a), (code_b, err_b, doc_b, wall_b) = runs.values()
                     gate_a = gate(job, code_a, doc_a, err_a)
                     gate_b = gate(job, code_b, doc_b, err_b)
-                    gates.setdefault((workload, "parent"), []).append(gate_a)
-                    gates.setdefault((workload, "change"), []).append(gate_b)
+                    for side, result, wall in (("parent", gate_a, wall_a),
+                                               ("change", gate_b, wall_b)):
+                        gates.setdefault((workload, side), []).append(result)
+                        walls.setdefault((workload, side), []).append(wall)
                     same = code_a == code_b and err_a == err_b and gate_a == gate_b
                     differs |= not same
                     print(f"{job.id}: {'same' if same else 'DIFFERENT'}")
-                    print(f"  exit codes {code_a} / {code_b}; "
+                    print(f"  exit codes {code_a} / {code_b}; wall s {wall_a:.2f} / {wall_b:.2f}; "
                           f"stderr {'equal' if err_a == err_b else 'differs'}")
                     print(f"  gate parent {gate_a}; change {gate_b}")
                     for line in compare_outputs(work / "parent" / job.id,
@@ -152,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
                         print(line)
     print("== summary")
     for (workload, side), results in gates.items():
-        print(tally_line(workload, side, results))
+        print(tally_line(workload, side, results, walls[workload, side]))
     verdict = "differ" if differs else "are equal"
     print(f"exit codes, stderr and gate results {verdict}")
     return 1 if differs else 0
