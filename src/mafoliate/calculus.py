@@ -40,8 +40,8 @@ rounds twice.  Signed zeros, infs and the places of nans agree; which of two
 nan operands an operation returns is not fixed by IEEE 754, so a nan's sign
 bit may differ, and nothing in the toolkit reads it.  One-point callers keep
 the scalar path, which is faster at N = 1 and stays the reference the tests
-compare the batch against: ``finite_type.gradient`` (the flow's right-hand
-side), ``point_type`` and ``extension_ingredients``, the base point of
+compare the batch against: the flow's right-hand side (``finite_type.gradient_field``),
+``finite_type.gradient``, ``point_type`` and ``extension_ingredients``, the jet of
 ``extend_gradient``, ``level_set_samples`` (Brent's method), the probes of
 ``level_transport`` and ``psh_min_eigen``.
 

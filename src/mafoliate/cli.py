@@ -37,7 +37,7 @@ from .calculus import (
 )
 from .corpus import CORPUS_NAMES, corpus_text
 from .errors import MafoliateError, NotHomogeneous
-from .finite_type import bracket_identities, gradient, point_type, polynomial_gradient
+from .finite_type import bracket_identities, gradient, point_type
 from .foliation import (
     FlowConfig,
     burns_verify,
@@ -69,7 +69,6 @@ class RunConfig:
 
     eps_D: float = 1e-10
     tol_type: float = 1e-8
-    tol_ext: float = 1e-7
     rtol: float = 1e-10
     atol: float = 1e-10
     m_max: int = 8
@@ -100,8 +99,7 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
 
     def flow(self) -> FlowConfig:
-        return FlowConfig(rtol=self.rtol, atol=self.atol, eps_D=self.eps_D,
-                          tol_ext=self.tol_ext)
+        return FlowConfig(rtol=self.rtol, atol=self.atol, eps_D=self.eps_D)
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -282,13 +280,11 @@ def _cmd_check_ma(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> boo
 def _cmd_gradient(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     point = _parse_point(args.point)
     with clock("gradient"):
-        g = gradient(p, point, cfg.eps_D, cfg.tol_ext)
+        g = gradient(p, point, cfg.eps_D)
         jet = eval_jet(p, point)
-        method = ("polynomial" if polynomial_gradient(p) is not None
-                  else "cofactor" if jet.D > cfg.eps_D else "ray_limit_extension")
     ok = abs(g.pairing_check) <= 1e-6 * max(jet.rho, 1.0)
     _write_json(out / "gradient.json", p, {
-        "point": point, "method": method, "D": jet.D, "rho": jet.rho, "Z": [g.Z1, g.Z2],
+        "point": point, "method": g.method, "D": jet.D, "rho": jet.rho, "Z": [g.Z1, g.Z2],
         "pairing_check": g.pairing_check, "gradient_identity_ok": ok,
     })
     return ok
@@ -470,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         clock = _StageClock()
         ok = args.run(_load_poly(args.poly), cfg, out, args, clock)
         _write_meta(out / f"{args.command.replace('-', '_')}_meta.json", argv, clock)
-    except (MafoliateError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (MafoliateError, OSError, ValueError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

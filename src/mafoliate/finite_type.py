@@ -15,11 +15,13 @@ is complete; antisymmetry makes [Lbar, L] redundant at length two.  All bracket
 coefficients are exact polynomials, and the pairing is evaluated pointwise.
 
 The complex gradient Z = (n1, n2) / det extends across the Levi-degenerate
-set, and ``gradient`` decides how, once per polynomial: where det divides both
-cofactor numerators exactly, ``polynomial_gradient`` gives Z as a polynomial
-field, defined everywhere; otherwise ``extend_gradient`` takes the limit of the
-cofactor formula along approach rays (polynomial extrapolation to the ray
-parameter 0) where D <= eps_D.  The ray limit stays the exact Z's numeric oracle.
+set, decided once per polynomial: where det divides both cofactor numerators
+exactly, ``polynomial_gradient`` gives Z as a polynomial field, defined
+everywhere; otherwise ``extend_gradient`` takes the limit of the cofactor
+formula along approach rays (polynomial extrapolation to the ray parameter 0)
+where D <= eps_D.  ``gradient_field`` (flows), ``gradient`` (one point) and
+``gradients`` (a batch) take that decision.  The ray limit stays the exact Z's
+numeric oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -390,20 +392,18 @@ def _neville_to_zero(ts: Sequence[float], vals: Sequence[complex]) -> complex:
 
 
 def extend_gradient(p: HermitianPolynomial, q: Point, eps_D: float = EPS_D_DEFAULT,
-                    tol_ext: float = EXT_TOL_DEFAULT,
                     rays: Sequence[tuple[complex, complex]] | None = None) -> GradientValue:
     """Complex gradient at a point with rho > 0: the cofactor formula where D > eps_D,
     otherwise the common limit along approach rays.
 
     Each usable ray contributes a polynomial extrapolation of the cofactor
-    formula to ray parameter 0; the extrapolants must agree within `tol_ext`
+    formula to ray parameter 0; the extrapolants must agree within EXT_TOL_DEFAULT
     relative (NoConvergence otherwise).
     """
     z1, z2 = q.as_pair()
-    rho = p(z1, z2).real
-    if rho <= 0.0:
-        raise NonPositiveRho(f"rho({q.as_pair()}) = {rho} <= 0")
     jet = eval_jet(p, q)
+    if jet.rho <= 0.0:
+        raise NonPositiveRho(f"rho({q.as_pair()}) = {jet.rho} <= 0")
     if jet.D > eps_D:
         return complex_gradient(jet, eps_D)
 
@@ -444,13 +444,11 @@ def extend_gradient(p: HermitianPolynomial, q: Point, eps_D: float = EPS_D_DEFAU
     arr = np.array(results)
     spread = float(np.max(np.abs(arr - arr.mean(axis=0))))
     scale = 1.0 + float(np.max(np.abs(arr)))
-    if spread > tol_ext * scale:
-        raise NoConvergence(
-            f"ray extrapolants disagree by {spread:.3e} (> {tol_ext} relative) at {q.as_pair()}"
-        )
+    if spread > EXT_TOL_DEFAULT * scale:
+        raise NoConvergence(f"ray extrapolants disagree by {spread:.3e} "
+                            f"(> {EXT_TOL_DEFAULT} relative) at {q.as_pair()}")
     Z1, Z2 = (complex(v) for v in arr.mean(axis=0))
-    pairing = jet.d1 * Z1 + jet.d2 * Z2 - rho
-    return GradientValue(Z1, Z2, pairing)
+    return GradientValue(Z1, Z2, jet.d1 * Z1 + jet.d2 * Z2 - jet.rho, "ray_limit_extension")
 
 
 @lru_cache(maxsize=64)
@@ -462,23 +460,34 @@ def polynomial_gradient(p: HermitianPolynomial) -> tuple[Polynomial, Polynomial]
     return None if None in Z else tuple(Z)
 
 
-def gradient(p: HermitianPolynomial, q: Point, eps_D: float, tol_ext: float) -> GradientValue:
-    """The complex gradient at a point with rho > 0: the polynomial Z where it exists,
-    otherwise extend_gradient (the cofactor formula, or the ray limit where D <= eps_D)."""
+def gradient_field(p: HermitianPolynomial, eps_D: float) -> Callable[..., tuple[complex, complex]]:
+    """Z1 and Z2 as a function of (z1, z2), for points the caller has checked for rho > 0,
+    decided once for p: the two polynomials of polynomial_gradient where det divides,
+    else extend_gradient at every point (which checks rho again)."""
     Z = polynomial_gradient(p)
     if Z is None:
-        return extend_gradient(p, q, eps_D=eps_D, tol_ext=tol_ext)
+        return lambda z1, z2: extend_gradient(p, Point(z1, z2), eps_D=eps_D).as_vector()
+    Z1, Z2 = Z
+    return lambda z1, z2: (Z1(z1, z2), Z2(z1, z2))
+
+
+def gradient(p: HermitianPolynomial, q: Point, eps_D: float) -> GradientValue:
+    """The complex gradient at a point with rho > 0: the polynomial Z where it exists,
+    otherwise extend_gradient (the cofactor formula, or the ray limit where D <= eps_D).
+    Its ``method`` names the branch taken."""
+    Z = polynomial_gradient(p)
+    if Z is None:
+        return extend_gradient(p, q, eps_D=eps_D)
     z1, z2 = q.as_pair()
     rho = p(z1, z2).real
     if rho <= 0.0:
         raise NonPositiveRho(f"rho({q.as_pair()}) = {rho} <= 0")
     jp = jet_polynomials(p)
     Z1, Z2 = Z[0](z1, z2), Z[1](z1, z2)
-    return GradientValue(Z1, Z2, jp.d1(z1, z2) * Z1 + jp.d2(z1, z2) * Z2 - rho)
+    return GradientValue(Z1, Z2, jp.d1(z1, z2) * Z1 + jp.d2(z1, z2) * Z2 - rho, "polynomial")
 
 
-def gradients(p: HermitianPolynomial, z1, z2, eps_D: float,
-              tol_ext: float) -> tuple[np.ndarray, np.ndarray]:
+def gradients(p: HermitianPolynomial, z1, z2, eps_D: float) -> tuple[np.ndarray, np.ndarray]:
     """Z1 and Z2 of gradient at every point (z1[i], z2[i]), from one batched evaluation,
     and from gradient itself, point by point in order, where the batch does not apply."""
     z1 = np.asarray(z1, dtype=complex).ravel()
@@ -492,6 +501,6 @@ def gradients(p: HermitianPolynomial, z1, z2, eps_D: float,
         Z1, Z2, _ = complex_gradients(jets)
         scalar = (jets.rho <= 0.0) | ~(jets.D > eps_D)  # extend_gradient's own test
     for i in np.flatnonzero(scalar):  # where the batch formula does not hold or gradient raises
-        g = gradient(p, Point(z1[i], z2[i]), eps_D, tol_ext)
+        g = gradient(p, Point(z1[i], z2[i]), eps_D)
         Z1[i], Z2[i] = g.Z1, g.Z2
     return Z1, Z2

@@ -12,9 +12,10 @@ parametrization artifact, so it is measured and reported, never asserted
 against a fixed constant; classification logic uses ratios of rates only.
 
 Integration uses an adaptive embedded 4(5) Runge-Kutta pair.  The right-hand
-side and ``leaf_diagnostics`` take Z from ``finite_type.gradient``: the exact
-polynomial Z where det divides the cofactor numerators, with no test of D;
-otherwise extend_gradient's one test of the jet's D.
+side takes Z from ``finite_type.gradient_field``, decided once per polynomial:
+where det divides the cofactor numerators, a call evaluates rho (the domain
+check) and the exact Z's two polynomials, and tests no D; otherwise it calls
+extend_gradient.  ``leaf_diagnostics`` takes Z from ``finite_type.gradients``.
 
 The verdict operations:
 
@@ -60,7 +61,7 @@ from .errors import (
     NotPositive,
     RankDeficientSamples,
 )
-from .finite_type import gradient, gradients
+from .finite_type import gradient_field, gradients
 from .monge_ampere import (
     EPS_D_DEFAULT,
     complex_gradients,
@@ -78,10 +79,9 @@ class FlowConfig:
     atol: float = 1e-10
     max_steps: int = 500_000
     eps_D: float = EPS_D_DEFAULT
-    tol_ext: float = 1e-7
 
     def __post_init__(self):
-        if min(self.rtol, self.atol, self.eps_D, self.tol_ext) <= 0:
+        if min(self.rtol, self.atol, self.eps_D) <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
@@ -91,28 +91,28 @@ def _pack(z1: complex, z2: complex) -> np.ndarray:
     return np.array([z1.real, z1.imag, z2.real, z2.imag])
 
 
-def _unpack(y) -> tuple[complex, complex]:
-    return complex(y[0], y[1]), complex(y[2], y[3])
-
-
 class _GradientFlow:
-    """ODE right-hand side dz/dtau = rot * Z(z), with Z from finite_type.gradient."""
+    """ODE right-hand side dz/dtau = rot * Z(z), with Z from finite_type.gradient_field."""
 
     def __init__(self, p: HermitianPolynomial, cfg: FlowConfig, rot: complex):
         self.p = p
         self.cfg = cfg
         self.rot = rot
+        self.Z = gradient_field(p, cfg.eps_D)
         self.evals = 0
 
     def __call__(self, _t, y):
         self.evals += 1
         if self.evals > self.cfg.max_steps:
             raise FlowEscape(f"flow exceeded the step budget of {self.cfg.max_steps}")
-        z1, z2 = _unpack(y)
+        x1, y1, x2, y2 = y.tolist()
+        z1, z2 = complex(x1, y1), complex(x2, y2)
         if self.p(z1, z2).real <= 0.0:
             raise FlowEscape(f"flow left the domain rho > 0 at ({z1}, {z2})")
-        g = gradient(self.p, Point(z1, z2), self.cfg.eps_D, self.cfg.tol_ext)
-        return _pack(self.rot * g.Z1, self.rot * g.Z2)
+        if not math.isfinite(x1 + y1 + x2 + y2):
+            Point(z1, z2)  # raises the ValueError of a non-finite point
+        Z1, Z2 = self.Z(z1, z2)
+        return _pack(self.rot * Z1, self.rot * Z2)
 
 
 def _flow_states(rhs, y0: np.ndarray, values, cfg: FlowConfig) -> np.ndarray:
@@ -139,11 +139,11 @@ def _flow_states(rhs, y0: np.ndarray, values, cfg: FlowConfig) -> np.ndarray:
 
 
 def flow_point(p: HermitianPolynomial, q: Point, time: float,
-               cfg: FlowConfig | None = None, rot: complex = 1.0) -> Point:
-    """Single endpoint of the flow dz/dtau = rot * Z(z) started at q."""
+               cfg: FlowConfig | None = None) -> Point:
+    """Single endpoint of the real flow dz/dt = Z(z) started at q."""
     cfg = cfg or FlowConfig()
-    state = _flow_states(_GradientFlow(p, cfg, rot), _pack(*q.as_pair()), [time], cfg)[0]
-    return Point(*_unpack(state))
+    state = _flow_states(_GradientFlow(p, cfg, 1.0), _pack(*q.as_pair()), [time], cfg)[0]
+    return Point(*state.view(complex).tolist())
 
 
 def make_grid(t_min: float, t_max: float, s_min: float, s_max: float,
@@ -166,7 +166,6 @@ class LeafTrace:
     u_values: np.ndarray     # log of rho_values
     diagnostics: dict
     cfg: FlowConfig
-    complete: bool = True
 
 
 def trace_leaf(p: HermitianPolynomial, seed: Point, t_values, s_values,
@@ -186,7 +185,7 @@ def trace_leaf(p: HermitianPolynomial, seed: Point, t_values, s_values,
     points = np.empty((nt, ns, 2), dtype=complex)
     for j in range(ns):
         t_states = _flow_states(_GradientFlow(p, cfg, 1.0 + 0j), s_states[j], t_values, cfg)
-        points[:, j] = t_states.view(complex)  # rows (x1, y1, x2, y2) as (z1, z2), as _unpack
+        points[:, j] = t_states.view(complex)  # rows (x1, y1, x2, y2) as (z1, z2)
 
     # a contiguous copy, as before: np.log may round differently in its strided loop
     rho_values = p.evaluate(points[..., 0], points[..., 1]).real.copy().reshape(nt, ns)
@@ -203,7 +202,7 @@ def _trace_diagnostics(seed, t_values, s_values, points, rho_values, u_values,
                        s_states, rho0, p) -> dict:
     diag: dict = {}
     # level preservation along the s-flow
-    # each state row (x1, y1, x2, y2) read as the pair (z1, z2), as _unpack reads it
+    # each state row (x1, y1, x2, y2) read as the pair (z1, z2), as the flow reads it
     s_rho = p.evaluate(*np.ascontiguousarray(s_states).view(complex).T).real
     diag["level_drift"] = float(np.max(np.abs(s_rho - rho0))) / rho0
 
@@ -261,8 +260,6 @@ def _uniform_step(values: np.ndarray, label: str) -> float:
 
 def leaf_diagnostics(trace: LeafTrace) -> LeafDiagnostics:
     """Five-point Laplacian of u, monotone growth of u in t, and max |f' - Z(f)|."""
-    if not trace.complete:
-        raise IncompleteTrace("trace grid is not fully populated")
     u = trace.u_values
     nt, ns = u.shape
     if nt < 3 or ns < 3:
@@ -279,8 +276,7 @@ def leaf_diagnostics(trace: LeafTrace) -> LeafDiagnostics:
     pts = trace.points
     fd = (pts[2:, :, :] - pts[:-2, :, :]) / (2 * ht)
     nodes = pts[1:-1].reshape(-1, 2)
-    Z = np.stack(gradients(trace.poly, nodes[:, 0], nodes[:, 1], trace.cfg.eps_D,
-                           trace.cfg.tol_ext), axis=-1)
+    Z = np.stack(gradients(trace.poly, nodes[:, 0], nodes[:, 1], trace.cfg.eps_D), axis=-1)
     par_defect = float(np.max(np.abs(fd - Z.reshape(fd.shape))))
     min_grad = min(float(np.linalg.norm(z)) for z in Z)
 

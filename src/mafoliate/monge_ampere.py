@@ -88,17 +88,16 @@ class MAReport:
 
 @dataclass(frozen=True)
 class GradientValue:
-    """Value of the complex gradient, with the defect of d(rho)(Z) - rho."""
+    """Value of the complex gradient, the defect of d(rho)(Z) - rho, and the branch that
+    gave it: "cofactor", or finite_type's "polynomial" or "ray_limit_extension"."""
 
     Z1: complex
     Z2: complex
     pairing_check: complex
+    method: str = "cofactor"
 
     def as_vector(self) -> Vector:
         return (self.Z1, self.Z2)
-
-    def norm(self) -> float:
-        return max(abs(self.Z1), abs(self.Z2))
 
 
 def is_ma_exact(p: HermitianPolynomial) -> bool:

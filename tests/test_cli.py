@@ -238,6 +238,25 @@ def test_non_finite_analysis_is_an_error_and_writes_nothing(tmp_path, capsys, ar
     assert list(tmp_path.iterdir()) == []
 
 
+def test_allocation_failure_is_an_error(tmp_path, capsys, monkeypatch):
+    # such as the grid of trace-leaf --step 1e-5; nothing is allocated here
+    def trace_leaf(*args, **kwargs):
+        raise MemoryError("Unable to allocate 23.8 GiB for an array")
+
+    monkeypatch.setattr("mafoliate.cli.trace_leaf", trace_leaf)
+    assert run(["trace-leaf", "--poly", "fub", "--point=1,0,0,0", "--out", tmp_path,
+                "--strict"]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 23.8 GiB for an array\n"
+
+
+def test_tol_ext_is_no_config_key(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"tol_ext": 1e-7}')
+    assert run(["trace-leaf", "--poly", "fub", "--point=1,0,0,0", "--config", cfg_path,
+                "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == "error: unknown config keys ['tol_ext']\n"
+
+
 def test_report_embeds_the_subcommand_records(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"samples": 100, "fit_samples": 30, "trials": 20,

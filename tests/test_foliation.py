@@ -123,10 +123,10 @@ def test_diagnostics_parametrization_order(corpus):
 
 
 def test_diagnostics_incomplete_trace(corpus):
-    t_vals, s_vals = mf.make_grid(0.0, 0.1, 0.0, 0.1, 0.05)
+    t_vals, s_vals = mf.make_grid(0.0, 0.05, 0.0, 0.05, 0.05)
     trace = mf.trace_leaf(corpus["euc"], mf.Point(1.0, 0.0), t_vals, s_vals)
-    trace.complete = False
-    with pytest.raises(mf.IncompleteTrace):
+    assert trace.u_values.shape == (2, 2)
+    with pytest.raises(mf.IncompleteTrace, match="at least a 3 x 3 grid"):
         mf.leaf_diagnostics(trace)
 
 

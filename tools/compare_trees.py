@@ -2,21 +2,27 @@
 
     python3 tools/compare_trees.py PARENT CHANGE --workload report-mix --seed 301
     python3 tools/compare_trees.py PARENT CHANGE --workload report-mix type-deep --seed 301 5151
+    python3 tools/compare_trees.py PARENT CHANGE --workload leaf-degenerate --seed 301 --repeats 5
 
 PARENT and CHANGE are source checkouts (each with src/mafoliate).  The job list
 comes from this checkout's bench/workloads.py, built once, so both trees see the
-same inputs.  Each job runs once per tree as a fresh ``python3 -m mafoliate.cli``
-process.  Per job this prints the two exit codes, each side's wall seconds,
-whether stderr is equal, each side's gate result (mismatches, known defect),
-and for every output file but
-``*_meta.json`` either "equal" or the dotted JSON paths that differ with the
-largest absolute difference of their numbers.  Each workload runs at every
-given seed.  A closing summary gives, per workload and side, the failed and
-attempted job counts (a job fails when its gate reports a mismatch, as in
-bench/run.py), the failures by known-defect name, the failures that match no
-known defect, and the wall seconds of all its jobs.
+same inputs.  Each job runs --repeats times (default 1) per tree as a fresh
+``python3 -m mafoliate.cli`` process, the two trees in turn, and the tree that
+goes first alternates from one repeat to the next.  Per job this prints the two
+exit codes, each side's wall seconds (the median over the repeats), whether
+stderr is equal, each side's gate result (mismatches, known defect), and for
+every output file of the first repeat but ``*_meta.json`` either "equal" or the
+dotted JSON paths that differ with the largest absolute difference of their
+numbers.  Each workload runs at every given seed.  A closing summary gives,
+per workload and side, the failed and attempted job runs (a run fails when its
+gate reports a mismatch, as in bench/run.py), the failures by known-defect
+name, the failures that match no known defect, and the wall seconds of all its
+runs; then, per workload, each side's median wall seconds of one pass over its
+jobs (one repeat at one seed) and in how many of those pairs of passes the
+change took less time.
 
-Exit status: 1 when any exit code, stderr or gate result differs, else 0.
+Exit status: 1 when any exit code, stderr or gate result differs, between the
+trees or between the repeats, else 0.
 Differing output bytes alone are reported, not failed: a change may move values
 within their tolerances.
 """
@@ -28,6 +34,7 @@ import json
 from collections import Counter
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -118,6 +125,14 @@ def tally_line(workload: str, side: str, gates: list[tuple], walls: list[float])
     return "; ".join(parts)
 
 
+def pass_line(workload: str, passes: dict[str, list[float]]) -> str:
+    """Each side's median pass wall and the pairs of passes the change took less time in."""
+    won = sum(b < a for a, b in zip(passes["parent"], passes["change"]))
+    return (f"{workload}: median pass wall s {statistics.median(passes['parent']):.2f} / "
+            f"{statistics.median(passes['change']):.2f}; change faster in {won}/"
+            f"{len(passes['change'])} pairs")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -125,33 +140,47 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, nargs="+", action="extend",
                         choices=workloads.WORKLOADS)
     parser.add_argument("--seed", type=int, required=True, nargs="+", action="extend")
+    parser.add_argument("--repeats", type=int, default=1,
+                        help="runs of each job per tree, alternating which tree goes first")
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         if not (tree / "src" / "mafoliate" / "cli.py").is_file():
             parser.error(f"no toolkit source under {tree}")
 
     differs = False
-    gates: dict[tuple[str, str], list] = {}  # (workload, side) -> gate results of its jobs
-    walls: dict[tuple[str, str], list] = {}  # (workload, side) -> wall seconds of its jobs
+    gates: dict[tuple[str, str], list] = {}  # (workload, side) -> gate results of its runs
+    walls: dict[tuple[str, str], list] = {}  # (workload, side) -> wall seconds of its runs
+    passes: dict[str, dict[str, list]] = {}  # workload -> side -> wall seconds of each pass
     for workload in dict.fromkeys(args.workload):
         for seed in dict.fromkeys(args.seed):
             with tempfile.TemporaryDirectory(prefix="compare-trees-") as tmp:
                 work = Path(tmp)
                 jobs = workloads.build(workload, seed, work / "inputs")
+                pass_walls = {side: [0.0] * args.repeats for side in trees}
                 print(f"== {workload} seed {seed}")
                 for job in jobs:
-                    runs = {side: run_job(tree, job, work / side / job.id, work)
-                            for side, tree in trees.items()}
-                    (code_a, err_a, doc_a, wall_a), (code_b, err_b, doc_b, wall_b) = runs.values()
-                    gate_a = gate(job, code_a, doc_a, err_a)
-                    gate_b = gate(job, code_b, doc_b, err_b)
-                    for side, result, wall in (("parent", gate_a, wall_a),
-                                               ("change", gate_b, wall_b)):
-                        gates.setdefault((workload, side), []).append(result)
-                        walls.setdefault((workload, side), []).append(wall)
-                    same = code_a == code_b and err_a == err_b and gate_a == gate_b
+                    results = {side: [] for side in trees}  # (code, stderr, gate) per repeat
+                    job_walls = {side: [] for side in trees}
+                    for r in range(args.repeats):
+                        for side in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
+                            out = work / (side if r == 0 else f"{side}-{r}") / job.id
+                            code, err, doc, wall = run_job(trees[side], job, out, work)
+                            results[side].append((code, err, gate(job, code, doc, err)))
+                            job_walls[side].append(wall)
+                            pass_walls[side][r] += wall
+                    for side in trees:
+                        gates.setdefault((workload, side), []).extend(
+                            g for _, _, g in results[side])
+                        walls.setdefault((workload, side), []).extend(job_walls[side])
+                    (code_a, err_a, gate_a), (code_b, err_b, gate_b) = (
+                        results[side][0] for side in trees)
+                    same = all(res == results["parent"][0]
+                               for side in trees for res in results[side])
                     differs |= not same
+                    wall_a, wall_b = (statistics.median(job_walls[side]) for side in trees)
                     print(f"{job.id}: {'same' if same else 'DIFFERENT'}")
                     print(f"  exit codes {code_a} / {code_b}; wall s {wall_a:.2f} / {wall_b:.2f}; "
                           f"stderr {'equal' if err_a == err_b else 'differs'}")
@@ -159,9 +188,13 @@ def main(argv: list[str] | None = None) -> int:
                     for line in compare_outputs(work / "parent" / job.id,
                                                 work / "change" / job.id):
                         print(line)
+                for side in trees:
+                    passes.setdefault(workload, {}).setdefault(side, []).extend(pass_walls[side])
     print("== summary")
     for (workload, side), results in gates.items():
         print(tally_line(workload, side, results, walls[workload, side]))
+    for workload, sides in passes.items():
+        print(pass_line(workload, sides))
     verdict = "differ" if differs else "are equal"
     print(f"exit codes, stderr and gate results {verdict}")
     return 1 if differs else 0
