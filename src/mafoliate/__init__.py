@@ -29,7 +29,6 @@ from .calculus import (
     psh_min_eigen,
     serialize_polynomial,
     substitute_linear,
-    wirtinger_derive,
 )
 from .corpus import CORPUS_NAMES, MA_CORPUS_NAMES, corpus, load, ma_corpus
 from .errors import (

@@ -461,11 +461,6 @@ def _wrap_hermitian(p: Polynomial) -> HermitianPolynomial:
     return HermitianPolynomial._exact(p._num, p._den)
 
 
-def wirtinger_derive(p: Polynomial, var: str) -> Polynomial:
-    """Exact term-by-term Wirtinger derivative (result is generally not real-valued)."""
-    return p.derive(var)
-
-
 # ---------------------------------------------------------------------------
 # points and jets
 # ---------------------------------------------------------------------------

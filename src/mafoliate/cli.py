@@ -67,7 +67,6 @@ from .monge_ampere import (
 class RunConfig:
     """All knobs of a batch run; flags override config-file values override defaults."""
 
-    eps_D: float = 1e-10
     tol_type: float = 1e-8
     rtol: float = 1e-10
     atol: float = 1e-10
@@ -99,7 +98,7 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
 
     def flow(self) -> FlowConfig:
-        return FlowConfig(rtol=self.rtol, atol=self.atol, eps_D=self.eps_D)
+        return FlowConfig(rtol=self.rtol, atol=self.atol)
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -179,14 +178,13 @@ def _write_meta(path: Path, argv: list[str], clock: _StageClock) -> None:
     path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n", "utf-8")
 
 
-def _sample_points(p: HermitianPolynomial, rng, count: int, eps_D: float) -> list[Point]:
+def _sample_points(p: HermitianPolynomial, rng, count: int) -> list[Point]:
     """Seeded cloud in the annulus 0.5 <= |z| <= 1.5, rejecting rho <= 0 and
-    Levi-degenerate points (det <= max(SAMPLE_D_CUTOFF, eps_D)).
+    Levi-degenerate points (det <= SAMPLE_D_CUTOFF).
 
     Candidates are drawn in batches of the missing count and tested together,
     which leaves the generator's stream that of drawing them one at a time."""
     polys = (p, jet_polynomials(p).det)
-    cutoff = max(SAMPLE_D_CUTOFF, eps_D)
     out: list[Point] = []
     attempts = 0
     while len(out) < count and attempts < 200 * count:
@@ -196,7 +194,7 @@ def _sample_points(p: HermitianPolynomial, rng, count: int, eps_D: float) -> lis
         for i in range(draws):
             vs[i] = random_vector(rng, 0.5, 1.5)
         rho, det = evaluate_many(polys, vs[:, 0], vs[:, 1]).real
-        out += [Point(a, b) for a, b in vs[~((rho <= 0.0) | (det <= cutoff))]]
+        out += [Point(a, b) for a, b in vs[~((rho <= 0.0) | (det <= SAMPLE_D_CUTOFF))]]
     if len(out) < count:
         raise MafoliateError(f"could only sample {len(out)}/{count} admissible points")
     return out
@@ -233,8 +231,8 @@ def _transport_stage(p, cfg: RunConfig, r1: float, r2: float) -> dict:
 
 
 def _fit_weights_dict(p, cfg: RunConfig, rng) -> dict:
-    pts = _sample_points(p, rng, cfg.fit_samples, cfg.eps_D)
-    fit = fit_holomorphic_Z(p, pts, cfg.fit_degree, eps_D=cfg.eps_D)
+    pts = _sample_points(p, rng, cfg.fit_samples)
+    fit = fit_holomorphic_Z(p, pts, cfg.fit_degree)
     zero = zero_set_check(fit)
     est = estimate_weights(fit)
     return {
@@ -269,8 +267,7 @@ def _weights_ok(doc: dict) -> bool:
 
 def _cmd_check_ma(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     with clock("ma"):
-        pts = _sample_points(p, np.random.default_rng(cfg.seed), cfg.grid * cfg.grid,
-                             cfg.eps_D)
+        pts = _sample_points(p, np.random.default_rng(cfg.seed), cfg.grid * cfg.grid)
         reports, summary = _ma_stage(p, pts)
     write_ma_csv(reports, out / "ma_scan.csv", __version__, polynomial_hash(p))
     _write_json(out / "ma_summary.json", p, summary)
@@ -280,7 +277,7 @@ def _cmd_check_ma(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> boo
 def _cmd_gradient(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     point = _parse_point(args.point)
     with clock("gradient"):
-        g = gradient(p, point, cfg.eps_D)
+        g = gradient(p, point)
         jet = eval_jet(p, point)
     ok = abs(g.pairing_check) <= 1e-6 * max(jet.rho, 1.0)
     _write_json(out / "gradient.json", p, {
@@ -335,12 +332,12 @@ def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     doc: dict = {"config": cfg_echo, "polynomial": serialize_polynomial(p)}
 
     with clock("ma"):
-        pts = _sample_points(p, rng, cfg.samples, cfg.eps_D)
+        pts = _sample_points(p, rng, cfg.samples)
         _, doc["ma"] = _ma_stage(p, pts)
 
     with clock("gradient"):
         jets = eval_jets(p, *point_array(pts[:500]).T)
-        require_nondegenerate(jets, cfg.eps_D)
+        require_nondegenerate(jets)
         grad_defect = 0.0
         for pairing, rho in zip(complex_gradients(jets)[2].tolist(), jets.rho.tolist()):
             grad_defect = max(grad_defect, abs(pairing) / rho)
@@ -348,7 +345,7 @@ def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     oks = [doc["ma"]["is_ma"], grad_defect < 1e-6]
 
     with clock("bracket_identities"):
-        reps = bracket_identities(p, *point_array(pts[:100]).T, eps_D=cfg.eps_D)
+        reps = bracket_identities(p, *point_array(pts[:100]).T)
     doc["bracket_identities"] = {key: max([0.0, *(getattr(r, key) for r in reps)]) for key in
                                  ("defect_llbar", "defect_lz", "defect_lzbar", "defect_zzbar")}
 
@@ -466,7 +463,8 @@ def main(argv: list[str] | None = None) -> int:
         clock = _StageClock()
         ok = args.run(_load_poly(args.poly), cfg, out, args, clock)
         _write_meta(out / f"{args.command.replace('-', '_')}_meta.json", argv, clock)
-    except (MafoliateError, OSError, ValueError, json.JSONDecodeError, MemoryError) as exc:
+    except (MafoliateError, OSError, ValueError, json.JSONDecodeError, MemoryError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,8 @@ class NonPositiveRho(MafoliateError):
 
 
 class DegenerateLevi(MafoliateError):
-    """The Levi determinant is below the degeneracy threshold eps_D."""
+    """The Levi determinant is at or below monge_ampere.EPS_D_DEFAULT, so the cofactor
+    formula for Z does not apply there."""
 
 
 class ZeroDifferential(MafoliateError):
@@ -50,7 +51,8 @@ class AllRaysDegenerate(MafoliateError):
 
 
 class FlowEscape(MafoliateError):
-    """A flow trajectory left the domain rho > 0 (or exhausted its step budget)."""
+    """A flow trajectory left the domain rho > 0, exhausted its step budget, or does not
+    raise rho (so no flow time reaches another level)."""
 
 
 class IncompleteTrace(MafoliateError):

@@ -19,9 +19,9 @@ set, decided once per polynomial: where det divides both cofactor numerators
 exactly, ``polynomial_gradient`` gives Z as a polynomial field, defined
 everywhere; otherwise ``extend_gradient`` takes the limit of the cofactor
 formula along approach rays (polynomial extrapolation to the ray parameter 0)
-where D <= eps_D.  ``gradient_field`` (flows), ``gradient`` (one point) and
-``gradients`` (a batch) take that decision.  The ray limit stays the exact Z's
-numeric oracle.
+where D <= EPS_D_DEFAULT, the one Levi-degeneracy threshold, a constant.
+``gradient_field`` (flows), ``gradient`` (one point) and ``gradients`` (a
+batch) take that decision.  The ray limit stays the exact Z's numeric oracle.
 """
 
 from __future__ import annotations
@@ -277,12 +277,11 @@ def _project(v: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(all="ignore")
-def bracket_identities(p: HermitianPolynomial, z1, z2,
-                       eps_D: float = EPS_D_DEFAULT) -> list[BracketIdentityReport]:
+def bracket_identities(p: HermitianPolynomial, z1, z2) -> list[BracketIdentityReport]:
     """The bracket identity defects at every point (z1[i], z2[i]), from one evaluation.
 
     The first point, in order, where they are undefined raises: DegenerateLevi
-    where the jet's D or the det polynomial is <= eps_D, ZeroDifferential where
+    where the jet's D or the det polynomial is <= EPS_D_DEFAULT, ZeroDifferential where
     L vanishes.  Vectors are arrays of shape (components, points).
     """
     z1 = np.asarray(z1, dtype=complex).ravel()
@@ -294,12 +293,12 @@ def bracket_identities(p: HermitianPolynomial, z1, z2,
     D, det = jets.D, jets.det
     L = np.stack([jets.d2, -jets.d1])  # (1,0) part of L; its (0,1) part is zero
     L_norm2 = (L.conjugate() * L).real.sum(axis=0)
-    bad = np.flatnonzero((D <= eps_D) | (det <= eps_D) | (L_norm2 == 0.0))
+    bad = np.flatnonzero((D <= EPS_D_DEFAULT) | (det <= EPS_D_DEFAULT) | (L_norm2 == 0.0))
     if bad.size:
         i = bad[0]
-        worst = D[i] if D[i] <= eps_D else det[i]
-        if worst <= eps_D:
-            raise degenerate_levi(worst.item(), eps_D, jets.pair(i))
+        worst = D[i] if D[i] <= EPS_D_DEFAULT else det[i]
+        if worst <= EPS_D_DEFAULT:
+            raise degenerate_levi(worst.item(), jets.pair(i))
         raise ZeroDifferential(f"L vanishes at {jets.pair(i)}")
     Z = np.stack(complex_gradients(jets)[:2])
     Zc = Z.conjugate()
@@ -342,10 +341,9 @@ def bracket_identities(p: HermitianPolynomial, z1, z2,
             for a, b, dv, cv in zip(z1.tolist(), z2.tolist(), defects, coefficients)]
 
 
-def bracket_identities_check(p: HermitianPolynomial, q: Point,
-                             eps_D: float = EPS_D_DEFAULT) -> BracketIdentityReport:
+def bracket_identities_check(p: HermitianPolynomial, q: Point) -> BracketIdentityReport:
     """bracket_identities at the one point q."""
-    return bracket_identities(p, *q.as_pair(), eps_D=eps_D)[0]
+    return bracket_identities(p, *q.as_pair())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +389,9 @@ def _neville_to_zero(ts: Sequence[float], vals: Sequence[complex]) -> complex:
     return table[0]
 
 
-def extend_gradient(p: HermitianPolynomial, q: Point, eps_D: float = EPS_D_DEFAULT,
+def extend_gradient(p: HermitianPolynomial, q: Point,
                     rays: Sequence[tuple[complex, complex]] | None = None) -> GradientValue:
-    """Complex gradient at a point with rho > 0: the cofactor formula where D > eps_D,
+    """Complex gradient at a point with rho > 0: the cofactor formula where D > EPS_D_DEFAULT,
     otherwise the common limit along approach rays.
 
     Each usable ray contributes a polynomial extrapolation of the cofactor
@@ -404,8 +402,8 @@ def extend_gradient(p: HermitianPolynomial, q: Point, eps_D: float = EPS_D_DEFAU
     jet = eval_jet(p, q)
     if jet.rho <= 0.0:
         raise NonPositiveRho(f"rho({q.as_pair()}) = {jet.rho} <= 0")
-    if jet.D > eps_D:
-        return complex_gradient(jet, eps_D)
+    if jet.D > EPS_D_DEFAULT:
+        return complex_gradient(jet)
 
     # seven ray parameters, halving from 0.05 (1 + |q|)
     base_t = 0.05 * (1.0 + q.norm())
@@ -426,10 +424,10 @@ def extend_gradient(p: HermitianPolynomial, q: Point, eps_D: float = EPS_D_DEFAU
         for j, i in enumerate(range(r * len(ts), (r + 1) * len(ts))):
             if not finite[i]:
                 Point(*pts[i])  # raises the ValueError of a non-finite point
-            if rho_l[i] <= 0.0 or det_l[i] <= eps_D:
+            if rho_l[i] <= 0.0 or det_l[i] <= EPS_D_DEFAULT:
                 continue
-            if D_l[i] <= eps_D:
-                raise degenerate_levi(D_l[i], eps_D, pts[i])
+            if D_l[i] <= EPS_D_DEFAULT:
+                raise degenerate_levi(D_l[i], pts[i])
             ray_ts.append(ts[j])
             vals.append(Z_l[i])
         if len(ray_ts) < 4:
@@ -460,24 +458,25 @@ def polynomial_gradient(p: HermitianPolynomial) -> tuple[Polynomial, Polynomial]
     return None if None in Z else tuple(Z)
 
 
-def gradient_field(p: HermitianPolynomial, eps_D: float) -> Callable[..., tuple[complex, complex]]:
+def gradient_field(p: HermitianPolynomial) -> Callable[..., tuple[complex, complex]]:
     """Z1 and Z2 as a function of (z1, z2), for points the caller has checked for rho > 0,
     decided once for p: the two polynomials of polynomial_gradient where det divides,
     else extend_gradient at every point (which checks rho again)."""
     Z = polynomial_gradient(p)
     if Z is None:
-        return lambda z1, z2: extend_gradient(p, Point(z1, z2), eps_D=eps_D).as_vector()
+        return lambda z1, z2: extend_gradient(p, Point(z1, z2)).as_vector()
     Z1, Z2 = Z
     return lambda z1, z2: (Z1(z1, z2), Z2(z1, z2))
 
 
-def gradient(p: HermitianPolynomial, q: Point, eps_D: float) -> GradientValue:
+def gradient(p: HermitianPolynomial, q: Point) -> GradientValue:
     """The complex gradient at a point with rho > 0: the polynomial Z where it exists,
-    otherwise extend_gradient (the cofactor formula, or the ray limit where D <= eps_D).
+    otherwise extend_gradient (the cofactor formula, or the ray limit where
+    D <= EPS_D_DEFAULT).
     Its ``method`` names the branch taken."""
     Z = polynomial_gradient(p)
     if Z is None:
-        return extend_gradient(p, q, eps_D=eps_D)
+        return extend_gradient(p, q)
     z1, z2 = q.as_pair()
     rho = p(z1, z2).real
     if rho <= 0.0:
@@ -487,7 +486,7 @@ def gradient(p: HermitianPolynomial, q: Point, eps_D: float) -> GradientValue:
     return GradientValue(Z1, Z2, jp.d1(z1, z2) * Z1 + jp.d2(z1, z2) * Z2 - rho, "polynomial")
 
 
-def gradients(p: HermitianPolynomial, z1, z2, eps_D: float) -> tuple[np.ndarray, np.ndarray]:
+def gradients(p: HermitianPolynomial, z1, z2) -> tuple[np.ndarray, np.ndarray]:
     """Z1 and Z2 of gradient at every point (z1[i], z2[i]), from one batched evaluation,
     and from gradient itself, point by point in order, where the batch does not apply."""
     z1 = np.asarray(z1, dtype=complex).ravel()
@@ -499,8 +498,8 @@ def gradients(p: HermitianPolynomial, z1, z2, eps_D: float) -> tuple[np.ndarray,
     else:
         jets = eval_jets(p, z1, z2)
         Z1, Z2, _ = complex_gradients(jets)
-        scalar = (jets.rho <= 0.0) | ~(jets.D > eps_D)  # extend_gradient's own test
+        scalar = (jets.rho <= 0.0) | ~(jets.D > EPS_D_DEFAULT)  # extend_gradient's own test
     for i in np.flatnonzero(scalar):  # where the batch formula does not hold or gradient raises
-        g = gradient(p, Point(z1[i], z2[i]), eps_D)
+        g = gradient(p, Point(z1[i], z2[i]))
         Z1[i], Z2[i] = g.Z1, g.Z2
     return Z1, Z2

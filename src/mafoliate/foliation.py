@@ -27,11 +27,14 @@ The verdict operations:
   bidegree by the exact decomposition, so the chain's verdict samples only
   for positivity on the sphere and for the growth law.
 * ``fit_holomorphic_Z`` / ``estimate_weights`` recover the linear model of Z
-  at its zero; the eigenvalues (c1, c2) are the weights in the circular-domain
-  law rho(e^{c1 lambda} z1, e^{c2 lambda} z2) = |e^lambda|^2 rho(z), which
+  at its zero from cofactor values at the samples (DegenerateLevi at a sample
+  with D <= monge_ampere.EPS_D_DEFAULT, the one degeneracy threshold); the
+  eigenvalues (c1, c2) are the weights in the circular-domain law
+  rho(e^{c1 lambda} z1, e^{c2 lambda} z2) = |e^lambda|^2 rho(z), which
   ``weighted_homogeneity_check`` verifies directly.
 * ``level_transport`` moves level sets onto each other with the real flow of
-  Z and checks landing and round-trip accuracy.
+  Z, timed by the growth rate of rho measured on a probe flow (FlowEscape
+  where rho does not grow), and checks landing and round-trip accuracy.
 """
 
 from __future__ import annotations
@@ -78,10 +81,9 @@ class FlowConfig:
     rtol: float = 1e-10
     atol: float = 1e-10
     max_steps: int = 500_000
-    eps_D: float = EPS_D_DEFAULT
 
     def __post_init__(self):
-        if min(self.rtol, self.atol, self.eps_D) <= 0:
+        if min(self.rtol, self.atol) <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
@@ -98,7 +100,7 @@ class _GradientFlow:
         self.p = p
         self.cfg = cfg
         self.rot = rot
-        self.Z = gradient_field(p, cfg.eps_D)
+        self.Z = gradient_field(p)
         self.evals = 0
 
     def __call__(self, _t, y):
@@ -165,7 +167,6 @@ class LeafTrace:
     rho_values: np.ndarray   # shape (nt, ns)
     u_values: np.ndarray     # log of rho_values
     diagnostics: dict
-    cfg: FlowConfig
 
 
 def trace_leaf(p: HermitianPolynomial, seed: Point, t_values, s_values,
@@ -195,7 +196,7 @@ def trace_leaf(p: HermitianPolynomial, seed: Point, t_values, s_values,
 
     diag = _trace_diagnostics(seed, t_values, s_values, points, rho_values, u_values,
                               s_states, rho0, p)
-    return LeafTrace(p, seed, t_values, s_values, points, rho_values, u_values, diag, cfg)
+    return LeafTrace(p, seed, t_values, s_values, points, rho_values, u_values, diag)
 
 
 def _trace_diagnostics(seed, t_values, s_values, points, rho_values, u_values,
@@ -276,7 +277,7 @@ def leaf_diagnostics(trace: LeafTrace) -> LeafDiagnostics:
     pts = trace.points
     fd = (pts[2:, :, :] - pts[:-2, :, :]) / (2 * ht)
     nodes = pts[1:-1].reshape(-1, 2)
-    Z = np.stack(gradients(trace.poly, nodes[:, 0], nodes[:, 1], trace.cfg.eps_D), axis=-1)
+    Z = np.stack(gradients(trace.poly, nodes[:, 0], nodes[:, 1]), axis=-1)
     par_defect = float(np.max(np.abs(fd - Z.reshape(fd.shape))))
     min_grad = min(float(np.linalg.norm(z)) for z in Z)
 
@@ -350,8 +351,8 @@ class HolomorphicFit:
         return (self.coeff1 if component == 1 else self.coeff2).get(key, 0j)
 
 
-def fit_holomorphic_Z(p: HermitianPolynomial, samples: Sequence[Point], degree: int,
-                      eps_D: float = EPS_D_DEFAULT) -> HolomorphicFit:
+def fit_holomorphic_Z(p: HermitianPolynomial, samples: Sequence[Point],
+                      degree: int) -> HolomorphicFit:
     """Fit each gradient component on holomorphic monomials up to `degree`.
 
     The tail fifth of `samples` is withheld from the fit and used only for the
@@ -373,8 +374,8 @@ def fit_holomorphic_Z(p: HermitianPolynomial, samples: Sequence[Point], degree: 
     for i, q in enumerate(fit_set):
         z1, z2 = q.as_pair()
         A[i] = [z1**a * z2**b for a, b in basis]
-        if jets.D[i] <= eps_D:
-            raise degenerate_levi(jets.D[i].item(), eps_D, jets.pair(i))
+        if jets.D[i] <= EPS_D_DEFAULT:
+            raise degenerate_levi(jets.D[i].item(), jets.pair(i))
         Zs[i] = (Z1s[i], Z2s[i])
     coeffs = []
     for comp in range(2):
@@ -570,6 +571,9 @@ def level_transport(p: HermitianPolynomial, r1: float, r2: float,
     rho_end = p(*probe_end.as_pair()).real
     rho_start = p(*samples[0].as_pair()).real
     rate = (math.log(rho_end) - math.log(rho_start)) / probe_time
+    if not 0.0 < rate < math.inf:
+        raise FlowEscape(f"rho does not grow along the flow from {samples[0].as_pair()} "
+                         f"(measured rate {rate}); no transport time to {r2}")
     T = math.log(r2 / r1) / rate
 
     landing, roundtrip = [], []

@@ -60,7 +60,7 @@ from .calculus import (
 )
 from .errors import DegenerateLevi, NonPositiveRho
 
-EPS_D_DEFAULT = 1e-10
+EPS_D_DEFAULT = 1e-10  # D <= this is Levi-degenerate: no cofactor formula there
 SAMPLE_D_CUTOFF = 1e-6  # sampled points keep the det polynomial above this
 
 Vector = tuple[complex, complex]
@@ -115,15 +115,15 @@ def ma_residual(jet: WirtingerJet) -> MAReport:
     return MAReport(jet.point, jet.rho, jet.D, jet.B, residual, normalized)
 
 
-def degenerate_levi(D: float, eps_D: float, pair: Vector) -> DegenerateLevi:
-    """The error complex_gradient raises at a point where D <= eps_D."""
-    return DegenerateLevi(f"D = {D} <= {eps_D} at {pair}; use the finite-type extension")
+def degenerate_levi(D: float, pair: Vector) -> DegenerateLevi:
+    """The error complex_gradient raises at a point where D <= EPS_D_DEFAULT."""
+    return DegenerateLevi(f"D = {D} <= {EPS_D_DEFAULT} at {pair}; use the finite-type extension")
 
 
-def complex_gradient(jet: WirtingerJet, eps_D: float = EPS_D_DEFAULT) -> GradientValue:
-    """Complex gradient from the 2x2 Levi cofactors; DegenerateLevi when D <= eps_D."""
-    if jet.D <= eps_D:
-        raise degenerate_levi(jet.D, eps_D, jet.point.as_pair())
+def complex_gradient(jet: WirtingerJet) -> GradientValue:
+    """Complex gradient from the 2x2 Levi cofactors; DegenerateLevi when D <= EPS_D_DEFAULT."""
+    if jet.D <= EPS_D_DEFAULT:
+        raise degenerate_levi(jet.D, jet.point.as_pair())
     (h11, h12), (h21, h22) = jet.levi
     db1 = jet.d1.conjugate()
     db2 = jet.d2.conjugate()
@@ -136,7 +136,7 @@ def complex_gradient(jet: WirtingerJet, eps_D: float = EPS_D_DEFAULT) -> Gradien
 @np.errstate(all="ignore")
 def complex_gradients(jets: JetBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Z1, Z2 and the pairing defect at every point of the batch, bit for bit as
-    complex_gradient computes them.  Entries where D <= eps_D mean nothing: the
+    complex_gradient computes them.  Entries where D <= EPS_D_DEFAULT mean nothing: the
     caller checks ``jets.D`` where complex_gradient would raise."""
     h = np.stack([jets.h22, jets.h21, jets.h11, jets.h12])
     db = np.stack([jets.d1, jets.d2, jets.d2, jets.d1]).conjugate()
@@ -149,19 +149,19 @@ def complex_gradients(jets: JetBatch) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return Z[0], Z[1], complex_array((q_r[0] + q_r[1]) - jets.rho, q_i[0] + q_i[1])
 
 
-def require_nondegenerate(jets: JetBatch, eps_D: float) -> None:
-    """Raise what complex_gradient raises at the first point of the batch with D <= eps_D."""
-    bad = np.flatnonzero(jets.D <= eps_D)
+def require_nondegenerate(jets: JetBatch) -> None:
+    """Raise what complex_gradient raises at the first point of the batch with
+    D <= EPS_D_DEFAULT."""
+    bad = np.flatnonzero(jets.D <= EPS_D_DEFAULT)
     if bad.size:
-        raise degenerate_levi(jets.D[bad[0]].item(), eps_D, jets.pair(bad[0]))
+        raise degenerate_levi(jets.D[bad[0]].item(), jets.pair(bad[0]))
 
 
 class HermitianPairing:
     """(1,1)-form evaluator over one jet: ddc_rho, ddc_u, d(rho), and Omega."""
 
-    def __init__(self, jet: WirtingerJet, eps_D: float = EPS_D_DEFAULT):
+    def __init__(self, jet: WirtingerJet):
         self.jet = jet
-        self.eps_D = eps_D
 
     def d_rho(self, V: Vector) -> complex:
         return self.jet.d1 * V[0] + self.jet.d2 * V[1]
@@ -181,15 +181,15 @@ class HermitianPairing:
     def omega(self, V: Vector, W: Vector) -> complex:
         if self.jet.rho <= 0.0:
             raise NonPositiveRho(f"rho = {self.jet.rho} <= 0")
-        if self.jet.D <= self.eps_D:
-            raise DegenerateLevi(f"D = {self.jet.D} <= {self.eps_D}")
+        if self.jet.D <= EPS_D_DEFAULT:
+            raise degenerate_levi(self.jet.D, self.jet.point.as_pair())
         return (self.jet.rho * self.ddc_u(V, W) / self.jet.D
                 + self.d_rho(V) * self.d_rho(W).conjugate() / self.jet.rho)
 
 
-def omega_pairing(jet: WirtingerJet, V: Vector, W: Vector, eps_D: float = EPS_D_DEFAULT) -> complex:
+def omega_pairing(jet: WirtingerJet, V: Vector, W: Vector) -> complex:
     """Omega(V, conj W) for (1,0) tangent vectors V, W at the jet's point."""
-    return HermitianPairing(jet, eps_D).omega(V, W)
+    return HermitianPairing(jet).omega(V, W)
 
 
 def ma_scan(p: HermitianPolynomial, points: Iterable[Point]) -> list[MAReport]:

@@ -164,7 +164,7 @@ def scalar_extend_gradient(p, q, eps_D=1e-10, tol_ext=1e-7, levels=7, ratio=0.5)
         raise NonPositiveRho(f"rho({q.as_pair()}) = {rho} <= 0")
     jet = eval_jet(p, q)
     if jet.D > eps_D:
-        return complex_gradient(jet, eps_D)
+        return complex_gradient(jet)
 
     jp = jet_polynomials(p)
     base_t = 0.05 * (1.0 + q.norm())
@@ -180,7 +180,7 @@ def scalar_extend_gradient(p, q, eps_D=1e-10, tol_ext=1e-7, levels=7, ratio=0.5)
             D = jp.det(x, y).real
             if D <= eps_D:
                 continue
-            g = complex_gradient(eval_jet(p, pt), eps_D)
+            g = complex_gradient(eval_jet(p, pt))
             ts.append(t)
             vals.append((g.Z1, g.Z2))
         if len(ts) < 4:
@@ -225,7 +225,7 @@ def scalar_bracket_identities(p, q, eps_D=1e-10):
     if jet.D <= eps_D:
         raise DegenerateLevi(f"D = {jet.D} <= {eps_D} at {q.as_pair()}")
     z1, z2 = q.as_pair()
-    Z = np.array(complex_gradient(jet, eps_D).as_vector())
+    Z = np.array(complex_gradient(jet).as_vector())
     Zc = Z.conjugate()
 
     L = tangential_field(p)

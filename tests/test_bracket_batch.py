@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import mafoliate as mf
+from mafoliate import finite_type
 from mafoliate.calculus import point_array
 from mafoliate.foliation import _sphere_directions
 
@@ -99,9 +100,9 @@ def test_errors_follow_point_order():
         assert outcome(lambda: mf.bracket_identities(p, z[:, 0], z[:, 1])) is error
 
 
-def test_the_det_polynomial_is_checked_as_well_as_the_jets_D():
+def test_the_det_polynomial_is_checked_as_well_as_the_jets_D(monkeypatch):
     # at about a third of these points the det polynomial rounds below the jet's
-    # D; with eps_D between the two, only the det check can raise
+    # D; with the threshold between the two, only the det check can raise
     p = forms_rho(NONDIAGONAL, 2, 2)
     points = admissible_points(p, np.random.default_rng(1013), 50)
     z = point_array(points)
@@ -110,8 +111,9 @@ def test_the_det_polynomial_is_checked_as_well_as_the_jets_D():
     assert below.size
     for i in below[:5]:
         q, eps_D = points[i], jets.det[i].item()
+        monkeypatch.setattr(finite_type, "EPS_D_DEFAULT", eps_D)
         assert outcome(lambda: scalar_bracket_identities(p, q, eps_D)) is mf.DegenerateLevi
-        assert outcome(lambda: mf.bracket_identities_check(p, q, eps_D)) is mf.DegenerateLevi
+        assert outcome(lambda: mf.bracket_identities_check(p, q)) is mf.DegenerateLevi
 
 
 # ---------------------------------------------------------------------------

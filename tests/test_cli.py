@@ -124,18 +124,6 @@ def test_report_on_negative_case_records_verdicts(tmp_path):
                 "--strict"]) == 1
 
 
-def test_report_samples_above_the_configured_eps_D(tmp_path):
-    # weighted's det polynomial falls to 0.0023 on the default samples; with
-    # eps_D = 0.01 the sampler must reject those points, not the gradient stage
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"eps_D": 0.01, "samples": 200, "fit_samples": 40,
-                                    "trials": 50, "transport_samples": 2, "trace_step": 0.05}))
-    assert run(["report", "--poly", "weighted", "--config", cfg_path, "--out", tmp_path]) == 0
-    doc = read_json(tmp_path / "report.json")["analysis"]
-    assert doc["ok"] is True
-    assert doc["ma"]["count"] == 200
-
-
 def test_input_error_exit_codes(tmp_path, capsys):
     assert run(["type-at", "--poly", "quartic", "--point", "1,2,3", "--out", tmp_path]) == 2
     assert run(["check-ma", "--poly", tmp_path / "missing.json", "--out", tmp_path]) == 2
@@ -155,6 +143,13 @@ def test_input_error_exit_codes(tmp_path, capsys):
         assert run(["check-ma", "--poly", tmp_path / name, "--out", tmp_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    # 1e300 (|z1|^2 + |z2|^2) is finite, but its Levi determinant has coefficient 1e600
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"terms": [{"a": [1, 0], "b": [1, 0], "re": 1e300}, '
+                    '{"a": [0, 1], "b": [0, 1], "re": 1e300}]}')
+    for argv in (["type-at", "--point", "1,0,0,0"], ["check-ma"]):
+        assert run([*argv, "--poly", huge, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == "error: integer division result too large for a float\n"
     # the origin lies outside the domain rho > 0, for gradient as for type-at and trace-leaf
     assert run(["gradient", "--poly", "euc", "--point=0,0,0,0", "--out", tmp_path / "origin"]) == 2
     err = capsys.readouterr().err
@@ -217,7 +212,8 @@ def test_bad_integer_knob_is_rejected(tmp_path, capsys, knob, value):
 
 
 @pytest.mark.parametrize("text, named", [
-    ('{"eps_D": "1e-10"}', "eps_D"), ('{"trace_t_max": true}', "trace_t_max"),
+    ('{"eps_D": "1e-10"}', "eps_D"), ('{"tol_type": "1e-8"}', "tol_type"),
+    ('{"trace_t_max": true}', "trace_t_max"),
     ('{"atol": NaN}', "atol"), ('{"trace_t_max": Infinity}', "trace_t_max"),
     ('{"trace_s_max": -1}', "trace_s_max"), ('{"out_dir": 3}', "out_dir"), ('{"strict": 1}', "strict"),
     ("null", "JSON object"), ("5", "JSON object")])
@@ -249,12 +245,35 @@ def test_allocation_failure_is_an_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: Unable to allocate 23.8 GiB for an array\n"
 
 
-def test_tol_ext_is_no_config_key(tmp_path, capsys):
+def test_transport_where_rho_does_not_grow_is_an_error(tmp_path, capsys, monkeypatch):
+    # the level 1 of 1 + |z|^2 is its critical point 0, where the flow of Z stands still
+    poly = tmp_path / "one.json"
+    poly.write_text('{"terms": [{"a": [0, 0], "b": [0, 0], "re": 1}, '
+                    '{"a": [1, 0], "b": [1, 0], "re": 1}, {"a": [0, 1], "b": [0, 1], "re": 1}]}')
+    assert run(["transport", "--poly", poly, "--r1", 1, "--r2", 2, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rho does not grow along the flow") and err.count("\n") == 1
+    assert "(measured rate 0.0)" in err
+
+    # report reaches its transport stage only at a regular level, so stall the probe flow there
+    monkeypatch.setattr("mafoliate.foliation.flow_point", lambda p, q, time, cfg=None: q)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text('{"tol_ext": 1e-7}')
-    assert run(["trace-leaf", "--poly", "fub", "--point=1,0,0,0", "--config", cfg_path,
-                "--out", tmp_path]) == 2
-    assert capsys.readouterr().err == "error: unknown config keys ['tol_ext']\n"
+    cfg_path.write_text(json.dumps({"samples": 100, "fit_samples": 30, "trials": 20,
+                                    "transport_samples": 2, "trace_step": 0.1}))
+    assert run(["report", "--poly", "euc", "--config", cfg_path, "--out", tmp_path]) == 0
+    doc = read_json(tmp_path / "report.json")["analysis"]
+    assert doc["transport"]["error"].startswith("rho does not grow along the flow")
+    assert doc["ok"] is False
+
+
+def test_tol_ext_is_no_config_key(tmp_path, capsys):
+    # the ray-limit bound and the Levi-degeneracy threshold are constants
+    cfg_path = tmp_path / "cfg.json"
+    for key, value in (("tol_ext", 1e-7), ("eps_D", 1e-10)):
+        cfg_path.write_text(json.dumps({key: value}))
+        assert run(["trace-leaf", "--poly", "fub", "--point=1,0,0,0", "--config", cfg_path,
+                    "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == f"error: unknown config keys ['{key}']\n"
 
 
 def test_report_embeds_the_subcommand_records(tmp_path):

@@ -61,7 +61,7 @@ def test_flow_call_evaluates_rho_and_the_two_polynomials_of_Z(p, points, evaluat
             out = flow(0.0, _pack(z1, z2))
             assert len(evaluations) == 3
             assert evaluations[0] is p
-            g = gradient(p, mf.Point(z1, z2), EPS_D_DEFAULT)
+            g = gradient(p, mf.Point(z1, z2))
             assert g.method == "polynomial"
             assert bits(out) == bits(_pack(rot * g.Z1, rot * g.Z2))
 
@@ -110,8 +110,8 @@ def test_method_names_the_branch():
     assert mf.extend_gradient(mf.load("quartic"), mf.Point(1.0, 1.0)).method == "cofactor"
     assert (mf.extend_gradient(mf.load("weighted"), mf.Point(0.0, 1.0)).method
             == "ray_limit_extension")
-    assert gradient(mf.load("weighted"), mf.Point(0.0, 1.0), EPS_D_DEFAULT).method == "polynomial"
-    assert gradient(mf.load("bad"), mf.Point(1.0, 1.0), EPS_D_DEFAULT).method == "cofactor"
+    assert gradient(mf.load("weighted"), mf.Point(0.0, 1.0)).method == "polynomial"
+    assert gradient(mf.load("bad"), mf.Point(1.0, 1.0)).method == "cofactor"
     assert mf.complex_gradient(mf.eval_jet(mf.load("fub"), mf.Point(1.0, 0.5))).method == "cofactor"
 
 

@@ -199,7 +199,7 @@ def test_pinned_extension_fails_on_an_order3_line_where_the_exact_Z_is_defined()
     assert linear(1 + 1j, 1 - 1j)(*q.as_pair()) == 0
     with pytest.raises(mf.NoConvergence):
         mf.extend_gradient(p, q)
-    g = gradient(p, q, 1e-10)
+    g = gradient(p, q)
     assert abs(g.pairing_check) <= 1e-12 * p(*q.as_pair()).real
 
 
@@ -207,20 +207,20 @@ def test_gradients_is_gradient_at_every_point():
     generic = [mf.Point(0.5, 0.5j), mf.Point(1.0, -0.3)]
     for p, pts in ((mf.load("weighted"), [mf.Point(0.0, 1.0), *generic]),
                    (mf.load("quartic"), [mf.Point(1.0, 0.0), *generic]), (mf.load("bad"), generic)):
-        Z1, Z2 = gradients(p, [q.z1 for q in pts], [q.z2 for q in pts], 1e-10)
+        Z1, Z2 = gradients(p, [q.z1 for q in pts], [q.z2 for q in pts])
         for q, a, b in zip(pts, Z1, Z2):
-            g = gradient(p, q, 1e-10)
+            g = gradient(p, q)
             assert (a, b) == (g.Z1, g.Z2)
     for name in ("weighted", "bad"):
         with pytest.raises(mf.NonPositiveRho):
-            gradients(mf.load(name), [1.0, 0.0], [1.0, 0.0], 1e-10)
+            gradients(mf.load(name), [1.0, 0.0], [1.0, 0.0])
     # bad is Levi-degenerate on both axes, where its ray limits do not exist
     for q, error in ((mf.Point(0.0, 1.0), mf.NoConvergence),
                      (mf.Point(1.0, 0.0), mf.AllRaysDegenerate)):
         with pytest.raises(error) as want:
-            gradient(mf.load("bad"), q, 1e-10)
+            gradient(mf.load("bad"), q)
         with pytest.raises(error) as got:
-            gradients(mf.load("bad"), [0.5, q.z1], [0.5j, q.z2], 1e-10)
+            gradients(mf.load("bad"), [0.5, q.z1], [0.5j, q.z2])
         assert str(got.value) == str(want.value)
 
 
