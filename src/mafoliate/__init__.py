@@ -33,6 +33,7 @@ from .calculus import (
 from .corpus import CORPUS_NAMES, MA_CORPUS_NAMES, corpus, load, ma_corpus
 from .errors import (
     AllRaysDegenerate,
+    CoefficientOverflow,
     ComplexEigenvalues,
     DegenerateLevi,
     FlowEscape,
@@ -48,6 +49,7 @@ from .errors import (
     RankDeficientSamples,
     RealityViolation,
     TypeCapExceeded,
+    UnreachableLevel,
     VanishingPhi,
     ZeroDifferential,
 )

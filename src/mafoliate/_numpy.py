@@ -1,0 +1,28 @@
+"""numpy, imported on its first attribute access.
+
+Every module takes ``np`` from here, so a command that never touches an array
+(``type-at``, ``--help``) does not pay for numpy's import.  numpy stays a hard
+dependency: without it, importing this module fails.  The recipe is the one
+for ``importlib.util.LazyLoader`` in the Python documentation.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+
+
+def _lazy(name: str):
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy("numpy")

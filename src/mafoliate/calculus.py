@@ -60,15 +60,21 @@ import hashlib
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
-from .errors import MalformedPolynomial, NegativeExponent, NonPositiveRho, RealityViolation
+from ._numpy import np
+from .errors import (
+    CoefficientOverflow,
+    MalformedPolynomial,
+    NegativeExponent,
+    NonPositiveRho,
+    RealityViolation,
+)
 
 VARIABLES = ("z1", "z2", "zbar1", "zbar2")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -355,9 +361,17 @@ class Polynomial:
     def _compile(self):
         if self._compiled is None:
             d = self._den
+            rows = []
             # graded lexicographic, as canonical_terms: __call__ sums the rows in this order
-            rows = [(*k, complex(re / d, im / d))
-                    for k, (re, im) in sorted(self._num.items(), key=lambda kv: _grlex(kv[0]))]
+            for k, (re, im) in sorted(self._num.items(), key=lambda kv: _grlex(kv[0])):
+                try:
+                    rows.append((*k, complex(re / d, im / d)))
+                except OverflowError as exc:
+                    magnitude = math.log10(max(abs(re), abs(im))) - math.log10(d)
+                    raise CoefficientOverflow(
+                        f"the coefficient of the monomial z1^{k[0]} z2^{k[1]} zbar1^{k[2]} "
+                        f"zbar2^{k[3]} has magnitude about 1e{magnitude:.0f}, beyond the "
+                        f"largest double ({sys.float_info.max:.2g})") from exc
             self._compiled = (rows, self.max_exponents())
         return self._compiled
 
@@ -655,7 +669,6 @@ def _evaluate_chunk(stack: _Stack, z1: np.ndarray, z2: np.ndarray):
     return total_r, total_i
 
 
-@np.errstate(all="ignore")
 def evaluate_many(polys: Sequence[Polynomial], z1, z2) -> np.ndarray:
     """Values of each polynomial at each point (z1[i], z2[i]): a complex array (len(polys), N).
 
@@ -666,15 +679,16 @@ def evaluate_many(polys: Sequence[Polynomial], z1, z2) -> np.ndarray:
     in row order.  Points are taken in chunks, so the temporaries stay small
     for any N.
     """
-    z1, z2 = (z.reshape(-1) for z in np.broadcast_arrays(np.asarray(z1, dtype=complex),
-                                                         np.asarray(z2, dtype=complex)))
-    stack = _stacked(tuple(polys))
-    out = np.empty((stack.count, len(z1)), dtype=complex)
-    step = stack.points_per_chunk()
-    for start in range(0, len(z1), step):
-        part = slice(start, start + step)
-        out.real[:, part], out.imag[:, part] = _evaluate_chunk(stack, z1[part], z2[part])
-    return out
+    with np.errstate(all="ignore"):
+        z1, z2 = (z.reshape(-1) for z in np.broadcast_arrays(np.asarray(z1, dtype=complex),
+                                                             np.asarray(z2, dtype=complex)))
+        stack = _stacked(tuple(polys))
+        out = np.empty((stack.count, len(z1)), dtype=complex)
+        step = stack.points_per_chunk()
+        for start in range(0, len(z1), step):
+            part = slice(start, start + step)
+            out.real[:, part], out.imag[:, part] = _evaluate_chunk(stack, z1[part], z2[part])
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -715,24 +729,24 @@ def jet_stack(p: Polynomial) -> tuple[Polynomial, ...]:
     return (p, jp.d1, jp.d2, jp.h11, jp.h12, jp.h21, jp.h22, jp.det)
 
 
-@np.errstate(all="ignore")
 def jets_from_values(z1: np.ndarray, z2: np.ndarray, values: np.ndarray) -> JetBatch:
     """The JetBatch at the points from evaluate_many's values there, whose first
     rows are those of jet_stack(p)."""
-    rho, d1, d2, h11, h12, h21, h22, det = values[:8]
-    re, im = values.real, values.imag  # rows: rho, d1, d2, h11, h12, h21, h22, det
-    # D = (h11 h22 - h12 h21).real
-    D = (re[3] * re[6] - im[3] * im[6]) - (re[4] * re[5] - im[4] * im[5])
-    # B's four products (u * v) * w side by side: h11 d2 conj(d2), h22 d1 conj(d1),
-    # h12 conj(d1) d2 and h21 d1 conj(d2); only their real parts enter B
-    v_i = im[[2, 1, 1, 1]]
-    v_i[2] = -v_i[2]
-    w_i = -im[[2, 1, 2, 2]]
-    w_i[2] = -w_i[2]
-    uv_r, uv_i = cmul(re[[3, 6, 4, 5]], im[[3, 6, 4, 5]], re[[2, 1, 1, 1]], v_i)
-    x = uv_r * re[[2, 1, 2, 2]] - uv_i * w_i
-    B = ((x[0] + x[1]) - x[2]) - x[3]
-    return JetBatch(z1, z2, rho.real, d1, d2, h11, h12, h21, h22, D, B, det.real)
+    with np.errstate(all="ignore"):
+        rho, d1, d2, h11, h12, h21, h22, det = values[:8]
+        re, im = values.real, values.imag  # rows: rho, d1, d2, h11, h12, h21, h22, det
+        # D = (h11 h22 - h12 h21).real
+        D = (re[3] * re[6] - im[3] * im[6]) - (re[4] * re[5] - im[4] * im[5])
+        # B's four products (u * v) * w side by side: h11 d2 conj(d2), h22 d1 conj(d1),
+        # h12 conj(d1) d2 and h21 d1 conj(d2); only their real parts enter B
+        v_i = im[[2, 1, 1, 1]]
+        v_i[2] = -v_i[2]
+        w_i = -im[[2, 1, 2, 2]]
+        w_i[2] = -w_i[2]
+        uv_r, uv_i = cmul(re[[3, 6, 4, 5]], im[[3, 6, 4, 5]], re[[2, 1, 1, 1]], v_i)
+        x = uv_r * re[[2, 1, 2, 2]] - uv_i * w_i
+        B = ((x[0] + x[1]) - x[2]) - x[3]
+        return JetBatch(z1, z2, rho.real, d1, d2, h11, h12, h21, h22, D, B, det.real)
 
 
 def eval_jets(p: HermitianPolynomial, z1, z2) -> JetBatch:

@@ -20,9 +20,8 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
+from ._numpy import np
 from .calculus import (
     HermitianPolynomial,
     Point,
@@ -132,12 +131,8 @@ def _jsonable(obj):
     if isinstance(obj, Point):
         z1, z2 = obj.as_pair()
         return [z1.real, z1.imag, z2.real, z2.imag]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
+    if type(obj).__module__ == "numpy":  # an array or scalar; asks nothing of numpy's import
+        return _jsonable(obj.tolist())
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -154,8 +149,26 @@ def _write_json(path: Path, p: HermitianPolynomial, analysis: dict) -> None:
     try:
         text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
     except ValueError as exc:
-        raise ValueError(f"{path.name} not written: the analysis holds a non-finite value") from exc
+        raise ValueError(f"{path.name} not written: the analysis holds a non-finite value "
+                         f"at {_non_finite_key(doc['analysis'], 'analysis')}") from exc
     path.write_text(text + "\n", "utf-8")
+
+
+def _non_finite_key(obj, key: str) -> str | None:
+    """The key of the first non-finite float in a _jsonable document, in sorted key order."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else key
+    if isinstance(obj, dict):
+        items = ((f"{key}.{k}", obj[k]) for k in sorted(obj))
+    elif isinstance(obj, list):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for sub_key, value in items:
+        found = _non_finite_key(value, sub_key)
+        if found:
+            return found
+    return None
 
 
 class _StageClock:
@@ -349,11 +362,6 @@ def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     doc["bracket_identities"] = {key: max([0.0, *(getattr(r, key) for r in reps)]) for key in
                                  ("defect_llbar", "defect_lz", "defect_lzbar", "defect_zzbar")}
 
-    with clock("type"):
-        probes = level_set_samples(p, 1.0, 3, seed=cfg.seed)
-        doc["type"] = [point_type(p, q, m_max=cfg.m_max, tol=cfg.tol_type).to_json_dict()
-                       for q in probes]
-
     with clock("burns"):
         try:
             doc["burns"] = _record(burns_verify(p, seed=cfg.seed))
@@ -361,14 +369,26 @@ def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
         except NotHomogeneous as exc:
             doc["burns"] = {"skipped": str(exc)}
 
+    probes: list[Point] = []  # on the level rho = 1, for the type and trace stages
+
+    def type_stage() -> list[dict]:
+        probes.extend(level_set_samples(p, 1.0, 3, seed=cfg.seed))
+        return [point_type(p, q, m_max=cfg.m_max, tol=cfg.tol_type).to_json_dict()
+                for q in probes]
+
+    def trace_stage() -> dict:
+        if not probes:
+            raise MafoliateError("no probe point on the level rho = 1 to trace from")
+        return _trace_stage(p, cfg, probes[0])[1]
+
     # the remaining stages presuppose the equation; on a failing input their
     # errors are analysis outcomes and belong in the record, not on stderr
     for name, stage, passed in (
+            ("type", type_stage, lambda rec: True),
             ("fit_and_weights", lambda: _fit_weights_dict(p, cfg, rng), _weights_ok),
             ("transport", lambda: _transport_stage(p, cfg, 1.0, 2.0),
              lambda rec: rec["max_landing_defect"] < 1e-6),
-            ("trace", lambda: _trace_stage(p, cfg, probes[0])[1],
-             lambda rec: rec["monotone_growth"])):
+            ("trace", trace_stage, lambda rec: rec["monotone_growth"])):
         try:
             with clock(name):
                 doc[name] = stage()

@@ -21,6 +21,11 @@ class MalformedPolynomial(MafoliateError, TypeError):
     """A polynomial source or coefficient has the wrong type (a JSON number where terms belong)."""
 
 
+class CoefficientOverflow(MafoliateError, OverflowError):
+    """An exact coefficient, of the input or of a polynomial derived from it, is too
+    large for a double, so the polynomial cannot be evaluated."""
+
+
 class NonPositiveRho(MafoliateError):
     """An operation that requires rho > 0 was invoked where rho <= 0."""
 
@@ -53,6 +58,11 @@ class AllRaysDegenerate(MafoliateError):
 class FlowEscape(MafoliateError):
     """A flow trajectory left the domain rho > 0, exhausted its step budget, or does not
     raise rho (so no flow time reaches another level)."""
+
+
+class UnreachableLevel(MafoliateError):
+    """Radial root-finding finds no regular point of a level set {rho = r}: rho does not
+    cross r along a ray, or r is a critical value, met where the ray starts."""
 
 
 class IncompleteTrace(MafoliateError):

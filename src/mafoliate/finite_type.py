@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .calculus import (
     HermitianPolynomial,
     Point,
@@ -276,7 +275,6 @@ def _project(v: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, _peak(v - c * b)
 
 
-@np.errstate(all="ignore")
 def bracket_identities(p: HermitianPolynomial, z1, z2) -> list[BracketIdentityReport]:
     """The bracket identity defects at every point (z1[i], z2[i]), from one evaluation.
 
@@ -284,61 +282,64 @@ def bracket_identities(p: HermitianPolynomial, z1, z2) -> list[BracketIdentityRe
     where the jet's D or the det polynomial is <= EPS_D_DEFAULT, ZeroDifferential where
     L vanishes.  Vectors are arrays of shape (components, points).
     """
-    z1 = np.asarray(z1, dtype=complex).ravel()
-    z2 = np.asarray(z2, dtype=complex).ravel()
-    values = evaluate_many(_identity_polynomials(p), z1, z2)
-    jets = jets_from_values(z1, z2, values)
-    llbar, n = values[8:12], values[12:14]
-    dn, ddet, dL = values[14:22].reshape(2, 4, -1), values[22:26], values[26:34].reshape(2, 4, -1)
-    D, det = jets.D, jets.det
-    L = np.stack([jets.d2, -jets.d1])  # (1,0) part of L; its (0,1) part is zero
-    L_norm2 = (L.conjugate() * L).real.sum(axis=0)
-    bad = np.flatnonzero((D <= EPS_D_DEFAULT) | (det <= EPS_D_DEFAULT) | (L_norm2 == 0.0))
-    if bad.size:
-        i = bad[0]
-        worst = D[i] if D[i] <= EPS_D_DEFAULT else det[i]
-        if worst <= EPS_D_DEFAULT:
-            raise degenerate_levi(worst.item(), jets.pair(i))
-        raise ZeroDifferential(f"L vanishes at {jets.pair(i)}")
-    Z = np.stack(complex_gradients(jets)[:2])
-    Zc = Z.conjugate()
+    with np.errstate(all="ignore"):
+        z1 = np.asarray(z1, dtype=complex).ravel()
+        z2 = np.asarray(z2, dtype=complex).ravel()
+        values = evaluate_many(_identity_polynomials(p), z1, z2)
+        jets = jets_from_values(z1, z2, values)
+        llbar, n = values[8:12], values[12:14]
+        dn, ddet = values[14:22].reshape(2, 4, -1), values[22:26]
+        dL = values[26:34].reshape(2, 4, -1)
+        D, det = jets.D, jets.det
+        L = np.stack([jets.d2, -jets.d1])  # (1,0) part of L; its (0,1) part is zero
+        L_norm2 = (L.conjugate() * L).real.sum(axis=0)
+        bad = np.flatnonzero((D <= EPS_D_DEFAULT) | (det <= EPS_D_DEFAULT) | (L_norm2 == 0.0))
+        if bad.size:
+            i = bad[0]
+            worst = D[i] if D[i] <= EPS_D_DEFAULT else det[i]
+            if worst <= EPS_D_DEFAULT:
+                raise degenerate_levi(worst.item(), jets.pair(i))
+            raise ZeroDifferential(f"L vanishes at {jets.pair(i)}")
+        Z = np.stack(complex_gradients(jets)[:2])
+        Zc = Z.conjugate()
 
-    # (a) [L, Lbar] against the cofactor field D (Z - Zbar)
-    defect_llbar = _peak(llbar - np.concatenate([D * Z, -D * Zc])) / (1.0 + np.abs(D) * _peak(Z))
+        # (a) [L, Lbar] against the cofactor field D (Z - Zbar)
+        defect_llbar = (_peak(llbar - np.concatenate([D * Z, -D * Zc]))
+                        / (1.0 + np.abs(D) * _peak(Z)))
 
-    # partials of Z = N / det by the quotient rule: dZ[j, k] is Z^j derived in VARIABLES[k]
-    dZ = (dn * det - n[:, None] * ddet) / det**2
-    dZb = dZ[:, 2:]
+        # partials of Z = N / det by the quotient rule: dZ[j, k] is Z^j derived in VARIABLES[k]
+        dZ = (dn * det - n[:, None] * ddet) / det**2
+        dZb = dZ[:, 2:]
 
-    # (b) [L, Z] = phi1 L
-    lz = (L * dZ[:, :2]).sum(axis=1) - (Z * dL[:, :2]).sum(axis=1)
-    phi1, r = _project(lz, L)
-    defect_lz = r / (1.0 + _peak(lz))
+        # (b) [L, Z] = phi1 L
+        lz = (L * dZ[:, :2]).sum(axis=1) - (Z * dL[:, :2]).sum(axis=1)
+        phi1, r = _project(lz, L)
+        defect_lz = r / (1.0 + _peak(lz))
 
-    # (c) [L, Zbar] = psi1 L + psi2 Lbar, part by part
-    lzb_10 = -(Zc * dL[:, 2:]).sum(axis=1)
-    lzb_01 = (L * dZb.conjugate()).sum(axis=1)
-    psi1, r1 = _project(lzb_10, L)
-    psi2, r2 = _project(lzb_01, L.conjugate())
-    defect_lzbar = np.maximum(r1, r2) / (1.0 + np.maximum(_peak(lzb_10), _peak(lzb_01)))
+        # (c) [L, Zbar] = psi1 L + psi2 Lbar, part by part
+        lzb_10 = -(Zc * dL[:, 2:]).sum(axis=1)
+        lzb_01 = (L * dZb.conjugate()).sum(axis=1)
+        psi1, r1 = _project(lzb_10, L)
+        psi2, r2 = _project(lzb_01, L.conjugate())
+        defect_lzbar = np.maximum(r1, r2) / (1.0 + np.maximum(_peak(lzb_10), _peak(lzb_01)))
 
-    # (d) [Z, Zbar] = eta1 L + eta2 Lbar, equivalently tangent to the level set
-    zzb_10 = -(Zc * dZb).sum(axis=1)
-    zzb_01 = (Z * dZb.conjugate()).sum(axis=1)
-    eta1, r1 = _project(zzb_10, L)
-    eta2, r2 = _project(zzb_01, L.conjugate())
-    scale_d = 1.0 + np.maximum(_peak(zzb_10), _peak(zzb_01))
-    defect_zzbar = np.maximum(r1, r2) / scale_d
-    d = np.stack([jets.d1, jets.d2])
-    drho = (d * zzb_10).sum(axis=0) + (d.conjugate() * zzb_01).sum(axis=0)
-    drho_zzbar = np.abs(drho) / ((1.0 + _peak(d)) * scale_d)
+        # (d) [Z, Zbar] = eta1 L + eta2 Lbar, equivalently tangent to the level set
+        zzb_10 = -(Zc * dZb).sum(axis=1)
+        zzb_01 = (Z * dZb.conjugate()).sum(axis=1)
+        eta1, r1 = _project(zzb_10, L)
+        eta2, r2 = _project(zzb_01, L.conjugate())
+        scale_d = 1.0 + np.maximum(_peak(zzb_10), _peak(zzb_01))
+        defect_zzbar = np.maximum(r1, r2) / scale_d
+        d = np.stack([jets.d1, jets.d2])
+        drho = (d * zzb_10).sum(axis=0) + (d.conjugate() * zzb_01).sum(axis=0)
+        drho_zzbar = np.abs(drho) / ((1.0 + _peak(d)) * scale_d)
 
-    defects = zip(*(a.tolist() for a in (defect_llbar, defect_lz, defect_lzbar, defect_zzbar,
-                                         drho_zzbar)))
-    coefficients = zip(*(a.tolist() for a in (phi1, psi1, psi2, eta1, eta2)))
-    names = ("phi1", "psi1", "psi2", "eta1", "eta2")
-    return [BracketIdentityReport(Point(a, b), *dv, dict(zip(names, cv)))
-            for a, b, dv, cv in zip(z1.tolist(), z2.tolist(), defects, coefficients)]
+        defects = zip(*(a.tolist() for a in (defect_llbar, defect_lz, defect_lzbar, defect_zzbar,
+                                             drho_zzbar)))
+        coefficients = zip(*(a.tolist() for a in (phi1, psi1, psi2, eta1, eta2)))
+        names = ("phi1", "psi1", "psi2", "eta1", "eta2")
+        return [BracketIdentityReport(Point(a, b), *dv, dict(zip(names, cv)))
+                for a, b, dv, cv in zip(z1.tolist(), z2.tolist(), defects, coefficients)]
 
 
 def bracket_identities_check(p: HermitianPolynomial, q: Point) -> BracketIdentityReport:

@@ -44,8 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .calculus import (
     HermitianPolynomial,
     Point,
@@ -63,6 +62,7 @@ from .errors import (
     NotHomogeneous,
     NotPositive,
     RankDeficientSamples,
+    UnreachableLevel,
 )
 from .finite_type import gradient_field, gradients
 from .monge_ampere import (
@@ -537,8 +537,14 @@ def level_set_samples(p: HermitianPolynomial, r: float, count: int,
                 break
             hi *= 1.5
         else:
-            raise ValueError(f"cannot bracket the level rho = {r} along {v}")
-        t_star = brentq(along, 1e-12, hi, xtol=1e-14, rtol=8.9e-16)
+            raise UnreachableLevel(f"cannot bracket the level rho = {r} along {v}")
+        try:
+            t_star = brentq(along, 1e-12, hi, xtol=1e-14, rtol=8.9e-16)
+        except ValueError as exc:  # rho - r has one sign at both ends, or is NaN
+            raise UnreachableLevel(f"cannot bracket the level rho = {r} along {v}: {exc}") from exc
+        if t_star == 1e-12:  # rho = r already where the ray starts, at the origin
+            raise UnreachableLevel(f"rho = {r} is a critical level: along {v} its root is the "
+                                   f"bracket's lower end t = 1e-12, at the origin")
         out.append(Point(t_star * v[0], t_star * v[1]))
     return out
 

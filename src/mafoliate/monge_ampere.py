@@ -43,8 +43,7 @@ import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .calculus import (
     SWEEP_BLOCK,
     HermitianPolynomial,
@@ -133,20 +132,20 @@ def complex_gradient(jet: WirtingerJet) -> GradientValue:
     return GradientValue(Z1, Z2, pairing)
 
 
-@np.errstate(all="ignore")
 def complex_gradients(jets: JetBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Z1, Z2 and the pairing defect at every point of the batch, bit for bit as
     complex_gradient computes them.  Entries where D <= EPS_D_DEFAULT mean nothing: the
     caller checks ``jets.D`` where complex_gradient would raise."""
-    h = np.stack([jets.h22, jets.h21, jets.h11, jets.h12])
-    db = np.stack([jets.d1, jets.d2, jets.d2, jets.d1]).conjugate()
-    # cofactor products h22 db1, h21 db2, h11 db2, h12 db1, then the two differences
-    p_r, p_i = cmul(h.real, h.imag, db.real, db.imag)
-    Z_r, Z_i = cdiv_real(p_r[::2] - p_r[1::2], p_i[::2] - p_i[1::2], jets.D)
-    d = np.stack([jets.d1, jets.d2])
-    q_r, q_i = cmul(d.real, d.imag, Z_r, Z_i)
-    Z = complex_array(Z_r, Z_i)
-    return Z[0], Z[1], complex_array((q_r[0] + q_r[1]) - jets.rho, q_i[0] + q_i[1])
+    with np.errstate(all="ignore"):
+        h = np.stack([jets.h22, jets.h21, jets.h11, jets.h12])
+        db = np.stack([jets.d1, jets.d2, jets.d2, jets.d1]).conjugate()
+        # cofactor products h22 db1, h21 db2, h11 db2, h12 db1, then the two differences
+        p_r, p_i = cmul(h.real, h.imag, db.real, db.imag)
+        Z_r, Z_i = cdiv_real(p_r[::2] - p_r[1::2], p_i[::2] - p_i[1::2], jets.D)
+        d = np.stack([jets.d1, jets.d2])
+        q_r, q_i = cmul(d.real, d.imag, Z_r, Z_i)
+        Z = complex_array(Z_r, Z_i)
+        return Z[0], Z[1], complex_array((q_r[0] + q_r[1]) - jets.rho, q_i[0] + q_i[1])
 
 
 def require_nondegenerate(jets: JetBatch) -> None:

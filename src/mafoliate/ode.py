@@ -17,11 +17,14 @@ ch. 4 for the root finder.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
-import numpy as np
+from ._numpy import np
 
-EPS = np.finfo(float).eps
+EPS = sys.float_info.epsilon
 SAFETY = 0.9      # multiplies steps predicted from the asymptotic error
 MIN_FACTOR = 0.2  # smallest allowed decrease of the step
 MAX_FACTOR = 10   # largest allowed increase of the step
@@ -30,26 +33,44 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 REACHED_END = "The solver successfully reached the end of the integration interval."
 BRENT_MAXITER = 100
 
-# Dormand-Prince tableau; E = (5th-order weights) - (4th-order weights), and P
-# gives the quartic dense output with Shampine's optimum c_6.
-C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
-B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+class Tableau(NamedTuple):
+    """Dormand-Prince coefficients: nodes C, stages A, weights B, error E, dense output P."""
+
+    C: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    E: np.ndarray
+    P: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def tableau() -> Tableau:
+    """The Dormand-Prince tableau as float arrays, built on first use.
+
+    E = (5th-order weights) - (4th-order weights), and P gives the quartic
+    dense output with Shampine's optimum c_6.
+    """
+    return Tableau(
+        C=np.array([0, 1/5, 3/10, 4/5, 8/9, 1]),
+        A=np.array([
+            [0, 0, 0, 0, 0],
+            [1/5, 0, 0, 0, 0],
+            [3/40, 9/40, 0, 0, 0],
+            [44/45, -56/15, 32/9, 0, 0],
+            [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+            [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]]),
+        B=np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84]),
+        E=np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40]),
+        P=np.array([
+            [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+            [0, 0, 0, 0],
+            [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+            [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+            [0, 127303824393/49829197408, -318862633887/49829197408,
+             701980252875 / 199316789632],
+            [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+            [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]]))
 
 
 @dataclass
@@ -86,11 +107,12 @@ def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
 
 def _rk_step(fun, t, y, f, h, K):
     """One Dormand-Prince step; fills the stages into K and returns (y_new, f_new)."""
+    tab = tableau()
     K[0] = f
-    for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
+    for s, (a, c) in enumerate(zip(tab.A[1:], tab.C[1:]), start=1):
         dy = np.dot(K[:s].T, a[:s]) * h
         K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, B)
+    y_new = y + h * np.dot(K[:-1].T, tab.B)
     f_new = fun(t + h, y_new)
     K[-1] = f_new
     return y_new, f_new
@@ -136,7 +158,8 @@ def solve_ivp(fun, t_span, y0, method: str = "RK45", *, rtol: float, atol: float
     t = t0
     f = f_of(t, y)
     h_abs = _initial_step(f_of, t, y, f, t_bound, direction, rtol, atol)
-    K = np.empty((len(B) + 1, y.size))
+    tab = tableau()
+    K = np.empty((len(tab.E), y.size))
     ts, ys = [], []
     status, message = None, REACHED_END  # status: 0 reached the end, -1 step too small
     while status is None:
@@ -155,7 +178,7 @@ def solve_ivp(fun, t_span, y0, method: str = "RK45", *, rtol: float, atol: float
             h_abs = np.abs(h)
             y_new, f_new = _rk_step(f_of, t, y, f, h, K)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, E) * h / scale)
+            error_norm = _rms(np.dot(K.T, tab.E) * h / scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -184,8 +207,8 @@ def solve_ivp(fun, t_span, y0, method: str = "RK45", *, rtol: float, atol: float
         if t_eval_step.size > 0:
             h_step = t - t_old
             x = (t_eval_step - t_old) / h_step
-            powers = np.cumprod(np.tile(x, (P.shape[1], 1)), axis=0)
-            y_step = h_step * np.dot(K.T.dot(P), powers)
+            powers = np.cumprod(np.tile(x, (tab.P.shape[1], 1)), axis=0)
+            y_step = h_step * np.dot(K.T.dot(tab.P), powers)
             y_step += y_old[:, None]
             ts.append(t_eval_step)
             ys.append(y_step)

@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 import mafoliate as mf
+from mafoliate import cli
 from mafoliate.cli import main
 
 
@@ -143,13 +145,6 @@ def test_input_error_exit_codes(tmp_path, capsys):
         assert run(["check-ma", "--poly", tmp_path / name, "--out", tmp_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-    # 1e300 (|z1|^2 + |z2|^2) is finite, but its Levi determinant has coefficient 1e600
-    huge = tmp_path / "huge.json"
-    huge.write_text('{"terms": [{"a": [1, 0], "b": [1, 0], "re": 1e300}, '
-                    '{"a": [0, 1], "b": [0, 1], "re": 1e300}]}')
-    for argv in (["type-at", "--point", "1,0,0,0"], ["check-ma"]):
-        assert run([*argv, "--poly", huge, "--out", tmp_path]) == 2
-        assert capsys.readouterr().err == "error: integer division result too large for a float\n"
     # the origin lies outside the domain rho > 0, for gradient as for type-at and trace-leaf
     assert run(["gradient", "--poly", "euc", "--point=0,0,0,0", "--out", tmp_path / "origin"]) == 2
     err = capsys.readouterr().err
@@ -246,17 +241,13 @@ def test_allocation_failure_is_an_error(tmp_path, capsys, monkeypatch):
 
 
 def test_transport_where_rho_does_not_grow_is_an_error(tmp_path, capsys, monkeypatch):
-    # the level 1 of 1 + |z|^2 is its critical point 0, where the flow of Z stands still
-    poly = tmp_path / "one.json"
-    poly.write_text('{"terms": [{"a": [0, 0], "b": [0, 0], "re": 1}, '
-                    '{"a": [1, 0], "b": [1, 0], "re": 1}, {"a": [0, 1], "b": [0, 1], "re": 1}]}')
-    assert run(["transport", "--poly", poly, "--r1", 1, "--r2", 2, "--out", tmp_path]) == 2
+    # rho grows along the flow of Z at every regular point, so stall the probe flow
+    monkeypatch.setattr("mafoliate.foliation.flow_point", lambda p, q, time, cfg=None: q)
+    assert run(["transport", "--poly", "euc", "--r1", 1, "--r2", 2, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: rho does not grow along the flow") and err.count("\n") == 1
     assert "(measured rate 0.0)" in err
 
-    # report reaches its transport stage only at a regular level, so stall the probe flow there
-    monkeypatch.setattr("mafoliate.foliation.flow_point", lambda p, q, time, cfg=None: q)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"samples": 100, "fit_samples": 30, "trials": 20,
                                     "transport_samples": 2, "trace_step": 0.1}))
@@ -286,3 +277,80 @@ def test_report_embeds_the_subcommand_records(tmp_path):
     report = read_json(tmp_path / "report.json")["analysis"]
     assert report["transport"] == read_json(tmp_path / "transport.json")["analysis"]
     assert report["burns"] == read_json(tmp_path / "burns_verdict.json")["analysis"]
+
+
+def test_a_critical_level_is_an_error_and_report_records_it(tmp_path, capsys):
+    # the level 1 of 1 + |z1|^2 + |z2|^2 is its minimum, taken at the critical point 0
+    poly = tmp_path / "one.json"
+    poly.write_text('{"terms": [{"a": [0, 0], "b": [0, 0], "re": 1}, '
+                    '{"a": [1, 0], "b": [1, 0], "re": 1}, {"a": [0, 1], "b": [0, 1], "re": 1}]}')
+    assert run(["transport", "--poly", poly, "--r1", 1, "--r2", 2, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rho = 1.0 is a critical level: along [") and err.count("\n") == 1
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"samples": 100, "fit_samples": 30, "trials": 20,
+                                    "transport_samples": 2, "trace_step": 0.1}))
+    out = tmp_path / "report"
+    assert run(["report", "--poly", poly, "--config", cfg_path, "--out", out]) == 0
+    assert run(["report", "--poly", poly, "--config", cfg_path, "--out", out, "--strict"]) == 1
+    doc = read_json(out / "report.json")["analysis"]
+    assert doc["ok"] is False
+    for stage in ("type", "transport"):
+        assert doc[stage]["error"].startswith("rho = 1.0 is a critical level"), stage
+    assert doc["trace"] == {"error": "no probe point on the level rho = 1 to trace from"}
+    assert set(read_json(out / "report_meta.json")["stage_s"]) >= {"type", "trace"}
+
+
+def test_coefficient_overflow_names_the_monomial(tmp_path, capsys):
+    # 1e300 (|z1|^2 + |z2|^2) is finite, but its Levi determinant is the constant 1e600
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"terms": [{"a": [1, 0], "b": [1, 0], "re": 1e300}, '
+                    '{"a": [0, 1], "b": [0, 1], "re": 1e300}]}')
+    beyond = "has magnitude about 1e600, beyond the largest double (1.8e+308)\n"
+    for argv, monomial in ((["type-at", "--point", "1,0,0,0"], "z1^1 z2^0 zbar1^0 zbar2^0"),
+                           (["check-ma"], "z1^0 z2^0 zbar1^0 zbar2^0")):
+        assert run([*argv, "--poly", huge, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: the coefficient of the monomial {monomial} {beyond}"
+    # the gradient's exact Z is z itself; only the float product D = h11 h22 overflows
+    assert run(["gradient", "--point", "1,0,0,0", "--poly", huge, "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == ("error: gradient.json not written: the analysis holds a "
+                                       "non-finite value at analysis.D\n")
+    with pytest.raises(mf.CoefficientOverflow) as caught:
+        mf.calculus.jet_polynomials(mf.parse_polynomial(huge.read_text())).det(1, 0)
+    assert isinstance(caught.value, OverflowError)
+
+
+def _jsonable_before(obj):
+    """cli._jsonable as it was, with one isinstance branch per numpy type."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, mf.Point):
+        z1, z2 = obj.as_pair()
+        return [z1.real, z1.imag, z2.real, z2.imag]
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_jsonable_before(x) for x in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): _jsonable_before(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable_before(x) for x in obj]
+    return obj
+
+
+def test_numpy_values_serialize_as_before():
+    doc = {"f32": np.float32(0.1), "f64": [np.float64(1 / 3), (np.float64(-0.0),)],
+           "i64": {"n": np.int64(-7), 3: [np.int64(2**62)]},
+           "z": np.array([[1 + 2j, -0.5j], [np.inf, 0.0]]), "zs": [{"v": np.array([1.5, 2.5])}],
+           "c": np.complex128(1 - 1j), "p": mf.Point(1j, 2.0), "plain": [1, 2.5, "s", None, True]}
+    want = ('{"c": [1.0, -1.0], "f32": 0.10000000149011612, '
+            '"f64": [0.3333333333333333, [-0.0]], "i64": {"3": [4611686018427387904], "n": -7}, '
+            '"p": [0.0, 1.0, 2.0, 0.0], "plain": [1, 2.5, "s", null, true], '
+            '"z": [[[1.0, 2.0], [-0.0, -0.5]], [[Infinity, 0.0], [0.0, 0.0]]], '
+            '"zs": [{"v": [1.5, 2.5]}]}')
+    assert json.dumps(_jsonable_before(doc), sort_keys=True) == want
+    assert json.dumps(cli._jsonable(doc), sort_keys=True) == want

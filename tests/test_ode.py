@@ -134,3 +134,34 @@ def test_cli_import_leaves_scipy_out():
     src = str(Path(mf.__file__).resolve().parents[1])
     code = "import sys, mafoliate.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
     subprocess.run([sys.executable, "-c", code], check=True, cwd=src)
+
+
+def test_tableau_and_eps_are_the_values_numpy_built():
+    # the module-level arrays and np.finfo(float).eps these replaced, bit for bit
+    want = {
+        "C": np.array([0, 1/5, 3/10, 4/5, 8/9, 1]),
+        "A": np.array([
+            [0, 0, 0, 0, 0],
+            [1/5, 0, 0, 0, 0],
+            [3/40, 9/40, 0, 0, 0],
+            [44/45, -56/15, 32/9, 0, 0],
+            [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+            [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]]),
+        "B": np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84]),
+        "E": np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40]),
+        "P": np.array([
+            [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+            [0, 0, 0, 0],
+            [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+            [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+            [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+            [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+            [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]]),
+    }
+    got = ode.tableau()._asdict()
+    assert list(got) == list(want)
+    for name, array in want.items():
+        assert got[name].dtype == array.dtype == np.float64, name
+        assert got[name].shape == array.shape and got[name].tobytes() == array.tobytes(), name
+    assert ode.tableau() is ode.tableau()
+    assert type(ode.EPS) is float and ode.EPS == np.finfo(float).eps
