@@ -61,7 +61,6 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -96,8 +95,7 @@ def _as_fraction(x) -> Fraction:
     raise MalformedPolynomial(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(NamedTuple):
     """Exact complex number with rational parts: a coefficient entering or leaving a Polynomial."""
 
     re: Fraction
@@ -480,18 +478,22 @@ def _wrap_hermitian(p: Polynomial) -> HermitianPolynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point of C^2."""
-
+class _PointFields(NamedTuple):
     z1: complex
     z2: complex
 
-    def __post_init__(self):
-        for v in (self.z1, self.z2):
+
+class Point(_PointFields):
+    """A point of C^2."""
+
+    __slots__ = ()
+
+    def __new__(cls, z1: complex, z2: complex):
+        for v in (z1, z2):
             v = complex(v)
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError(f"non-finite point component {v}")
+        return super().__new__(cls, z1, z2)
 
     @classmethod
     def from_reals(cls, x1: float, y1: float, x2: float, y2: float) -> "Point":
@@ -504,8 +506,7 @@ class Point:
         return math.hypot(abs(self.z1), abs(self.z2))
 
 
-@dataclass(frozen=True, eq=False)
-class WirtingerJet:
+class WirtingerJet(NamedTuple):
     """Second-order Wirtinger data of rho at a point.
 
     ``levi[m][n]`` is rho_{(m+1) (n+1)bar}; ``D`` its determinant; ``B`` the
@@ -691,8 +692,7 @@ def evaluate_many(polys: Sequence[Polynomial], z1, z2) -> np.ndarray:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class JetBatch:
+class JetBatch(NamedTuple):
     """The fields of :class:`WirtingerJet` at N points, bit for bit as :func:`eval_jet` gives them.
 
     Real fields are float arrays, complex ones complex arrays.  ``det`` is the
@@ -761,8 +761,7 @@ def eval_jets(p: HermitianPolynomial, z1, z2) -> JetBatch:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class BidegreeProfile:
+class BidegreeProfile(NamedTuple):
     """Partition of a polynomial by bidegree (l, m).
 
     Components of mixed bidegree (l != m) are not individually real-valued;
@@ -795,8 +794,7 @@ def bidegree_decompose(p: Polynomial) -> BidegreeProfile:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinEigenReport:
+class MinEigenReport(NamedTuple):
     """Minimum Levi eigenvalue over a sample region, with the attaining point."""
 
     target: str

@@ -17,8 +17,8 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from ._numpy import np
@@ -62,10 +62,7 @@ from .monge_ampere import (
 )
 
 
-@dataclass
-class RunConfig:
-    """All knobs of a batch run; flags override config-file values override defaults."""
-
+class _RunFields(NamedTuple):
     tol_type: float = 1e-8
     rtol: float = 1e-10
     atol: float = 1e-10
@@ -83,18 +80,26 @@ class RunConfig:
     out_dir: str = "."
     strict: bool = False
 
-    def __post_init__(self):
+
+class RunConfig(_RunFields):
+    """All knobs of a batch run; flags override config-file values override defaults."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         least = {"grid": 1, "samples": 1, "fit_samples": 1, "fit_degree": 1, "trials": 1,
                  "transport_samples": 1, "seed": 0, "m_max": 2}  # the shortest bracket has length 2
         accepted = {"int": int, "float": (int, float), "str": str, "bool": bool}
-        for f in fields(self):  # f.type is the annotation's text, such as "float"
-            value, low = getattr(self, f.name), least.get(f.name)
-            if (isinstance(value, bool) != (f.type == "bool")
-                    or not isinstance(value, accepted[f.type]) or (low is not None and value < low)):
-                wanted = f"an integer of at least {low}" if low is not None else f"a {f.type}"
-                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
-            if f.type == "float" and not 0 < value < math.inf:
-                raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
+        for (name, ref), value in zip(_RunFields.__annotations__.items(), self):
+            kind, low = ref.__forward_arg__, least.get(name)  # the annotation's text, such as "float"
+            if (isinstance(value, bool) != (kind == "bool")
+                    or not isinstance(value, accepted[kind]) or (low is not None and value < low)):
+                wanted = f"an integer of at least {low}" if low is not None else f"a {kind}"
+                raise ValueError(f"{name} must be {wanted}, got {value!r}")
+            if kind == "float" and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        return self
 
     def flow(self) -> FlowConfig:
         return FlowConfig(rtol=self.rtol, atol=self.atol)
@@ -106,7 +111,7 @@ def _load_config(path: str | None) -> RunConfig:
     data = json.loads(Path(path).read_text("utf-8"))
     if not isinstance(data, dict):
         raise ValueError(f"config file must hold a JSON object, not {type(data).__name__}")
-    unknown = set(data) - {f.name for f in fields(RunConfig)}
+    unknown = set(data) - set(RunConfig._fields)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
     return RunConfig(**data)
@@ -219,8 +224,8 @@ def _sample_points(p: HermitianPolynomial, rng, count: int) -> list[Point]:
 
 
 def _record(obj, **extra) -> dict:
-    """A result dataclass as a report record: its fields by name, then the extra entries."""
-    return {**{f.name: getattr(obj, f.name) for f in fields(obj)}, **extra}
+    """A result record as a report record: its fields by name, then the extra entries."""
+    return {**obj._asdict(), **extra}
 
 
 def _ma_stage(p, pts: list[Point]) -> tuple[list, dict]:
@@ -341,7 +346,7 @@ def _cmd_transport(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bo
 def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     rng = np.random.default_rng(cfg.seed)
     # out_dir and strict are I/O plumbing, kept out of the deterministic document
-    cfg_echo = {k: v for k, v in asdict(cfg).items() if k not in ("out_dir", "strict")}
+    cfg_echo = {k: v for k, v in cfg._asdict().items() if k not in ("out_dir", "strict")}
     doc: dict = {"config": cfg_echo, "polynomial": serialize_polynomial(p)}
 
     with clock("ma"):
@@ -475,9 +480,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        cfg = replace(_load_config(args.config), **{
-            f.name: getattr(args, f.name) for f in fields(RunConfig)
-            if getattr(args, f.name, None) is not None})
+        # a new RunConfig, not _replace, which would skip the validation in __new__
+        cfg = RunConfig(**{**_load_config(args.config)._asdict(), **{
+            name: getattr(args, name) for name in RunConfig._fields
+            if getattr(args, name, None) is not None}})
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         clock = _StageClock()

@@ -13,6 +13,10 @@ Bracket words are enumerated left-normed, breadth-first by length.  Left-normed
 words span all bracket words of a given length (Jacobi identity), so the search
 is complete; antisymmetry makes [Lbar, L] redundant at length two.  All bracket
 coefficients are exact polynomials, and the pairing is evaluated pointwise.
+Conjugation commutes with the bracket and conj [L, Lbar] = -[L, Lbar], so
+swapping letters 3..m of a word of length m >= 3 turns its field V into
+-conj(V); ``bracket_level`` brackets out only the words whose third letter is
+L and reads the other half of each level off this symmetry.
 
 The complex gradient Z = (n1, n2) / det extends across the Levi-degenerate
 set, decided once per polynomial: where det divides both cofactor numerators
@@ -27,9 +31,9 @@ batch) take that decision.  The ray limit stays the exact Z's numeric oracle.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from itertools import islice, product
+from typing import Callable, NamedTuple, Sequence
 
 from ._numpy import np
 from .calculus import (
@@ -70,8 +74,7 @@ EXT_TOL_DEFAULT = 1e-7
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PolyVectorField:
+class PolyVectorField(NamedTuple):
     """Vector field with polynomial coefficients in the frame (d1, d2, dbar1, dbar2)."""
 
     c1: Polynomial
@@ -130,8 +133,7 @@ def pair_d_rho(p: HermitianPolynomial, field: PolyVectorField) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BracketWord:
+class BracketWord(NamedTuple):
     """Left-normed bracket expression over the generators L and Lbar."""
 
     leaf: str | None = None
@@ -168,23 +170,27 @@ def _generators(p: HermitianPolynomial) -> dict[str, PolyVectorField]:
 
 @lru_cache(maxsize=512)
 def bracket_level(p: HermitianPolynomial, length: int) -> tuple[tuple[BracketWord, PolyVectorField], ...]:
-    """All left-normed words of the given leaf count, breadth-first, [.., L] before [.., Lbar]."""
+    """All left-normed words of the given leaf count, breadth-first, [.., L] before [.., Lbar].
+
+    From length 3 on, only the first half of the level, the words whose third
+    letter is L, is bracketed out of the level before; the second half holds
+    their conjugates, in reverse order (see the module docstring)."""
     gens = _generators(p)
     if length < 2:
         raise ValueError("bracket words start at length 2")
     if length == 2:
         word = BracketWord.pair(BracketWord.generator("L"), BracketWord.generator("Lbar"))
         return ((word, lie_bracket(gens["L"], gens["Lbar"])),)
-    out = []
-    for word, field in bracket_level(p, length - 1):
-        for gname in ("L", "Lbar"):
-            out.append((BracketWord.pair(word, BracketWord.generator(gname)),
-                        lie_bracket(field, gens[gname])))
-    return tuple(out)
+    prev = bracket_level(p, length - 1)
+    words = [BracketWord.pair(word, BracketWord.generator(g)) for word, _ in prev for g in gens]
+    # the first len(prev) words are the ones whose third letter is L
+    fields = [lie_bracket(field, gens[g])
+              for (_, field), g in islice(product(prev, gens), len(prev))]
+    fields += [PolyVectorField(*(-c for c in field.conjugate())) for field in reversed(fields)]
+    return tuple(zip(words, fields))
 
 
-@dataclass(frozen=True, eq=False)
-class TypeReport:
+class TypeReport(NamedTuple):
     """Result of the type search at one point."""
 
     point: Point
@@ -231,8 +237,7 @@ def point_type(p: HermitianPolynomial, q: Point, m_max: int = TYPE_CAP_DEFAULT,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BracketIdentityReport:
+class BracketIdentityReport(NamedTuple):
     """Defects of the four Levi-form bracket identities at one point.
 
     * ``defect_llbar``: componentwise defect of [L, Lbar] - D (Z - Zbar),

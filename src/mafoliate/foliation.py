@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._numpy import np
 from .calculus import (
@@ -74,19 +73,24 @@ from .monge_ampere import (
 from .ode import brentq, solve_ivp
 
 
-@dataclass(frozen=True)
-class FlowConfig:
-    """Integrator policy shared by every flow-based operation."""
-
+class _FlowFields(NamedTuple):
     rtol: float = 1e-10
     atol: float = 1e-10
     max_steps: int = 500_000
 
-    def __post_init__(self):
-        if min(self.rtol, self.atol) <= 0:
-            raise ValueError("tolerances must be positive")
+
+class FlowConfig(_FlowFields):
+    """Integrator policy shared by every flow-based operation."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
+        return self
 
 
 def _pack(z1: complex, z2: complex) -> np.ndarray:
@@ -155,8 +159,7 @@ def make_grid(t_min: float, t_max: float, s_min: float, s_max: float,
     return t_min + step * np.arange(nt), s_min + step * np.arange(ns)
 
 
-@dataclass(eq=False)
-class LeafTrace:
+class LeafTrace(NamedTuple):
     """Image of a (t, s) grid under f(t + i s) = phi_t(psi_s(seed)), with node data."""
 
     poly: HermitianPolynomial
@@ -235,8 +238,7 @@ def _trace_diagnostics(seed, t_values, s_values, points, rho_values, u_values,
     return diag
 
 
-@dataclass(frozen=True)
-class LeafDiagnostics:
+class LeafDiagnostics(NamedTuple):
     """Grid-based checks of harmonicity, growth, and the parametrization law f' = Z(f)."""
 
     h_t: float
@@ -316,8 +318,7 @@ def _holomorphic_basis(degree: int) -> list[tuple[int, int]]:
             for b in (total - a,)]
 
 
-@dataclass(frozen=True)
-class HolomorphicFit:
+class HolomorphicFit(NamedTuple):
     """Least-squares model of Z on holomorphic monomials z1^a z2^b (no conjugates)."""
 
     degree: int
@@ -413,8 +414,7 @@ def _sphere_directions(count: int, seed: int = 718281828) -> np.ndarray:
     return np.array(vecs)
 
 
-@dataclass(frozen=True)
-class ZeroSetReport:
+class ZeroSetReport(NamedTuple):
     """Shell minima of |Z_fit| near the origin and any other numerical zeros found."""
 
     isolated_zero_at_origin: bool
@@ -453,8 +453,7 @@ def zero_set_check(fit: HolomorphicFit) -> ZeroSetReport:
                          tuple(shell_minima), tuple(other_zeros[:32]))
 
 
-@dataclass(frozen=True)
-class WeightEstimate:
+class WeightEstimate(NamedTuple):
     """Eigenvalues of the linear part of Z at its zero, sorted ascending."""
 
     c1: float
@@ -549,8 +548,7 @@ def level_set_samples(p: HermitianPolynomial, r: float, count: int,
     return out
 
 
-@dataclass(frozen=True)
-class TransportReport:
+class TransportReport(NamedTuple):
     """Landing and round-trip accuracy of the real-flow transport between level sets."""
 
     r1: float
@@ -599,8 +597,7 @@ def level_transport(p: HermitianPolynomial, r1: float, r2: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BurnsVerdict:
+class BurnsVerdict(NamedTuple):
     """Joint record of the exact Monge-Ampere and bidegree verdicts, and the sampled growth law."""
 
     k: int

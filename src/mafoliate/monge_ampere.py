@@ -40,8 +40,7 @@ object, since only those combinations extend across degenerate points.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._numpy import np
 from .calculus import (
@@ -65,8 +64,7 @@ SAMPLE_D_CUTOFF = 1e-6  # sampled points keep the det polynomial above this
 Vector = tuple[complex, complex]
 
 
-@dataclass(frozen=True)
-class MAReport:
+class MAReport(NamedTuple):
     """Residual record at one point; `normalized` is dimensionless in [-1, 1]."""
 
     point: Point
@@ -85,8 +83,7 @@ class MAReport:
         }
 
 
-@dataclass(frozen=True)
-class GradientValue:
+class GradientValue(NamedTuple):
     """Value of the complex gradient, the defect of d(rho)(Z) - rho, and the branch that
     gave it: "cofactor", or finite_type's "polynomial" or "ray_limit_extension"."""
 

@@ -18,7 +18,6 @@ ch. 4 for the root finder.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -73,8 +72,7 @@ def tableau() -> Tableau:
             [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]]))
 
 
-@dataclass
-class OdeResult:
+class OdeResult(NamedTuple):
     """States at the requested times (``y[:, k]`` at ``t[k]``) and the run's outcome."""
 
     t: np.ndarray

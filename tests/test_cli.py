@@ -206,6 +206,23 @@ def test_bad_integer_knob_is_rejected(tmp_path, capsys, knob, value):
     assert f"error: {knob} must be an integer of at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, knob", [("--grid", 0, "grid"), ("--seed", -1, "seed")])
+def test_bad_integer_flag_is_rejected(tmp_path, capsys, flag, value, knob):
+    # flags build a new RunConfig, which validates as a config file's values do
+    assert run(["check-ma", "--poly", "euc", flag, value, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {knob} must be an integer of at least") and err.count("\n") == 1
+    assert not (tmp_path / "ma_summary.json").exists()
+
+
+def test_records_validate_on_construction():
+    for bad in ({"rtol": 0}, {"atol": math.nan}, {"rtol": math.inf}):
+        with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+            mf.FlowConfig(**bad)
+    with pytest.raises(ValueError, match="non-finite point component"):
+        mf.Point(float("nan"), 0)
+
+
 @pytest.mark.parametrize("text, named", [
     ('{"eps_D": "1e-10"}', "eps_D"), ('{"tol_type": "1e-8"}', "tol_type"),
     ('{"trace_t_max": true}', "trace_t_max"),

@@ -9,7 +9,12 @@ from mafoliate.calculus import Polynomial
 from mafoliate.finite_type import bracket_level
 
 from conftest import TERMS, admissible_points
-from oracles import VARS, Z1, Z2, _field_bracket, conj_expr, poly_expr, sympy_type
+from oracles import (
+    VARS, Z1, Z2, _field_bracket, conj_expr, full_bracket_tower, poly_expr, sympy_type,
+)
+from test_batch_eval import forms_rho
+from test_bracket_batch import NONDIAGONAL
+from test_polynomial_gradient import shear_rho
 
 
 def pvf(c1=None, c2=None, cbar1=None, cbar2=None):
@@ -145,6 +150,27 @@ def test_bracket_tower_matches_sympy_term_by_term(corpus):
         if length < 4:
             level = [(f"[{name},{g}]", _field_bracket(field, gens[g]))
                      for name, field in level for g in ("L", "Lbar")]
+
+
+TOWER_INPUTS = {
+    **{name: lambda name=name: mf.load(name) for name in mf.CORPUS_NAMES},
+    **{f"nondiag{a}{b}": lambda a=a, b=b: forms_rho(NONDIAGONAL, a, b)
+       for a, b in ((2, 1), (3, 3), (4, 2))},
+    "shear31": lambda: shear_rho(3, 1),
+}
+
+
+@pytest.mark.parametrize("name", TOWER_INPUTS)
+def test_bracket_level_equals_the_full_recursion(name):
+    # the second half of each level comes from conjugation; the oracle brackets every word
+    p = TOWER_INPUTS[name]()
+    tower = full_bracket_tower(p, 7)
+    for length in range(2, 8):
+        got, want = bracket_level(p, length), tower[length]
+        assert [str(w) for w, _ in got] == [str(w) for w, _ in want], length
+        for (word, field), (ref_word, ref_field) in zip(got, want):
+            assert word == ref_word
+            assert field.components() == ref_field.components(), (length, str(word))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@
 SRC defaults to this checkout's src/.  Lines are counted as ``wc -l`` counts
 them, over every ``.py`` file under SRC.  A settable value is a function
 parameter with a default (positional or keyword-only, lambdas included) or a
-field with a default in a class decorated with ``dataclass``; both are counted
-over the syntax tree, so comments and strings never count.
+field with a default in a record class: one decorated with ``dataclass`` or
+one whose bases include ``NamedTuple``.  Both are counted over the syntax
+tree, so comments and strings never count.
 """
 
 from __future__ import annotations
@@ -18,23 +19,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-        if name == "dataclass":
-            return True
-    return False
+def _name(node: ast.expr) -> str | None:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A class decorated with dataclass, or with NamedTuple among its bases."""
+    decorators = (dec.func if isinstance(dec, ast.Call) else dec for dec in node.decorator_list)
+    return (any(_name(dec) == "dataclass" for dec in decorators)
+            or any(_name(base) == "NamedTuple" for base in node.bases))
 
 
 def settable_values(tree: ast.AST) -> int:
-    """Parameters with a default plus dataclass fields with a default."""
+    """Parameters with a default plus record fields with a default."""
     count = 0
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             count += len(node.args.defaults)
             count += sum(d is not None for d in node.args.kw_defaults)
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+        elif isinstance(node, ast.ClassDef) and _is_record(node):
             count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
     return count
 
