@@ -41,7 +41,7 @@ from .errors import (
     MafoliateError,
     MalformedPolynomial,
     NegativeExponent,
-    NoConvergence,
+    NoExtension,
     NonPositiveRho,
     NonVanishingAtCenter,
     NotHomogeneous,

@@ -15,7 +15,9 @@ Conventions used throughout the toolkit:
   over one denominator per polynomial (see :class:`Polynomial`), so all
   symbolic stages (derivatives, products, bracket towers) are exact integer
   arithmetic.  Pointwise evaluation happens in complex double precision, from
-  correctly rounded coefficients.
+  correctly rounded coefficients; :func:`on_line` restricts a polynomial to a
+  real line through a point exactly, taking the point's doubles as the dyadic
+  rationals they are.
 
 The pointwise second-order data of rho is collected in :class:`WirtingerJet`:
 value, holomorphic gradient, Levi matrix ``rho_{mu nubar}``, its determinant
@@ -42,7 +44,8 @@ bit may differ, and nothing in the toolkit reads it.  One-point callers keep
 the scalar path, which is faster at N = 1 and stays the reference the tests
 compare the batch against: the flow's right-hand side (``finite_type.gradient_field``),
 ``finite_type.gradient``, ``point_type`` and ``extension_ingredients``, the jet of
-``extend_gradient``, ``level_set_samples`` (Brent's method), the probes of
+``extend_gradient`` (whose limit at a Levi-degenerate point is exact, from
+:func:`on_line`), ``level_set_samples`` (Brent's method), the probes of
 ``level_transport`` and ``psh_min_eigen``.
 
 Interchange format (JSON-compatible)::
@@ -578,6 +581,24 @@ def eval_jet(p: HermitianPolynomial, q: Point) -> WirtingerJet:
     return WirtingerJet(q, rho, d1, d2, ((h11, h12), (h21, h22)), D, B)
 
 
+def on_line(f: Polynomial, q: Sequence[complex], v: Sequence[complex]) -> list[GaussianRational]:
+    """The exact coefficients c_0, ..., c_deg(f), in the real parameter t, of f(q + t v),
+    with q and v taken exactly (a double is a dyadic rational).  t takes z1's place in
+    Polynomial's arithmetic; as t is real, zbar_k = conj(q_k) + t conj(v_k)."""
+    t = Polynomial.variable("z1")
+    lines = [Polynomial.constant(a) + t * b for a, b in zip(q, v)]
+    lines += [Polynomial.constant(a.conjugate()) + t * b.conjugate() for a, b in zip(q, v)]
+    powers = [[line**e for e in range(top + 1)] for line, top in zip(lines, f.max_exponents())]
+    out = Polynomial.zero()
+    for key, c in f.terms.items():
+        term = Polynomial.constant(c)
+        for row, e in zip(powers, key):
+            term = term * row[e]
+        out = out + term
+    c, zero = out.terms, GaussianRational(Fraction(0), Fraction(0))
+    return [c.get((k, 0, 0, 0), zero) for k in range(max(f.total_degrees(), default=0) + 1)]
+
+
 # ---------------------------------------------------------------------------
 # batched evaluation: the scalar path's doubles at many points at once
 # ---------------------------------------------------------------------------
@@ -627,7 +648,7 @@ class _Stack(NamedTuple):
     top: int              # highest exponent
 
     def points_per_chunk(self) -> int:
-        # at least 64, so that the 56 points of a ray ladder take one chunk
+        # at least 64 points however many rows, so a chunk's numpy call overhead stays small
         return max(64, _CHUNK // max(len(self.re), self.depth * self.count, 4 * (self.top + 1)))
 
 

@@ -27,7 +27,7 @@ class CoefficientOverflow(MafoliateError, OverflowError):
 
 
 class NonPositiveRho(MafoliateError):
-    """An operation that requires rho > 0 was invoked where rho <= 0."""
+    """An operation that requires rho > 0 was invoked where rho <= 0 or is not finite."""
 
 
 class DegenerateLevi(MafoliateError):
@@ -47,12 +47,13 @@ class VanishingPhi(MafoliateError):
     """The transversality coefficient of the extension witness is numerically zero."""
 
 
-class NoConvergence(MafoliateError):
-    """Limit procedures (ray extrapolation, cross-checks) disagree beyond tolerance."""
+class NoExtension(MafoliateError):
+    """Z does not extend to the Levi-degenerate point: det < 0 there (the Levi form is
+    indefinite), or Z has a pole along an approach ray, or its limit depends on the ray."""
 
 
 class AllRaysDegenerate(MafoliateError):
-    """Every default approach ray stays inside the Levi-degenerate set."""
+    """det vanishes identically, or is negative next to the point, on every approach ray."""
 
 
 class FlowEscape(MafoliateError):

@@ -21,22 +21,23 @@ L and reads the other half of each level off this symmetry.
 The complex gradient Z = (n1, n2) / det extends across the Levi-degenerate
 set, decided once per polynomial: where det divides both cofactor numerators
 exactly, ``polynomial_gradient`` gives Z as a polynomial field, defined
-everywhere; otherwise ``extend_gradient`` takes the limit of the cofactor
-formula along approach rays (polynomial extrapolation to the ray parameter 0)
-where D <= EPS_D_DEFAULT, the one Levi-degeneracy threshold, a constant.
-``gradient_field`` (flows), ``gradient`` (one point) and ``gradients`` (a
-batch) take that decision.  The ray limit stays the exact Z's numeric oracle.
+everywhere; otherwise ``extend_gradient`` takes the cofactor formula where
+D > EPS_D_DEFAULT, the one Levi-degeneracy threshold, a constant, and elsewhere
+the exact limit of n_j / det along rational rays (``ray_limit``), or a typed
+reason there is none.  ``gradient_field`` (flows), ``gradient`` (one point) and
+``gradients`` (a batch) take that decision.
 """
 
 from __future__ import annotations
 
-import cmath
+import math
 from functools import lru_cache
 from itertools import islice, product
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from ._numpy import np
 from .calculus import (
+    GaussianRational,
     HermitianPolynomial,
     Point,
     Polynomial,
@@ -47,10 +48,11 @@ from .calculus import (
     jet_polynomials,
     jet_stack,
     jets_from_values,
+    on_line,
 )
 from .errors import (
     AllRaysDegenerate,
-    NoConvergence,
+    NoExtension,
     NonPositiveRho,
     TypeCapExceeded,
     VanishingPhi,
@@ -66,7 +68,6 @@ from .monge_ampere import (
 
 TYPE_TOL_DEFAULT = 1e-8
 TYPE_CAP_DEFAULT = 8
-EXT_TOL_DEFAULT = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -375,83 +376,59 @@ def extension_ingredients(p: HermitianPolynomial, q: Point, m_max: int = TYPE_CA
     return V, phi
 
 
-_DEFAULT_RAYS: tuple[tuple[complex, complex], ...] = tuple(
-    (d1 / cmath.sqrt(abs(d1) ** 2 + abs(d2) ** 2) * 1.0,
-     d2 / cmath.sqrt(abs(d1) ** 2 + abs(d2) ** 2) * 1.0)
-    for d1, d2 in [
-        (1, 1), (1, -1), (1, 1j), (1j, 1),
-        (2, 1), (1, 2), (1 + 1j, 1 - 1j), (1 - 2j, 2 + 1j),
-    ]
-)
+RAYS = ((1, 1), (1, -1), (1, 1j), (1j, 1), (2, 1), (1, 2), (1 + 1j, 1 - 1j), (1 - 2j, 2 + 1j))
 
 
-def _neville_to_zero(ts: Sequence[float], vals: Sequence[complex]) -> complex:
-    table = list(vals)
-    n = len(table)
-    for level in range(1, n):
-        for i in range(n - level):
-            t0, t1 = ts[i], ts[i + level]
-            table[i] = (t1 * table[i] - t0 * table[i + 1]) / (t1 - t0)
-    return table[0]
+def _check_rho(rho: float, q: Point) -> None:  # NonPositiveRho unless 0 < rho < inf
+    if not 0.0 < rho < math.inf:
+        raise NonPositiveRho(f"rho({q.as_pair()}) = {rho} {'<= 0' if rho <= 0.0 else 'is not finite'}")
 
 
-def extend_gradient(p: HermitianPolynomial, q: Point,
-                    rays: Sequence[tuple[complex, complex]] | None = None) -> GradientValue:
-    """Complex gradient at a point with rho > 0: the cofactor formula where D > EPS_D_DEFAULT,
-    otherwise the common limit along approach rays.
+def _order(c: list[GaussianRational]) -> float:  # the first nonzero coefficient's index
+    return next((k for k, ck in enumerate(c) if ck.re or ck.im), math.inf)
 
-    Each usable ray contributes a polynomial extrapolation of the cofactor
-    formula to ray parameter 0; the extrapolants must agree within EXT_TOL_DEFAULT
-    relative (NoConvergence otherwise).
-    """
-    z1, z2 = q.as_pair()
+
+def ray_limit(p: HermitianPolynomial, q: Point) -> tuple[GaussianRational, GaussianRational]:
+    """Z = (n1, n2) / det at q, or where det(q) = 0 its limit along the approach RAYS
+    (unnormalized Gaussian integers), exactly.  On a ray where det vanishes to order k
+    with det[k] > 0 (else the ray does not count), n_j / det tends to n_j[k] / det[k]
+    if n_j vanishes to order k or more.  NoExtension where det(q) < 0, where Z has a
+    pole or where the limit depends on the ray; AllRaysDegenerate where no ray counts."""
+    jp = jet_polynomials(p)
+    first = None
+    for v in RAYS:
+        det, *n = (on_line(f, q.as_pair(), v) for f in (jp.det, jp.n1, jp.n2))
+        k = _order(det)  # det is real-valued, so det[k] is real
+        if k == 0 and det[0].re < 0:
+            raise NoExtension(f"det = {float(det[0].re):.6g} < 0 at {q.as_pair()}: the Levi form "
+                              f"is indefinite")
+        if k == math.inf or det[k].re < 0:
+            continue
+        for j, nj in enumerate(n, start=1):
+            if _order(nj) < k:
+                raise NoExtension(f"Z{j} has a pole at {q.as_pair()}: along the ray {v}, det "
+                                  f"vanishes to order {k} and n{j} to order {_order(nj)}")
+        # an n_j without a coefficient k is zero on the ray
+        Z = tuple(GaussianRational(c.re / det[k].re, c.im / det[k].re)
+                  for c in (nj[k] if k < len(nj) else nj[0] for nj in n))
+        u, W = first = first or (v, Z)
+        if Z != W:
+            raise NoExtension(f"the limit of Z at {q.as_pair()} depends on the direction: "
+                              f"{[c.to_complex() for c in W]} along the ray {u}, "
+                              f"{[c.to_complex() for c in Z]} along the ray {v}")
+    if first is None:
+        raise AllRaysDegenerate(f"det is zero, or negative, on every approach ray at {q.as_pair()}")
+    return first[1]
+
+
+def extend_gradient(p: HermitianPolynomial, q: Point) -> GradientValue:
+    """Complex gradient at a point with 0 < rho < inf: the cofactor formula where
+    D > EPS_D_DEFAULT, otherwise the exact ray_limit, rounded to doubles."""
     jet = eval_jet(p, q)
-    if jet.rho <= 0.0:
-        raise NonPositiveRho(f"rho({q.as_pair()}) = {jet.rho} <= 0")
+    _check_rho(jet.rho, q)
     if jet.D > EPS_D_DEFAULT:
         return complex_gradient(jet)
-
-    # seven ray parameters, halving from 0.05 (1 + |q|)
-    base_t = 0.05 * (1.0 + q.norm())
-    ts = [base_t * 0.5**j for j in range(7)]
-    directions = rays if rays is not None else _DEFAULT_RAYS
-    # every ray point at once; the loop below keeps the per-point checks, and
-    # their order, of evaluating one point at a time
-    pts = [(z1 + t * d1, z2 + t * d2) for d1, d2 in directions for t in ts]
-    z = np.array(pts, dtype=complex).reshape(-1, 2)
-    finite = np.isfinite(z).all(axis=1)
-    jets = eval_jets(p, z[:, 0], z[:, 1])
-    Z1s, Z2s, _ = complex_gradients(jets)
-    rho_l, det_l, D_l = jets.rho.tolist(), jets.det.tolist(), jets.D.tolist()
-    Z_l = list(zip(Z1s.tolist(), Z2s.tolist()))
-    results = []
-    for r in range(len(directions)):
-        ray_ts, vals = [], []
-        for j, i in enumerate(range(r * len(ts), (r + 1) * len(ts))):
-            if not finite[i]:
-                Point(*pts[i])  # raises the ValueError of a non-finite point
-            if rho_l[i] <= 0.0 or det_l[i] <= EPS_D_DEFAULT:
-                continue
-            if D_l[i] <= EPS_D_DEFAULT:
-                raise degenerate_levi(D_l[i], pts[i])
-            ray_ts.append(ts[j])
-            vals.append(Z_l[i])
-        if len(ray_ts) < 4:
-            continue
-        Z1 = _neville_to_zero(ray_ts, [v[0] for v in vals])
-        Z2 = _neville_to_zero(ray_ts, [v[1] for v in vals])
-        results.append((Z1, Z2))
-
-    if not results:
-        raise AllRaysDegenerate(f"no usable approach ray at {q.as_pair()}")
-
-    arr = np.array(results)
-    spread = float(np.max(np.abs(arr - arr.mean(axis=0))))
-    scale = 1.0 + float(np.max(np.abs(arr)))
-    if spread > EXT_TOL_DEFAULT * scale:
-        raise NoConvergence(f"ray extrapolants disagree by {spread:.3e} "
-                            f"(> {EXT_TOL_DEFAULT} relative) at {q.as_pair()}")
-    Z1, Z2 = (complex(v) for v in arr.mean(axis=0))
+    Z1, Z2 = (z.to_complex() for z in ray_limit(p, q))
     return GradientValue(Z1, Z2, jet.d1 * Z1 + jet.d2 * Z2 - jet.rho, "ray_limit_extension")
 
 
@@ -476,17 +453,16 @@ def gradient_field(p: HermitianPolynomial) -> Callable[..., tuple[complex, compl
 
 
 def gradient(p: HermitianPolynomial, q: Point) -> GradientValue:
-    """The complex gradient at a point with rho > 0: the polynomial Z where it exists,
-    otherwise extend_gradient (the cofactor formula, or the ray limit where
-    D <= EPS_D_DEFAULT).
+    """The complex gradient at a point with 0 < rho < inf: the polynomial Z where it
+    exists, otherwise extend_gradient (the cofactor formula, or the exact ray limit
+    where D <= EPS_D_DEFAULT).
     Its ``method`` names the branch taken."""
     Z = polynomial_gradient(p)
     if Z is None:
         return extend_gradient(p, q)
     z1, z2 = q.as_pair()
     rho = p(z1, z2).real
-    if rho <= 0.0:
-        raise NonPositiveRho(f"rho({q.as_pair()}) = {rho} <= 0")
+    _check_rho(rho, q)
     jp = jet_polynomials(p)
     Z1, Z2 = Z[0](z1, z2), Z[1](z1, z2)
     return GradientValue(Z1, Z2, jp.d1(z1, z2) * Z1 + jp.d2(z1, z2) * Z2 - rho, "polynomial")
@@ -500,12 +476,12 @@ def gradients(p: HermitianPolynomial, z1, z2) -> tuple[np.ndarray, np.ndarray]:
     Z = polynomial_gradient(p)
     if Z is not None:
         rho, Z1, Z2 = evaluate_many((p, *Z), z1, z2)
-        scalar = rho.real <= 0.0
+        batch = (rho.real > 0.0) & (rho.real < np.inf)
     else:
         jets = eval_jets(p, z1, z2)
         Z1, Z2, _ = complex_gradients(jets)
-        scalar = (jets.rho <= 0.0) | ~(jets.D > EPS_D_DEFAULT)  # extend_gradient's own test
-    for i in np.flatnonzero(scalar):  # where the batch formula does not hold or gradient raises
+        batch = (jets.rho > 0.0) & (jets.rho < np.inf) & (jets.D > EPS_D_DEFAULT)  # as extend_gradient
+    for i in np.flatnonzero(~batch):  # where the batch formula does not hold or gradient raises
         g = gradient(p, Point(z1[i], z2[i]))
         Z1[i], Z2[i] = g.Z1, g.Z2
     return Z1, Z2

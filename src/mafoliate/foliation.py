@@ -15,7 +15,8 @@ Integration uses an adaptive embedded 4(5) Runge-Kutta pair.  The right-hand
 side takes Z from ``finite_type.gradient_field``, decided once per polynomial:
 where det divides the cofactor numerators, a call evaluates rho (the domain
 check) and the exact Z's two polynomials, and tests no D; otherwise it calls
-extend_gradient.  ``leaf_diagnostics`` takes Z from ``finite_type.gradients``.
+extend_gradient, whose exact ray limit at a Levi-degenerate point may raise
+NoExtension.  ``leaf_diagnostics`` takes Z from ``finite_type.gradients``.
 
 The verdict operations:
 

@@ -9,6 +9,8 @@ them.
 
 from __future__ import annotations
 
+import cmath
+
 import sympy as sp
 
 Z1, Z2, B1, B2 = sp.symbols("oz1 oz2 ob1 ob2", complex=True)
@@ -153,19 +155,34 @@ def fd_jet(f, q, h):
 
 
 # ---------------------------------------------------------------------------
-# one-point-at-a-time ray-limit extension
+# the ray ladder: a numeric extrapolation of the ray limit
 # ---------------------------------------------------------------------------
 
 
+class LadderDisagreement(Exception):
+    """The ladder's extrapolants along different rays disagree beyond tol_ext."""
+
+
+# the package's eight approach rays, normalized
+LADDER_RAYS = tuple((d1 / cmath.sqrt(abs(d1) ** 2 + abs(d2) ** 2),
+                     d2 / cmath.sqrt(abs(d1) ** 2 + abs(d2) ** 2))
+                    for d1, d2 in ((1, 1), (1, -1), (1, 1j), (1j, 1), (2, 1), (1, 2),
+                                   (1 + 1j, 1 - 1j), (1 - 2j, 2 + 1j)))
+
+
 def scalar_extend_gradient(p, q, eps_D=1e-10, tol_ext=1e-7, levels=7, ratio=0.5):
-    """The ray-limit extension evaluated one point at a time, as the package did
-    before its ray ladder was batched: the reference the batched one must match
-    bit for bit, errors included."""
+    """The ray-limit extension as the package computed it before its limit was exact:
+    the cofactor formula at 7 halving steps along each ray, extrapolated to the ray
+    parameter 0 by Neville's method, and the rays' extrapolants required to agree
+    within tol_ext relative.  The numeric oracle of the exact limit; it raises
+    LadderDisagreement where the extrapolants disagree and AllRaysDegenerate where
+    no ray has 4 usable steps."""
+    import math
+
     import numpy as np
 
     from mafoliate.calculus import Point, eval_jet, jet_polynomials
-    from mafoliate.errors import AllRaysDegenerate, NoConvergence, NonPositiveRho
-    from mafoliate.finite_type import _DEFAULT_RAYS
+    from mafoliate.errors import AllRaysDegenerate, NonPositiveRho
     from mafoliate.monge_ampere import GradientValue, complex_gradient
 
     def neville_to_zero(ts, vals):
@@ -179,8 +196,8 @@ def scalar_extend_gradient(p, q, eps_D=1e-10, tol_ext=1e-7, levels=7, ratio=0.5)
 
     z1, z2 = q.as_pair()
     rho = p(z1, z2).real
-    if rho <= 0.0:
-        raise NonPositiveRho(f"rho({q.as_pair()}) = {rho} <= 0")
+    if not 0.0 < rho < math.inf:  # the package's guard
+        raise NonPositiveRho(f"rho({q.as_pair()}) = {rho} is not positive and finite")
     jet = eval_jet(p, q)
     if jet.D > eps_D:
         return complex_gradient(jet)
@@ -188,7 +205,7 @@ def scalar_extend_gradient(p, q, eps_D=1e-10, tol_ext=1e-7, levels=7, ratio=0.5)
     jp = jet_polynomials(p)
     base_t = 0.05 * (1.0 + q.norm())
     results = []
-    for d1, d2 in _DEFAULT_RAYS:
+    for d1, d2 in LADDER_RAYS:
         ts, vals = [], []
         for j in range(levels):
             t = base_t * ratio**j
@@ -212,7 +229,7 @@ def scalar_extend_gradient(p, q, eps_D=1e-10, tol_ext=1e-7, levels=7, ratio=0.5)
     spread = float(np.max(np.abs(arr - arr.mean(axis=0))))
     scale = 1.0 + float(np.max(np.abs(arr)))
     if spread > tol_ext * scale:
-        raise NoConvergence(
+        raise LadderDisagreement(
             f"ray extrapolants disagree by {spread:.3e} (> {tol_ext} relative) at {q.as_pair()}"
         )
     Z1, Z2 = (complex(v) for v in arr.mean(axis=0))

@@ -1,10 +1,11 @@
 """Batched evaluation against the one-point path, bit for bit.
 
-``evaluate_many``, ``eval_jets``, ``complex_gradients`` and the batched ray
-ladder of ``extend_gradient`` promise the very doubles that ``Polynomial.__call__``,
-``eval_jet``, ``complex_gradient`` and the one-point ray loop give: signed
-zeros, infs and nans in the same places.  Every comparison here is on the bit
-patterns, so a fused multiply-add or a reordered sum anywhere fails it.
+``evaluate_many``, ``eval_jets`` and ``complex_gradients`` promise the very
+doubles that ``Polynomial.__call__``, ``eval_jet`` and ``complex_gradient``
+give: signed zeros, infs and nans in the same places.  Every comparison here is
+on the bit patterns, so a fused multiply-add or a reordered sum anywhere fails
+it.  At the end, the exact ray limit of ``extend_gradient`` is checked against
+the numeric ray ladder it replaced (``oracles.scalar_extend_gradient``).
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ from mafoliate.calculus import (
     eval_jets,
     evaluate_many,
     jet_polynomials,
+    on_line,
 )
+from mafoliate.finite_type import polynomial_gradient
 from mafoliate.monge_ampere import complex_gradients
 
-from oracles import scalar_extend_gradient
+from oracles import LadderDisagreement, scalar_extend_gradient
 
 BATCH = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -206,17 +209,33 @@ def test_ma_scan_matches_ma_residual():
 
 
 # ---------------------------------------------------------------------------
-# the ray ladder of extend_gradient against the one-point loop
+# the exact ray limit of extend_gradient against the ray ladder
 # ---------------------------------------------------------------------------
 
 
-def outcome(fn, p, q):
-    """The GradientValue's bits, or the type and message of the error."""
+def assert_agrees_with_the_ladder(p, q) -> None:
+    """Where the ladder converges, extend_gradient lies within 1e-7 relative of it.  Where
+    the ladder raises, extend_gradient raises NoExtension or AllRaysDegenerate, or gives
+    the polynomial Z at q (evaluated exactly, then rounded).  Both refuse a rho that is
+    not positive and finite."""
     try:
-        g = fn(p, q)
-    except mf.MafoliateError as exc:
-        return type(exc), str(exc)
-    return bits([g.Z1, g.Z2, g.pairing_check]).tolist()
+        ladder = scalar_extend_gradient(p, q)
+    except mf.NonPositiveRho:
+        with pytest.raises(mf.NonPositiveRho):
+            mf.extend_gradient(p, q)
+        return
+    except (LadderDisagreement, mf.AllRaysDegenerate, mf.DegenerateLevi):
+        try:
+            g = mf.extend_gradient(p, q)
+        except (mf.NoExtension, mf.AllRaysDegenerate):
+            return
+        Z = polynomial_gradient(p)
+        assert Z is not None
+        assert [g.Z1, g.Z2] == [on_line(Zj, q.as_pair(), (0, 0))[0].to_complex() for Zj in Z]
+        return
+    g = mf.extend_gradient(p, q)
+    gap = max(abs(g.Z1 - ladder.Z1), abs(g.Z2 - ladder.Z2))
+    assert gap <= 1e-7 * (1.0 + max(abs(ladder.Z1), abs(ladder.Z2)))
 
 
 def forms_rho(coeffs, a: int, b: int) -> HermitianPolynomial:
@@ -235,8 +254,7 @@ def forms_rho(coeffs, a: int, b: int) -> HermitianPolynomial:
     ("quartic", (0.0, 0.0)), ("euc", (0.0, 0.0)), ("quartic", (1e200, 0.0)),
 ])
 def test_extend_gradient_matches_the_one_point_loop_on_the_corpus(name, point):
-    p, q = mf.load(name), mf.Point(*point)
-    assert outcome(mf.extend_gradient, p, q) == outcome(scalar_extend_gradient, p, q)
+    assert_agrees_with_the_ladder(mf.load(name), mf.Point(*point))
 
 
 gaussian = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
@@ -256,4 +274,4 @@ def test_extend_gradient_matches_the_one_point_loop_on_degenerate_lines(coeffs, 
     s = complex(*t)
     # a point of {l = 0}, where the Levi form degenerates if the power is >= 2
     q = mf.Point(s * v, -s * u)
-    assert outcome(mf.extend_gradient, p, q) == outcome(scalar_extend_gradient, p, q)
+    assert_agrees_with_the_ladder(p, q)

@@ -10,6 +10,8 @@ import mafoliate as mf
 from mafoliate import cli
 from mafoliate.cli import main
 
+from test_ray_limit import pullback_terms
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -238,12 +240,34 @@ def test_bad_config_value_is_rejected(tmp_path, capsys, text, named):
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["gradient", "--poly", "quartic", "--point=1e200,0,1,0"], "gradient.json"),
+    # rho is finite at this point of quartic, but D = 16 |z1 z2|^2 overflows
+    (["gradient", "--poly", "quartic", "--point=7e76,0,7e76,0"], "gradient.json"),
     (["type-at", "--poly", "euc", "--point=1e300,0,1,0"], "type_report.json")])
 def test_non_finite_analysis_is_an_error_and_writes_nothing(tmp_path, capsys, argv, name):
     assert run([*argv, "--out", tmp_path]) == 2
     assert f"error: {name} not written" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gradient_where_rho_overflows_is_an_error(tmp_path, capsys):
+    assert run(["gradient", "--poly", "quartic", "--point=1e200,0,1,0", "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == "error: rho(((1e+200+0j), (1+0j))) = nan is not finite\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["gradient", "trace-leaf"])
+@pytest.mark.parametrize("poly, point, reason", [
+    ("bad", "0,0,1,0", "the limit of Z at (0j, (1+0j)) depends on the direction: "),
+    ("bad", "1,0,0,0", "det = -0.5625 < 0 at ((1+0j), 0j): the Levi form is indefinite"),
+    ("pullback", "1,0,0,0", "Z2 has a pole at ((1+0j), 0j): along the ray (1, 1), det vanishes "
+                            "to order 2 and n2 to order 1")])
+def test_where_Z_does_not_extend_is_an_error(tmp_path, capsys, command, poly, point, reason):
+    if poly == "pullback":  # |z1|^2 + |z2^2 + z1^3|^2, whose Z has a pole on {z2 = 0}
+        poly = tmp_path / "pullback.json"
+        poly.write_text(json.dumps(pullback_terms(1, 3)))
+    assert run([command, "--poly", poly, f"--point={point}", "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {reason}") and err.count("\n") == 1
 
 
 def test_allocation_failure_is_an_error(tmp_path, capsys, monkeypatch):

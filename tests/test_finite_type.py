@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import sympy as sp
 
 import mafoliate as mf
-from mafoliate.calculus import Polynomial
-from mafoliate.finite_type import bracket_level
+from mafoliate.calculus import GaussianRational, Polynomial
+from mafoliate.finite_type import bracket_level, ray_limit
 
 from conftest import TERMS, admissible_points
 from oracles import (
@@ -348,17 +350,14 @@ def test_extend_weighted_axes_frozen(corpus):
 
 
 def test_extend_direction_independence(corpus):
-    # the default bundle of 8 rays must agree internally; two custom subsets
-    # must give the same value
+    # every ray gives the one exact limit Z = (z1 / 3, z2 / 2) of weighted, at the
+    # double 1.3 taken exactly; it rounds to (0, 0.65)
     p = corpus["weighted"]
     q = mf.Point(0.0, 1.3)
-    g_all = mf.extend_gradient(p, q)
-    s = 2**-0.5
-    g_a = mf.extend_gradient(p, q, rays=[(s, s), (s, -s), (s, s * 1j), (s * 1j, s)])
-    g_b = mf.extend_gradient(p, q, rays=[(0.8, 0.6), (0.6, 0.8j), (0.6j, 0.8), (0.28, 0.96)])
-    for g in (g_a, g_b):
-        assert g.Z1 == pytest.approx(g_all.Z1, abs=1e-8)
-        assert g.Z2 == pytest.approx(g_all.Z2, rel=1e-8)
+    zero = GaussianRational(Fraction(0), Fraction(0))
+    assert ray_limit(p, q) == (zero, GaussianRational(Fraction(1.3) / 2, Fraction(0)))
+    g = mf.extend_gradient(p, q)
+    assert (g.Z1, g.Z2, g.method) == (0j, 0.65 + 0j, "ray_limit_extension")
 
 
 def test_extend_gradient_identity_at_degenerate_points(corpus):
@@ -374,9 +373,12 @@ def test_extend_gradient_identity_at_degenerate_points(corpus):
                 assert abs(g.pairing_check) < 1e-8 * rho
 
 
-def test_extend_all_rays_degenerate(corpus):
-    with pytest.raises(mf.AllRaysDegenerate):
-        mf.extend_gradient(corpus["quartic"], mf.Point(0.0, 1.0), rays=[(0.0, 1.0)])
+def test_extend_all_rays_degenerate():
+    # 1 + |z1|^2 does not depend on z2, so its det is the zero polynomial
+    p = mf.HermitianPolynomial.from_terms({(0, 0, 0, 0): 1, (1, 0, 1, 0): 1})
+    assert mf.calculus.jet_polynomials(p).det.is_zero()
+    with pytest.raises(mf.AllRaysDegenerate, match="on every approach ray at"):
+        mf.extend_gradient(p, mf.Point(0.5, -2.0j))
 
 
 def test_extend_on_nondegenerate_point_delegates(corpus):

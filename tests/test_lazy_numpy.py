@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -44,3 +45,14 @@ def test_commands_without_arrays_leave_numpy_unloaded(tmp_path, args):
 def test_check_ma_loads_numpy(tmp_path):
     # the control: the probe sees numpy when a command does use it
     assert "numpy.linalg" in _loaded(tmp_path, "check-ma", "--poly", "euc", "--grid", "4")
+
+
+def test_gradient_by_the_exact_ray_limit_leaves_numpy_unloaded(tmp_path):
+    # |z1|^6 + |z2|^4 + |z1^2 z2|^2 has no polynomial Z and D = 0 at (0, 1)
+    terms = [([3, 0], [3, 0]), ([0, 2], [0, 2]), ([2, 1], [2, 1])]
+    poly = tmp_path / "poly.json"
+    poly.write_text('{"terms": [%s]}' % ", ".join(
+        f'{{"a": {a}, "b": {b}, "re": 1}}' for a, b in terms))
+    assert _loaded(tmp_path, "gradient", "--poly", str(poly), "--point=0,0,1,0") == set()
+    analysis = json.loads((tmp_path / "gradient.json").read_text())["analysis"]
+    assert analysis["method"] == "ray_limit_extension" and analysis["Z"] == [[0.0, 0.0], [0.5, 0.0]]

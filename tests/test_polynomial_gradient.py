@@ -20,12 +20,12 @@ import sympy as sp
 from scipy.linalg import expm
 
 import mafoliate as mf
-from mafoliate.calculus import Polynomial
-from mafoliate.finite_type import gradient, gradients, polynomial_gradient
+from mafoliate.calculus import Polynomial, on_line
+from mafoliate.finite_type import gradient, gradients, polynomial_gradient, ray_limit
 from mafoliate.foliation import FlowConfig, fit_holomorphic_Z, leaf_diagnostics, trace_leaf
 
 from conftest import admissible_points
-from oracles import VARS
+from oracles import VARS, LadderDisagreement, scalar_extend_gradient
 from test_batch_eval import forms_rho
 
 z1, z2 = Polynomial.variable("z1"), Polynomial.variable("z2")
@@ -164,18 +164,10 @@ def test_extend_gradient_agrees_with_the_exact_Z(name):
     Z1, Z2 = polynomial_gradient(p)
     points = admissible_points(p, np.random.default_rng(5), 20)
     points += [mf.Point(0.0, 1.0), mf.Point(1.0, 0.0), mf.Point(0.7j, 0.0)]
-    checked = 0
-    for q in points:
-        if p(*q.as_pair()).real <= 0.0:
-            continue
-        try:
-            g = mf.extend_gradient(p, q)
-        except (mf.NoConvergence, mf.DegenerateLevi):
-            continue  # the ray limit does not settle here; see the pinned finding below
+    for q in points:  # rho > 0 at every point, so extend_gradient answers at each
+        g = mf.extend_gradient(p, q)
         want = (Z1(*q.as_pair()), Z2(*q.as_pair()))
         assert max(abs(g.Z1 - want[0]), abs(g.Z2 - want[1])) <= 1e-8 * (1.0 + max(map(abs, want)))
-        checked += 1
-    assert checked >= 20
 
 
 @pytest.mark.parametrize("name", sorted(AGREEMENT))
@@ -191,16 +183,22 @@ def test_fit_agrees_with_the_exact_Z(name):
             assert fit.coefficient(component, (a, b)) == pytest.approx(want, abs=1e-8)
 
 
-def test_pinned_extension_fails_on_an_order3_line_where_the_exact_Z_is_defined():
-    # non-diagonal (3, 1) at a point of {l1 = 0}; the Levi form degenerates to order 3 there
+def test_extension_on_an_order3_line_is_the_exact_Z():
+    # non-diagonal (3, 1) at a point of {l1 = 0}; the Levi form degenerates to order 3
+    # there, where the numeric ray ladder did not converge
     coeffs = (((1, 1), (1, -1)), ((1, 0), (-1, -1)))
     p = forms_rho(coeffs, 3, 1)
     q = mf.Point(-1 - 1j, -1 + 1j)
     assert linear(1 + 1j, 1 - 1j)(*q.as_pair()) == 0
-    with pytest.raises(mf.NoConvergence):
-        mf.extend_gradient(p, q)
-    g = gradient(p, q)
+    with pytest.raises(LadderDisagreement):
+        scalar_extend_gradient(p, q)
+    exact = [on_line(Zj, q.as_pair(), (0, 0))[0] for Zj in polynomial_gradient(p)]
+    assert list(ray_limit(p, q)) == exact
+    g = mf.extend_gradient(p, q)
+    assert [g.Z1, g.Z2] == [z.to_complex() for z in exact] == [-1 - 1j, -1 + 1j]
+    assert g.method == "ray_limit_extension"
     assert abs(g.pairing_check) <= 1e-12 * p(*q.as_pair()).real
+    assert abs(gradient(p, q).Z2 - g.Z2) <= 1e-15
 
 
 def test_gradients_is_gradient_at_every_point():
@@ -214,12 +212,12 @@ def test_gradients_is_gradient_at_every_point():
     for name in ("weighted", "bad"):
         with pytest.raises(mf.NonPositiveRho):
             gradients(mf.load(name), [1.0, 0.0], [1.0, 0.0])
-    # bad is Levi-degenerate on both axes, where its ray limits do not exist
-    for q, error in ((mf.Point(0.0, 1.0), mf.NoConvergence),
-                     (mf.Point(1.0, 0.0), mf.AllRaysDegenerate)):
-        with pytest.raises(error) as want:
+    # bad is Levi-degenerate on both axes, where Z does not extend: at (0, 1) its limit
+    # depends on the direction, at (1, 0) det = -9/16 < 0
+    for q in (mf.Point(0.0, 1.0), mf.Point(1.0, 0.0)):
+        with pytest.raises(mf.NoExtension) as want:
             gradient(mf.load("bad"), q)
-        with pytest.raises(error) as got:
+        with pytest.raises(mf.NoExtension) as got:
             gradients(mf.load("bad"), [0.5, q.z1], [0.5j, q.z2])
         assert str(got.value) == str(want.value)
 
