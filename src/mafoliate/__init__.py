@@ -50,7 +50,6 @@ from .errors import (
     RealityViolation,
     TypeCapExceeded,
     UnreachableLevel,
-    VanishingPhi,
     ZeroDifferential,
 )
 from .finite_type import (

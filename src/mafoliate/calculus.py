@@ -15,9 +15,9 @@ Conventions used throughout the toolkit:
   over one denominator per polynomial (see :class:`Polynomial`), so all
   symbolic stages (derivatives, products, bracket towers) are exact integer
   arithmetic.  Pointwise evaluation happens in complex double precision, from
-  correctly rounded coefficients; :func:`on_line` restricts a polynomial to a
-  real line through a point exactly, taking the point's doubles as the dyadic
-  rationals they are.
+  correctly rounded coefficients; :func:`at_exact` gives the exact value at a
+  point and :func:`on_line` the exact restriction to a real line through it,
+  taking the point's doubles as the dyadic rationals they are.
 
 The pointwise second-order data of rho is collected in :class:`WirtingerJet`:
 value, holomorphic gradient, Levi matrix ``rho_{mu nubar}``, its determinant
@@ -43,10 +43,10 @@ nan operands an operation returns is not fixed by IEEE 754, so a nan's sign
 bit may differ, and nothing in the toolkit reads it.  One-point callers keep
 the scalar path, which is faster at N = 1 and stays the reference the tests
 compare the batch against: the flow's right-hand side (``finite_type.gradient_field``),
-``finite_type.gradient``, ``point_type`` and ``extension_ingredients``, the jet of
-``extend_gradient`` (whose limit at a Levi-degenerate point is exact, from
-:func:`on_line`), ``level_set_samples`` (Brent's method), the probes of
-``level_transport`` and ``psh_min_eigen``.
+``finite_type.gradient``, the jet of ``extend_gradient`` (whose value at a
+Levi-degenerate point is exact, from :func:`at_exact` and :func:`on_line`),
+``level_set_samples`` (Brent's method), the probes of ``level_transport`` and
+``psh_min_eigen``.
 
 Interchange format (JSON-compatible)::
 
@@ -597,6 +597,30 @@ def on_line(f: Polynomial, q: Sequence[complex], v: Sequence[complex]) -> list[G
         out = out + term
     c, zero = out.terms, GaussianRational(Fraction(0), Fraction(0))
     return [c.get((k, 0, 0, 0), zero) for k in range(max(f.total_degrees(), default=0) + 1)]
+
+
+def at_exact(f: Polynomial, q: Sequence[complex]) -> GaussianRational:
+    """The exact value of f at q, q's doubles taken as the dyadic rationals they are: that is
+    on_line(f, q, (0, 0))[0], here in Gaussian integers w_k = s z_k over one power of s."""
+    ratios = [x.as_integer_ratio() for z in map(complex, q) for x in (z.real, z.imag)]
+    s = math.lcm(*(d for _, d in ratios))
+    x1, y1, x2, y2 = (n * (s // d) for n, d in ratios)
+    powers = [[(1, 0)] for _ in range(4)]  # of w1, w2, conj w1, conj w2
+    for row, (x, y), top in zip(powers, ((x1, y1), (x2, y2), (x1, -y1), (x2, -y2)),
+                                f.max_exponents()):
+        for _ in range(top):
+            a, b = row[-1]
+            row.append((a * x - b * y, a * y + b * x))
+    top = max(f.total_degrees(), default=0)
+    lift = [s ** (top - d) for d in range(top + 1)]  # puts a term of degree d over s^top
+    re = im = 0
+    for key, (a, b) in f._num.items():
+        for row, e in zip(powers, key):
+            c, d = row[e]
+            a, b = a * c - b * d, a * d + b * c
+        re, im = re + a * lift[sum(key)], im + b * lift[sum(key)]
+    den = f._den * s ** top
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 # ---------------------------------------------------------------------------

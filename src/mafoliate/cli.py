@@ -36,7 +36,7 @@ from .calculus import (
 )
 from .corpus import CORPUS_NAMES, corpus_text
 from .errors import MafoliateError, NotHomogeneous
-from .finite_type import bracket_identities, gradient, point_type
+from .finite_type import TYPE_CAP_DEFAULT, bracket_identities, gradient, point_type
 from .foliation import (
     FlowConfig,
     burns_verify,
@@ -63,10 +63,9 @@ from .monge_ampere import (
 
 
 class _RunFields(NamedTuple):
-    tol_type: float = 1e-8
     rtol: float = 1e-10
     atol: float = 1e-10
-    m_max: int = 8
+    m_max: int = TYPE_CAP_DEFAULT
     grid: int = 40
     samples: int = 2000
     fit_samples: int = 60
@@ -308,8 +307,8 @@ def _cmd_gradient(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> boo
 def _cmd_type_at(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     point = _parse_point(args.point)
     with clock("type"):
-        report = point_type(p, point, m_max=cfg.m_max, tol=cfg.tol_type)
-    _write_json(out / "type_report.json", p, report.to_json_dict())
+        report = point_type(p, point, m_max=cfg.m_max)
+    _write_json(out / "type_report.json", p, _record(report))
     return report.type_m != "exceeds_cap"
 
 
@@ -378,8 +377,7 @@ def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
 
     def type_stage() -> list[dict]:
         probes.extend(level_set_samples(p, 1.0, 3, seed=cfg.seed))
-        return [point_type(p, q, m_max=cfg.m_max, tol=cfg.tol_type).to_json_dict()
-                for q in probes]
+        return [_record(point_type(p, q, m_max=cfg.m_max)) for q in probes]
 
     def trace_stage() -> dict:
         if not probes:

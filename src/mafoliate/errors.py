@@ -43,10 +43,6 @@ class TypeCapExceeded(MafoliateError):
     """No bracket word up to the configured length pairs nontrivially with d(rho)."""
 
 
-class VanishingPhi(MafoliateError):
-    """The transversality coefficient of the extension witness is numerically zero."""
-
-
 class NoExtension(MafoliateError):
     """Z does not extend to the Levi-degenerate point: det < 0 there (the Levi form is
     indefinite), or Z has a pole along an approach ray, or its limit depends on the ray."""

@@ -12,27 +12,30 @@ points have type 2, witnessed by [L, Lbar].
 Bracket words are enumerated left-normed, breadth-first by length.  Left-normed
 words span all bracket words of a given length (Jacobi identity), so the search
 is complete; antisymmetry makes [Lbar, L] redundant at length two.  All bracket
-coefficients are exact polynomials, and the pairing is evaluated pointwise.
-Conjugation commutes with the bracket and conj [L, Lbar] = -[L, Lbar], so
-swapping letters 3..m of a word of length m >= 3 turns its field V into
--conj(V); ``bracket_level`` brackets out only the words whose third letter is
-L and reads the other half of each level off this symmetry.
+coefficients are exact polynomials.
+
+``point_type`` takes the Levi-form type instead, equal in C^2 (Kohn, J. Diff.
+Geom. 6, 1972; Bloom & Graham, Invent. Math. 40, 1977): m = 2 + a + b for the
+least a + b with Lbar^b L^a lambda != 0 at the point, exactly, where lambda =
+d1 n1 + d2 n2 pairs [L, Lbar] with d(rho) (``levi_level``, ``calculus.at_exact``).
+There [L, Lbar] bracketed with a L's, then b Lbar's, pairs to (-1)^m times that
+value; with the most L's it is the first nonzero word in bracket order.
 
 The complex gradient Z = (n1, n2) / det extends across the Levi-degenerate
 set, decided once per polynomial: where det divides both cofactor numerators
 exactly, ``polynomial_gradient`` gives Z as a polynomial field, defined
 everywhere; otherwise ``extend_gradient`` takes the cofactor formula where
 D > EPS_D_DEFAULT, the one Levi-degeneracy threshold, a constant, and elsewhere
-the exact limit of n_j / det along rational rays (``ray_limit``), or a typed
-reason there is none.  ``gradient_field`` (flows), ``gradient`` (one point) and
-``gradients`` (a batch) take that decision.
+n_j / det exactly, or where det = 0 its limit along rational rays (``ray_limit``),
+or a typed reason there is none.  ``gradient_field`` (flows), ``gradient`` (one
+point) and ``gradients`` (a batch) take that decision.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
 from typing import Callable, NamedTuple
 
 from ._numpy import np
@@ -42,6 +45,7 @@ from .calculus import (
     Point,
     Polynomial,
     VARIABLES,
+    at_exact,
     eval_jet,
     eval_jets,
     evaluate_many,
@@ -55,7 +59,6 @@ from .errors import (
     NoExtension,
     NonPositiveRho,
     TypeCapExceeded,
-    VanishingPhi,
     ZeroDifferential,
 )
 from .monge_ampere import (
@@ -66,7 +69,6 @@ from .monge_ampere import (
     degenerate_levi,
 )
 
-TYPE_TOL_DEFAULT = 1e-8
 TYPE_CAP_DEFAULT = 8
 
 
@@ -151,12 +153,6 @@ class BracketWord(NamedTuple):
     def pair(cls, left: "BracketWord", right: "BracketWord") -> "BracketWord":
         return cls(left=left, right=right)
 
-    @property
-    def length(self) -> int:
-        if self.leaf is not None:
-            return 1
-        return self.left.length + self.right.length
-
     def __str__(self) -> str:
         if self.leaf is not None:
             return self.leaf
@@ -171,24 +167,27 @@ def _generators(p: HermitianPolynomial) -> dict[str, PolyVectorField]:
 
 @lru_cache(maxsize=512)
 def bracket_level(p: HermitianPolynomial, length: int) -> tuple[tuple[BracketWord, PolyVectorField], ...]:
-    """All left-normed words of the given leaf count, breadth-first, [.., L] before [.., Lbar].
-
-    From length 3 on, only the first half of the level, the words whose third
-    letter is L, is bracketed out of the level before; the second half holds
-    their conjugates, in reverse order (see the module docstring)."""
+    """All left-normed words of the given leaf count, breadth-first, [.., L] before [.., Lbar]."""
     gens = _generators(p)
     if length < 2:
         raise ValueError("bracket words start at length 2")
     if length == 2:
         word = BracketWord.pair(BracketWord.generator("L"), BracketWord.generator("Lbar"))
         return ((word, lie_bracket(gens["L"], gens["Lbar"])),)
-    prev = bracket_level(p, length - 1)
-    words = [BracketWord.pair(word, BracketWord.generator(g)) for word, _ in prev for g in gens]
-    # the first len(prev) words are the ones whose third letter is L
-    fields = [lie_bracket(field, gens[g])
-              for (_, field), g in islice(product(prev, gens), len(prev))]
-    fields += [PolyVectorField(*(-c for c in field.conjugate())) for field in reversed(fields)]
-    return tuple(zip(words, fields))
+    return tuple((BracketWord.pair(word, BracketWord.generator(g)), lie_bracket(field, gens[g]))
+                 for word, field in bracket_level(p, length - 1) for g in gens)
+
+
+@lru_cache(maxsize=512)
+def levi_level(p: HermitianPolynomial, k: int) -> tuple[Polynomial, ...]:
+    """The k + 1 polynomials Lbar^(k-a) L^a lambda for a = k, ..., 0 (L applied first),
+    lambda = d1 n1 + d2 n2; each is one derivation of a polynomial of level k - 1."""
+    jp = jet_polynomials(p)
+    if k == 0:
+        return (jp.d1 * jp.n1 + jp.d2 * jp.n2,)
+    prev = levi_level(p, k - 1)
+    top = jp.d2 * prev[0].derive("z1") - jp.d1 * prev[0].derive("z2")  # L f
+    return (top, *(jp.db2 * f.derive("zbar1") - jp.db1 * f.derive("zbar2") for f in prev))
 
 
 class TypeReport(NamedTuple):
@@ -196,41 +195,32 @@ class TypeReport(NamedTuple):
 
     point: Point
     type_m: int | str  # smallest witnessed bracket length, or "exceeds_cap"
-    witness: BracketWord | None
-    pairing_value: complex
-    scale: float
-    tol: float
-
-    def to_json_dict(self) -> dict:
-        z1, z2 = self.point.as_pair()
-        return {
-            "point": [z1.real, z1.imag, z2.real, z2.imag],
-            "type_m": self.type_m,
-            "witness": None if self.witness is None else str(self.witness),
-            "pairing_value": [self.pairing_value.real, self.pairing_value.imag],
-            "scale": self.scale,
-            "tol": self.tol,
-        }
+    witness: str | None  # the witness word, as BracketWord prints it
+    pairing_value: complex  # its pairing with d(rho), rounded to doubles
 
 
-def point_type(p: HermitianPolynomial, q: Point, m_max: int = TYPE_CAP_DEFAULT,
-               tol: float = TYPE_TOL_DEFAULT) -> TypeReport:
-    """Smallest bracket length whose pairing with d(rho) exceeds the scaled tolerance."""
+def _double(x: Fraction) -> float:  # x rounded to a double, an overflow to +-inf
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def point_type(p: HermitianPolynomial, q: Point, m_max: int = TYPE_CAP_DEFAULT) -> TypeReport:
+    """Smallest bracket length whose pairing with d(rho) at q's doubles is not zero."""
     jp = jet_polynomials(p)
-    z1, z2 = q.as_pair()
-    if p(z1, z2).real <= 0.0:
+    if p(*q.as_pair()).real <= 0.0:
         raise NonPositiveRho(f"rho({q.as_pair()}) <= 0")
-    d1 = jp.d1(z1, z2)
-    d2 = jp.d2(z1, z2)
-    scale = 1.0 + max(abs(d1), abs(d2))
-    if abs(d1) + abs(d2) <= tol * scale:
+    if all(at_exact(f, q) == (0, 0) for f in (jp.d1, jp.d2)):
         raise ZeroDifferential(f"d(rho) vanishes at {q.as_pair()}")
     for m in range(2, m_max + 1):
-        for word, field in bracket_level(p, m):
-            val = d1 * field.c1(z1, z2) + d2 * field.c2(z1, z2)
-            if abs(val) > tol * scale:
-                return TypeReport(q, m, word, val, scale, tol)
-    return TypeReport(q, "exceeds_cap", None, 0j, scale, tol)
+        for a, f in zip(range(m - 2, -1, -1), levi_level(p, m - 2)):
+            value = at_exact(f, q)
+            if value != (0, 0):
+                witness = "[" * (m - 2) + "[L,Lbar]" + ",L]" * a + ",Lbar]" * (m - 2 - a)
+                sign = (-1) ** m
+                return TypeReport(q, m, witness, complex(*(_double(sign * x) for x in value)))
+    return TypeReport(q, "exceeds_cap", None, 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -358,22 +348,18 @@ def bracket_identities_check(p: HermitianPolynomial, q: Point) -> BracketIdentit
 # ---------------------------------------------------------------------------
 
 
-def extension_ingredients(p: HermitianPolynomial, q: Point, m_max: int = TYPE_CAP_DEFAULT,
-                          tol: float = TYPE_TOL_DEFAULT) -> tuple[PolyVectorField, complex]:
+def extension_ingredients(p: HermitianPolynomial, q: Point,
+                          m_max: int = TYPE_CAP_DEFAULT) -> tuple[PolyVectorField, complex]:
     """(1,0) part V of the type witness and the transversality value phi = d(rho)(V) / rho."""
-    report = point_type(p, q, m_max=m_max, tol=tol)
+    report = point_type(p, q, m_max=m_max)
     if report.witness is None:
         raise TypeCapExceeded(f"no witness up to length {m_max} at {q.as_pair()}")
     _, field = next(
         entry for entry in bracket_level(p, report.type_m)  # type: ignore[arg-type]
-        if entry[0] == report.witness
+        if str(entry[0]) == report.witness
     )
     V = PolyVectorField(field.c1, field.c2, Polynomial.zero(), Polynomial.zero())
-    rho = p(*q.as_pair()).real
-    phi = report.pairing_value / rho
-    if abs(phi) <= tol:
-        raise VanishingPhi(f"phi = {phi} at {q.as_pair()}")
-    return V, phi
+    return V, report.pairing_value / p(*q.as_pair()).real
 
 
 RAYS = ((1, 1), (1, -1), (1, 1j), (1j, 1), (2, 1), (1, 2), (1 + 1j, 1 - 1j), (1 - 2j, 2 + 1j))
@@ -395,13 +381,16 @@ def ray_limit(p: HermitianPolynomial, q: Point) -> tuple[GaussianRational, Gauss
     if n_j vanishes to order k or more.  NoExtension where det(q) < 0, where Z has a
     pole or where the limit depends on the ray; AllRaysDegenerate where no ray counts."""
     jp = jet_polynomials(p)
+    det, *n = (at_exact(f, q) for f in (jp.det, jp.n1, jp.n2))  # det is real-valued
+    if det.re < 0:
+        raise NoExtension(f"det = {float(det.re):.6g} < 0 at {q.as_pair()}: the Levi form "
+                          f"is indefinite")
+    if det.re > 0:
+        return tuple(GaussianRational(c.re / det.re, c.im / det.re) for c in n)
     first = None
     for v in RAYS:
         det, *n = (on_line(f, q.as_pair(), v) for f in (jp.det, jp.n1, jp.n2))
-        k = _order(det)  # det is real-valued, so det[k] is real
-        if k == 0 and det[0].re < 0:
-            raise NoExtension(f"det = {float(det[0].re):.6g} < 0 at {q.as_pair()}: the Levi form "
-                              f"is indefinite")
+        k = _order(det)  # at least 1, as det(q) = 0; det[k] is real
         if k == math.inf or det[k].re < 0:
             continue
         for j, nj in enumerate(n, start=1):

@@ -96,8 +96,7 @@ def sympy_type(term_list, pt, m_max=7, tol=1e-8):
 def full_bracket_tower(p, m_max):
     """{m: level m} for m = 2..m_max: every left-normed word of length m with its field,
     each field bracketed out of its parent's by lie_bracket, with no symmetry used.
-    The reference finite_type.bracket_level, which reads half of each level off the
-    conjugation symmetry, must equal exactly."""
+    finite_type.bracket_level must equal it exactly."""
     from mafoliate.finite_type import BracketWord, lie_bracket, tangential_field
 
     L = tangential_field(p)

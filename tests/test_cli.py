@@ -27,6 +27,9 @@ def test_type_at_quartic_axis(tmp_path):
     doc = read_json(tmp_path / "type_report.json")
     assert doc["analysis"]["type_m"] == 4
     assert doc["analysis"]["witness"] == "[[[L,Lbar],L],Lbar]"
+    assert doc["analysis"]["point"] == [0.0, 0.0, 1.0, 0.0]
+    assert doc["analysis"]["pairing_value"] == [64.0, 0.0]
+    assert "scale" not in doc["analysis"] and "tol" not in doc["analysis"]
     assert doc["toolkit_version"] == mf.__version__
     assert len(doc["poly_sha256"]) == 64
 
@@ -249,6 +252,14 @@ def test_non_finite_analysis_is_an_error_and_writes_nothing(tmp_path, capsys, ar
     assert list(tmp_path.iterdir()) == []
 
 
+def test_type_pairing_beyond_the_doubles_is_an_error(tmp_path, capsys):
+    # the type is decided exactly at the point; its pairing is too large for a double
+    assert run(["type-at", "--poly", "bad", "--point=1e200,0,1e200,0", "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == ("error: type_report.json not written: the analysis holds "
+                                       "a non-finite value at analysis.pairing_value[0]\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gradient_where_rho_overflows_is_an_error(tmp_path, capsys):
     assert run(["gradient", "--poly", "quartic", "--point=1e200,0,1,0", "--out", tmp_path]) == 2
     assert capsys.readouterr().err == "error: rho(((1e+200+0j), (1+0j))) = nan is not finite\n"
@@ -349,11 +360,13 @@ def test_coefficient_overflow_names_the_monomial(tmp_path, capsys):
     huge.write_text('{"terms": [{"a": [1, 0], "b": [1, 0], "re": 1e300}, '
                     '{"a": [0, 1], "b": [0, 1], "re": 1e300}]}')
     beyond = "has magnitude about 1e600, beyond the largest double (1.8e+308)\n"
-    for argv, monomial in ((["type-at", "--point", "1,0,0,0"], "z1^1 z2^0 zbar1^0 zbar2^0"),
-                           (["check-ma"], "z1^0 z2^0 zbar1^0 zbar2^0")):
-        assert run([*argv, "--poly", huge, "--out", tmp_path]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: the coefficient of the monomial {monomial} {beyond}"
+    assert run(["check-ma", "--poly", huge, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: the coefficient of the monomial z1^0 z2^0 zbar1^0 zbar2^0 {beyond}"
+    # the type is decided exactly; only the reported pairing, 1e900, overflows a double
+    assert run(["type-at", "--point", "1,0,0,0", "--poly", huge, "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == ("error: type_report.json not written: the analysis holds "
+                                       "a non-finite value at analysis.pairing_value[0]\n")
     # the gradient's exact Z is z itself; only the float product D = h11 h22 overflows
     assert run(["gradient", "--point", "1,0,0,0", "--poly", huge, "--out", tmp_path]) == 2
     assert capsys.readouterr().err == ("error: gradient.json not written: the analysis holds a "

@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from mafoliate.calculus import VARIABLES, HermitianPolynomial, Polynomial
+from mafoliate.calculus import VARIABLES, HermitianPolynomial, Polynomial, at_exact, on_line
+from mafoliate.corpus import CORPUS_NAMES, load
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -60,6 +62,20 @@ def r_conj(x: dict) -> dict:
 def r_derive(x: dict, idx: int) -> dict:
     return {k[:idx] + (k[idx] - 1,) + k[idx + 1:]: (k[idx] * re, k[idx] * im)
             for k, (re, im) in x.items() if k[idx]}
+
+
+def r_value(x: dict, q) -> tuple[Fraction, Fraction]:
+    """The value at the point q = (z1, z2), each double of q taken as the Fraction it is."""
+    z = [(Fraction(w.real), Fraction(w.imag)) for w in map(complex, q)]
+    point = z + [(re, -im) for re, im in z]  # z1, z2, zbar1, zbar2
+    total_re = total_im = Fraction(0)
+    for key, (re, im) in x.items():
+        for (a, b), e in zip(point, key):
+            for _ in range(e):
+                re, im = re * a - im * b, re * b + im * a
+        total_re += re
+        total_im += im
+    return total_re, total_im
 
 
 # ---------------------------------------------------------------------------
@@ -190,3 +206,35 @@ def test_compiled_coefficients_round_like_fraction(terms):
     for row, (_, (re, im)) in zip(rows, want):
         c = row[4]
         assert (c.real.hex(), c.imag.hex()) == (float(re).hex(), float(im).hex())
+
+
+# ---------------------------------------------------------------------------
+# exact point values
+# ---------------------------------------------------------------------------
+
+# non-dyadic doubles such as 0.1, and the extremes of the exponent range
+coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, -1 / 3, 1.3, 2.0**-1074, 1e-300, 1e200, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+points = st.tuples(*[st.builds(complex, coordinates, coordinates)] * 2)
+
+
+@KERNEL
+@given(term_maps, points)
+def test_at_exact_matches_reference_and_on_line(terms, q):
+    f = Polynomial(terms)
+    got = at_exact(f, q)
+    assert tuple(got) == r_value(ref(f), q)
+    assert got == on_line(f, q, (0, 0))[0]
+
+
+@KERNEL
+@given(st.sampled_from(CORPUS_NAMES), points)
+def test_at_exact_matches_sympy(name, q):
+    f = load(name)
+    z1, z2 = (sp.Rational(w.real) + sp.I * sp.Rational(w.imag) for w in q)
+    want = sp.expand(sum((sp.Rational(c.re) + sp.I * sp.Rational(c.im))
+                         * z1**k[0] * z2**k[1] * sp.conjugate(z1)**k[2] * sp.conjugate(z2)**k[3]
+                         for k, c in f.terms.items()))
+    got = at_exact(f, q)
+    assert sp.Rational(got.re) + sp.I * sp.Rational(got.im) == want

@@ -164,7 +164,6 @@ TOWER_INPUTS = {
 
 @pytest.mark.parametrize("name", TOWER_INPUTS)
 def test_bracket_level_equals_the_full_recursion(name):
-    # the second half of each level comes from conjugation; the oracle brackets every word
     p = TOWER_INPUTS[name]()
     tower = full_bracket_tower(p, 7)
     for length in range(2, 8):
@@ -244,14 +243,6 @@ def test_type_zero_differential():
     p = mf.HermitianPolynomial.from_terms({(0, 0, 0, 0): 1, (1, 0, 1, 0): 1})
     with pytest.raises(mf.ZeroDifferential):
         mf.point_type(p, mf.Point(0.0, 0.0))
-
-
-def test_type_report_json(corpus):
-    rep = mf.point_type(corpus["quartic"], mf.Point(0.0, 1.0))
-    doc = rep.to_json_dict()
-    assert doc["type_m"] == 4
-    assert doc["witness"] == "[[[L,Lbar],L],Lbar]"
-    assert doc["point"] == [0.0, 0.0, 1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

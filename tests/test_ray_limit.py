@@ -22,9 +22,11 @@ import mafoliate as mf
 from mafoliate import finite_type
 from mafoliate.calculus import GaussianRational, Polynomial, on_line
 from mafoliate.finite_type import RAYS, gradient, gradients, polynomial_gradient, ray_limit
+from mafoliate.monge_ampere import EPS_D_DEFAULT
 
 from oracles import B1, B2, VARS, Z1, Z2, poly_expr
 from test_batch_eval import forms_rho
+from test_exact_kernel import r_value, ref
 
 T = sp.Symbol("t", real=True)
 EXACT = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -181,6 +183,24 @@ def test_bad_where_det_is_negative():
     with pytest.raises(mf.NoExtension) as err:
         mf.extend_gradient(p, q)
     assert str(err.value) == "det = -0.5625 < 0 at ((1+0j), 0j): the Levi form is indefinite"
+
+
+def test_where_det_is_positive_the_exact_value_needs_no_ray(monkeypatch):
+    # |l1^3|^2 + |l2^3|^2 just off its degenerate line {l1 = 0}: the float D reads 0 and
+    # -2.4e-7, below EPS_D_DEFAULT, while det > 0 at the point's doubles, so Z is n / det there
+    def no_rays(*args):
+        raise AssertionError("on_line was called")
+
+    monkeypatch.setattr(finite_type, "on_line", no_rays)
+    base = mf.HermitianPolynomial.from_terms({(3, 0, 3, 0): 1, (0, 3, 0, 3): 1})
+    p = mf.substitute_linear(base, [[1j, 1 + 1j], [-1 + 2j, -2 - 1j]])
+    jp = mf.calculus.jet_polynomials(p)
+    for q in ((-1 - 1j + 2**-12, 1j), (-1 - 1j + 2**-20, 1j)):
+        assert mf.eval_jet(p, mf.Point(*q)).D <= EPS_D_DEFAULT
+        (det, zero), n1, n2 = (r_value(ref(f), q) for f in (jp.det, jp.n1, jp.n2))
+        assert det > 0 and zero == 0
+        want = [GaussianRational(re / det, im / det) for re, im in (n1, n2)]
+        assert list(ray_limit(p, mf.Point(*q))) == want
 
 
 def test_rays_where_det_is_negative_do_not_count():
