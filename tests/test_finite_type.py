@@ -245,6 +245,16 @@ def test_type_zero_differential():
         mf.point_type(p, mf.Point(0.0, 0.0))
 
 
+def test_type_report_json(corpus):
+    from mafoliate.cli import _jsonable, _record
+
+    rep = mf.point_type(corpus["quartic"], mf.Point(0.0, 1.0))
+    doc = _jsonable(_record(rep))
+    assert doc["type_m"] == 4
+    assert doc["witness"] == "[[[L,Lbar],L],Lbar]"
+    assert doc["point"] == [0.0, 0.0, 1.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # bracket identity defects
 # ---------------------------------------------------------------------------
