@@ -14,7 +14,6 @@ from .calculus import (
     GaussianRational,
     HermitianPolynomial,
     JetBatch,
-    MinEigenReport,
     MonomialKey,
     Point,
     Polynomial,
@@ -26,7 +25,6 @@ from .calculus import (
     evaluate_many,
     parse_polynomial,
     polynomial_hash,
-    psh_min_eigen,
     serialize_polynomial,
     substitute_linear,
 )
@@ -60,7 +58,6 @@ from .finite_type import (
     bracket_identities,
     bracket_identities_check,
     extend_gradient,
-    extension_ingredients,
     gradient,
     gradients,
     lie_bracket,

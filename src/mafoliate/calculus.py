@@ -45,8 +45,8 @@ the scalar path, which is faster at N = 1 and stays the reference the tests
 compare the batch against: the flow's right-hand side (``finite_type.gradient_field``),
 ``finite_type.gradient``, the jet of ``extend_gradient`` (whose value at a
 Levi-degenerate point is exact, from :func:`at_exact` and :func:`on_line`),
-``level_set_samples`` (Brent's method), the probes of ``level_transport`` and
-``psh_min_eigen``.
+``level_set_samples`` (Brent's method), the probes of ``level_transport``, and a
+leaf trace (rho along it, Z at its nodes), which never imports numpy.
 
 Interchange format (JSON-compatible)::
 
@@ -74,7 +74,6 @@ from .errors import (
     CoefficientOverflow,
     MalformedPolynomial,
     NegativeExponent,
-    NonPositiveRho,
     RealityViolation,
 )
 
@@ -832,41 +831,6 @@ def bidegree_decompose(p: Polynomial) -> BidegreeProfile:
     degrees = p.total_degrees()
     total = degrees.pop() if len(degrees) == 1 else None
     return BidegreeProfile(components, total)
-
-
-# ---------------------------------------------------------------------------
-# plurisubharmonicity scan
-# ---------------------------------------------------------------------------
-
-
-class MinEigenReport(NamedTuple):
-    """Minimum Levi eigenvalue over a sample region, with the attaining point."""
-
-    target: str
-    min_eigenvalue: float
-    point: Point
-
-
-def psh_min_eigen(p: HermitianPolynomial, region: Iterable[Point], target: str = "rho") -> MinEigenReport:
-    """Minimum eigenvalue of the complex Hessian of rho or of u = log rho over `region`."""
-    if target not in ("rho", "log_rho"):
-        raise ValueError(f"target must be 'rho' or 'log_rho', got {target!r}")
-    best: float | None = None
-    best_point: Point | None = None
-    for q in region:
-        jet = eval_jet(p, q)
-        h = jet.levi_matrix()
-        if target == "log_rho":
-            if jet.rho <= 0.0:
-                raise NonPositiveRho(f"rho({q.as_pair()}) = {jet.rho} <= 0")
-            grad = np.array([jet.d1, jet.d2])
-            h = h / jet.rho - np.outer(grad, grad.conjugate()) / jet.rho**2
-        lo = float(np.linalg.eigvalsh(h)[0])
-        if best is None or lo < best:
-            best, best_point = lo, q
-    if best is None:
-        raise ValueError("empty sample region")
-    return MinEigenReport(target, best, best_point)
 
 
 # ---------------------------------------------------------------------------

@@ -176,10 +176,11 @@ def _non_finite_key(obj, key: str) -> str | None:
 
 
 class _StageClock:
-    """Wall seconds of each analysis stage, for the *_meta.json side channel."""
+    """Wall seconds of each analysis stage and run counters, for the *_meta.json side channel."""
 
     def __init__(self):
         self.stage_s: dict[str, float] = {}
+        self.counters: dict[str, dict] = {}
 
     @contextmanager
     def __call__(self, name: str):
@@ -191,7 +192,7 @@ class _StageClock:
 
 
 def _write_meta(path: Path, argv: list[str], clock: _StageClock) -> None:
-    meta = {"written_at_unix": time.time(), "argv": argv, "stage_s": clock.stage_s}
+    meta = {"written_at_unix": time.time(), "argv": argv, "stage_s": clock.stage_s, **clock.counters}
     path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n", "utf-8")
 
 
@@ -316,6 +317,7 @@ def _cmd_trace_leaf(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> b
     point = _parse_point(args.point)
     with clock("trace"):
         trace, rec = _trace_stage(p, cfg, point)
+    clock.counters["flows"] = trace.counts
     write_leaf_csv(trace, out / "leaf_trace.csv", __version__)
     _write_json(out / "trace_diagnostics.json", p, rec)
     return rec["monotone_growth"]

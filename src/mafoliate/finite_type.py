@@ -58,7 +58,6 @@ from .errors import (
     AllRaysDegenerate,
     NoExtension,
     NonPositiveRho,
-    TypeCapExceeded,
     ZeroDifferential,
 )
 from .monge_ampere import (
@@ -348,26 +347,20 @@ def bracket_identities_check(p: HermitianPolynomial, q: Point) -> BracketIdentit
 # ---------------------------------------------------------------------------
 
 
-def extension_ingredients(p: HermitianPolynomial, q: Point,
-                          m_max: int = TYPE_CAP_DEFAULT) -> tuple[PolyVectorField, complex]:
-    """(1,0) part V of the type witness and the transversality value phi = d(rho)(V) / rho."""
-    report = point_type(p, q, m_max=m_max)
-    if report.witness is None:
-        raise TypeCapExceeded(f"no witness up to length {m_max} at {q.as_pair()}")
-    _, field = next(
-        entry for entry in bracket_level(p, report.type_m)  # type: ignore[arg-type]
-        if str(entry[0]) == report.witness
-    )
-    V = PolyVectorField(field.c1, field.c2, Polynomial.zero(), Polynomial.zero())
-    return V, report.pairing_value / p(*q.as_pair()).real
-
-
 RAYS = ((1, 1), (1, -1), (1, 1j), (1j, 1), (2, 1), (1, 2), (1 + 1j, 1 - 1j), (1 - 2j, 2 + 1j))
 
 
 def _check_rho(rho: float, q: Point) -> None:  # NonPositiveRho unless 0 < rho < inf
     if not 0.0 < rho < math.inf:
         raise NonPositiveRho(f"rho({q.as_pair()}) = {rho} {'<= 0' if rho <= 0.0 else 'is not finite'}")
+
+
+def _g6(x: Fraction) -> str:  # x to 6 significant digits, also beyond the range of a double
+    try:
+        return f"{float(x):.6g}"
+    except OverflowError:
+        from decimal import Context
+        return f"{Context(prec=6).divide(x.numerator, x.denominator).normalize():g}"
 
 
 def _order(c: list[GaussianRational]) -> float:  # the first nonzero coefficient's index
@@ -383,7 +376,7 @@ def ray_limit(p: HermitianPolynomial, q: Point) -> tuple[GaussianRational, Gauss
     jp = jet_polynomials(p)
     det, *n = (at_exact(f, q) for f in (jp.det, jp.n1, jp.n2))  # det is real-valued
     if det.re < 0:
-        raise NoExtension(f"det = {float(det.re):.6g} < 0 at {q.as_pair()}: the Levi form "
+        raise NoExtension(f"det = {_g6(det.re)} < 0 at {q.as_pair()}: the Levi form "
                           f"is indefinite")
     if det.re > 0:
         return tuple(GaussianRational(c.re / det.re, c.im / det.re) for c in n)

@@ -16,7 +16,7 @@ side takes Z from ``finite_type.gradient_field``, decided once per polynomial:
 where det divides the cofactor numerators, a call evaluates rho (the domain
 check) and the exact Z's two polynomials, and tests no D; otherwise it calls
 extend_gradient, whose exact ray limit at a Levi-degenerate point may raise
-NoExtension.  ``leaf_diagnostics`` takes Z from ``finite_type.gradients``.
+NoExtension.  ``leaf_diagnostics`` takes Z from it too: leaves never need numpy.
 
 The verdict operations:
 
@@ -64,7 +64,7 @@ from .errors import (
     RankDeficientSamples,
     UnreachableLevel,
 )
-from .finite_type import gradient_field, gradients
+from .finite_type import gradient_field
 from .monge_ampere import (
     EPS_D_DEFAULT,
     complex_gradients,
@@ -94,8 +94,8 @@ class FlowConfig(_FlowFields):
         return self
 
 
-def _pack(z1: complex, z2: complex) -> np.ndarray:
-    return np.array([z1.real, z1.imag, z2.real, z2.imag])
+def _pack(z1: complex, z2: complex) -> list[float]:
+    return [z1.real, z1.imag, z2.real, z2.imag]
 
 
 class _GradientFlow:
@@ -108,11 +108,11 @@ class _GradientFlow:
         self.Z = gradient_field(p)
         self.evals = 0
 
-    def __call__(self, _t, y):
+    def __call__(self, _t, y) -> list[float]:
         self.evals += 1
         if self.evals > self.cfg.max_steps:
             raise FlowEscape(f"flow exceeded the step budget of {self.cfg.max_steps}")
-        x1, y1, x2, y2 = y.tolist()
+        x1, y1, x2, y2 = y
         z1, z2 = complex(x1, y1), complex(x2, y2)
         if self.p(z1, z2).real <= 0.0:
             raise FlowEscape(f"flow left the domain rho > 0 at ({z1}, {z2})")
@@ -122,27 +122,36 @@ class _GradientFlow:
         return _pack(self.rot * Z1, self.rot * Z2)
 
 
-def _flow_states(rhs, y0: np.ndarray, values, cfg: FlowConfig) -> np.ndarray:
-    """States of the flow at the requested parameter values (0 is the seed)."""
-    values = np.asarray(values, dtype=float)
-    states = np.empty((len(values), 4))
-    order = list(np.argsort(values))
+def _flow_states(rhs, y0, values, cfg: FlowConfig, runs: list | None = None) -> list:
+    """States [x1, y1, x2, y2] of the flow at the requested parameter values (0 is the
+    seed); each integrator run's result is appended to runs, when given."""
+    values = [float(v) for v in values]
+    states: list = [None] * len(values)
+    order = sorted(range(len(values)), key=values.__getitem__)
     neg = [i for i in order if values[i] < 0][::-1]
     pos = [i for i in order if values[i] >= 0]
     for idx_list in (neg, pos):
         if not idx_list:
             continue
-        ts = values[idx_list]
-        target = ts[-1]
-        if target == 0.0:
-            states[idx_list] = y0
+        ts = [values[i] for i in idx_list]
+        if ts[-1] == 0.0:
+            for i in idx_list:
+                states[i] = [float(v) for v in y0]
             continue
-        sol = solve_ivp(rhs, (0.0, float(target)), np.asarray(y0, dtype=float),
-                        method="RK45", rtol=cfg.rtol, atol=cfg.atol, t_eval=ts)
+        sol = solve_ivp(rhs, (0.0, ts[-1]), y0, method="RK45", rtol=cfg.rtol, atol=cfg.atol,
+                        t_eval=ts)
+        if runs is not None:
+            runs.append(sol)
         if not sol.success:
             raise FlowEscape(f"integration failed: {sol.message}")
-        states[idx_list] = sol.y.T
+        for i, state in zip(idx_list, zip(*sol.y)):
+            states[i] = list(state)
     return states
+
+
+def _as_pair(state) -> tuple[complex, complex]:  # a state (x1, y1, x2, y2) as (z1, z2)
+    x1, y1, x2, y2 = state
+    return complex(x1, y1), complex(x2, y2)
 
 
 def flow_point(p: HermitianPolynomial, q: Point, time: float,
@@ -150,93 +159,100 @@ def flow_point(p: HermitianPolynomial, q: Point, time: float,
     """Single endpoint of the real flow dz/dt = Z(z) started at q."""
     cfg = cfg or FlowConfig()
     state = _flow_states(_GradientFlow(p, cfg, 1.0), _pack(*q.as_pair()), [time], cfg)[0]
-    return Point(*state.view(complex).tolist())
+    return Point(*_as_pair(state))
 
 
 def make_grid(t_min: float, t_max: float, s_min: float, s_max: float,
-              step: float) -> tuple[np.ndarray, np.ndarray]:
+              step: float) -> tuple[list[float], list[float]]:
     nt = int(round((t_max - t_min) / step)) + 1
     ns = int(round((s_max - s_min) / step)) + 1
-    return t_min + step * np.arange(nt), s_min + step * np.arange(ns)
+    return [t_min + step * k for k in range(nt)], [s_min + step * k for k in range(ns)]
 
 
 class LeafTrace(NamedTuple):
-    """Image of a (t, s) grid under f(t + i s) = phi_t(psi_s(seed)), with node data."""
+    """Image of a (t, s) grid under f(t + i s) = phi_t(psi_s(seed)), with node data as
+    nested lists; ``points``, ``rho_values`` and ``u_values`` build them as numpy arrays."""
 
     poly: HermitianPolynomial
     seed: Point
-    t_values: np.ndarray
-    s_values: np.ndarray
-    points: np.ndarray       # shape (nt, ns, 2), complex
-    rho_values: np.ndarray   # shape (nt, ns)
-    u_values: np.ndarray     # log of rho_values
+    t_values: list
+    s_values: list
+    nodes: list      # nodes[i][j] = (z1, z2) at (t_values[i], s_values[j])
+    rho_rows: list   # rho_rows[i][j] = rho at nodes[i][j]
+    u_rows: list     # log of rho_rows
     diagnostics: dict
+    counts: dict     # the integrator runs: flows, nfev and rejected_steps
+
+    @property
+    def points(self) -> np.ndarray:  # shape (nt, ns, 2), complex
+        return np.array(self.nodes, dtype=complex).reshape(len(self.t_values), len(self.s_values), 2)
+
+    @property
+    def rho_values(self) -> np.ndarray:  # shape (nt, ns)
+        return np.array(self.rho_rows, dtype=float)
+
+    @property
+    def u_values(self) -> np.ndarray:
+        return np.array(self.u_rows, dtype=float)
 
 
 def trace_leaf(p: HermitianPolynomial, seed: Point, t_values, s_values,
                cfg: FlowConfig | None = None) -> LeafTrace:
-    """Integrate the two real flows of Z over the grid and record rho and u."""
+    """Integrate the two real flows of Z over the grid; record rho, u, diagnostics and runs."""
     cfg = cfg or FlowConfig()
     z1, z2 = seed.as_pair()
     rho0 = p(z1, z2).real
     if rho0 <= 0.0:
         raise NonPositiveRho(f"rho(seed) = {rho0} <= 0")
-    t_values = np.asarray(t_values, dtype=float)
-    s_values = np.asarray(s_values, dtype=float)
-    y0 = _pack(z1, z2)
-
-    s_states = _flow_states(_GradientFlow(p, cfg, 1j), y0, s_values, cfg)
-    nt, ns = len(t_values), len(s_values)
-    points = np.empty((nt, ns, 2), dtype=complex)
-    for j in range(ns):
-        t_states = _flow_states(_GradientFlow(p, cfg, 1.0 + 0j), s_states[j], t_values, cfg)
-        points[:, j] = t_states.view(complex)  # rows (x1, y1, x2, y2) as (z1, z2)
-
-    # a contiguous copy, as before: np.log may round differently in its strided loop
-    rho_values = p.evaluate(points[..., 0], points[..., 1]).real.copy().reshape(nt, ns)
-    if np.any(rho_values <= 0.0):
+    t_values = [float(t) for t in t_values]
+    s_values = [float(s) for s in s_values]
+    runs: list = []
+    s_states = _flow_states(_GradientFlow(p, cfg, 1j), _pack(z1, z2), s_values, cfg, runs)
+    columns = [_flow_states(_GradientFlow(p, cfg, 1.0 + 0j), s_state, t_values, cfg, runs)
+               for s_state in s_states]
+    nodes = [[_as_pair(column[i]) for column in columns] for i in range(len(t_values))]
+    rho_rows = [[p(*node).real for node in row] for row in nodes]  # the bits of p.evaluate
+    if any(r <= 0.0 for row in rho_rows for r in row):
         raise FlowEscape("a grid node left the domain rho > 0")
-    u_values = np.log(rho_values)
+    u_rows = [[math.log(r) for r in row] for row in rho_rows]
 
-    diag = _trace_diagnostics(seed, t_values, s_values, points, rho_values, u_values,
-                              s_states, rho0, p)
-    return LeafTrace(p, seed, t_values, s_values, points, rho_values, u_values, diag)
-
-
-def _trace_diagnostics(seed, t_values, s_values, points, rho_values, u_values,
-                       s_states, rho0, p) -> dict:
     diag: dict = {}
     # level preservation along the s-flow
-    # each state row (x1, y1, x2, y2) read as the pair (z1, z2), as the flow reads it
-    s_rho = p.evaluate(*np.ascontiguousarray(s_states).view(complex).T).real
-    diag["level_drift"] = float(np.max(np.abs(s_rho - rho0))) / rho0
+    diag["level_drift"] = max(abs(p(*_as_pair(st)).real - rho0) for st in s_states) / rho0
 
     # exponential growth fit per s-line, plus constancy across sub-intervals
     if len(t_values) >= 3:
-        slopes = np.array([np.polyfit(t_values, u_values[:, j], 1)[0]
-                           for j in range(len(s_values))])
-        rate = float(np.mean(slopes))
+        u_lines = list(zip(*u_rows))  # u_lines[j][i]: u at (t_values[i], s_values[j])
+        slopes = [_slope(t_values, line) for line in u_lines]
+        rate = sum(slopes) / len(slopes)
+        scale = max(abs(rate), 1e-30)
         half = len(t_values) // 2
-        sub = []
-        for j in range(len(s_values)):
-            c_lo = np.polyfit(t_values[:half + 1], u_values[:half + 1, j], 1)[0]
-            c_hi = np.polyfit(t_values[half:], u_values[half:, j], 1)[0]
-            sub.append(abs(c_hi - c_lo) / max(abs(rate), 1e-30))
         diag["growth_rate"] = rate
-        diag["growth_subinterval_spread"] = float(np.max(sub))
-        dt = np.diff(t_values)
-        inst = np.diff(u_values, axis=0) / dt[:, None]
-        diag["growth_pointwise_spread"] = float(np.max(np.abs(inst - rate))) / max(abs(rate), 1e-30)
+        diag["growth_subinterval_spread"] = max(
+            abs(_slope(t_values[half:], line[half:]) - _slope(t_values[:half + 1], line[:half + 1]))
+            / scale for line in u_lines)
+        diag["growth_pointwise_spread"] = max(
+            abs((u1 - u0) / (t1 - t0) - rate)
+            for t0, t1, row0, row1 in zip(t_values, t_values[1:], u_rows, u_rows[1:])
+            for u0, u1 in zip(row0, row1)) / scale
 
     # distance to the complex line through the seed (meaningful for homogeneous rho)
-    v = np.array(seed.as_pair())
-    v = v / np.linalg.norm(v)
-    flat = points.reshape(-1, 2)
-    inner = flat @ v.conjugate()
-    residual = flat - np.outer(inner, v)
-    norms = np.linalg.norm(flat, axis=1)
-    diag["radiality_defect"] = float(np.max(np.linalg.norm(residual, axis=1) / norms))
-    return diag
+    v1, v2 = (v / seed.norm() for v in seed.as_pair())
+    worst = 0.0
+    for z1, z2 in (node for row in nodes for node in row):
+        inner = z1 * v1.conjugate() + z2 * v2.conjugate()
+        worst = max(worst, math.hypot(abs(z1 - inner * v1), abs(z2 - inner * v2))
+                    / math.hypot(abs(z1), abs(z2)))
+    diag["radiality_defect"] = worst
+    counts = {"flows": len(runs), "nfev": sum(r.nfev for r in runs),
+              "rejected_steps": sum(r.rejected for r in runs)}
+    return LeafTrace(p, seed, t_values, s_values, nodes, rho_rows, u_rows, diag, counts)
+
+
+def _slope(x: list, y: list) -> float:
+    """Least-squares slope of y against x, in closed form."""
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    return sum((a - mx) * (b - my) for a, b in zip(x, y)) / sum((a - mx) ** 2 for a in x)
 
 
 class LeafDiagnostics(NamedTuple):
@@ -253,36 +269,40 @@ class LeafDiagnostics(NamedTuple):
     level_drift: float
 
 
-def _uniform_step(values: np.ndarray, label: str) -> float:
-    d = np.diff(values)
-    if len(d) == 0:
+def _uniform_step(values: list, label: str) -> float:
+    d = [b - a for a, b in zip(values, values[1:])]
+    if not d:
         raise IncompleteTrace(f"need at least two {label} nodes")
-    if np.max(np.abs(d - d[0])) > 1e-9 * abs(d[0]):
+    if max(abs(x - d[0]) for x in d) > 1e-9 * abs(d[0]):
         raise IncompleteTrace(f"{label} grid is not uniform")
-    return float(d[0])
+    return d[0]
 
 
 def leaf_diagnostics(trace: LeafTrace) -> LeafDiagnostics:
     """Five-point Laplacian of u, monotone growth of u in t, and max |f' - Z(f)|."""
-    u = trace.u_values
-    nt, ns = u.shape
+    u = trace.u_rows
+    nt, ns = len(trace.t_values), len(trace.s_values)
     if nt < 3 or ns < 3:
         raise IncompleteTrace("diagnostics need at least a 3 x 3 grid")
     ht = _uniform_step(trace.t_values, "t")
     hs = _uniform_step(trace.s_values, "s")
 
-    lap = ((u[2:, 1:-1] - 2 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / ht**2
-           + (u[1:-1, 2:] - 2 * u[1:-1, 1:-1] + u[1:-1, :-2]) / hs**2)
-    harmonicity = float(np.max(np.abs(lap)))
+    harmonicity = max(
+        abs((u[i + 1][j] - 2 * u[i][j] + u[i - 1][j]) / ht**2
+            + (u[i][j + 1] - 2 * u[i][j] + u[i][j - 1]) / hs**2)
+        for i in range(1, nt - 1) for j in range(1, ns - 1))
 
-    monotone = bool(np.all(np.diff(u, axis=0) > 0))
+    monotone = all(b - a > 0 for row0, row1 in zip(u, u[1:]) for a, b in zip(row0, row1))
 
-    pts = trace.points
-    fd = (pts[2:, :, :] - pts[:-2, :, :]) / (2 * ht)
-    nodes = pts[1:-1].reshape(-1, 2)
-    Z = np.stack(gradients(trace.poly, nodes[:, 0], nodes[:, 1]), axis=-1)
-    par_defect = float(np.max(np.abs(fd - Z.reshape(fd.shape))))
-    min_grad = min(float(np.linalg.norm(z)) for z in Z)
+    Z = gradient_field(trace.poly)  # at rho > 0, the doubles of finite_type.gradients
+    pts = trace.nodes
+    par_defect, min_grad = 0.0, math.inf
+    for lo, mid, hi in zip(pts, pts[1:], pts[2:]):  # f' by central differences in t
+        for (a1, a2), node, (b1, b2) in zip(lo, mid, hi):
+            Z1, Z2 = Z(*node)
+            par_defect = max(par_defect, abs((b1 - a1) / (2 * ht) - Z1),
+                             abs((b2 - a2) / (2 * ht) - Z2))
+            min_grad = min(min_grad, math.hypot(abs(Z1), abs(Z2)))
 
     d = trace.diagnostics
     return LeafDiagnostics(ht, hs, harmonicity, monotone, par_defect, min_grad,
@@ -300,13 +320,10 @@ def write_leaf_csv(trace: LeafTrace, path, version: str) -> None:
         fh.write(f"# poly_sha256 {polynomial_hash(trace.poly)}\n")
         writer = csv.writer(fh)
         writer.writerow(LEAF_CSV_COLUMNS)
-        for i, t in enumerate(trace.t_values):
-            for j, s in enumerate(trace.s_values):
-                z1, z2 = trace.points[i, j]
-                writer.writerow([repr(float(t)), repr(float(s)),
-                                 repr(z1.real), repr(z1.imag), repr(z2.real), repr(z2.imag),
-                                 repr(float(trace.rho_values[i, j])),
-                                 repr(float(trace.u_values[i, j]))])
+        for t, nodes, rhos, us in zip(trace.t_values, trace.nodes, trace.rho_rows, trace.u_rows):
+            for s, (z1, z2), rho, u in zip(trace.s_values, nodes, rhos, us):
+                writer.writerow([repr(t), repr(s), repr(z1.real), repr(z1.imag),
+                                 repr(z2.real), repr(z2.imag), repr(rho), repr(u)])
 
 
 # ---------------------------------------------------------------------------

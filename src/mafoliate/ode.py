@@ -1,12 +1,12 @@
-"""Dormand-Prince 5(4) integration and Brent root finding, in numpy alone.
+"""Dormand-Prince 5(4) integration and Brent root finding, on Python floats.
 
-The flows need exactly two numerical routines: ``solve_ivp`` with
-``method="RK45"`` and ``t_eval``, and ``brentq``.  Both are transcriptions of
-SciPy's code paths for those calls (``scipy.integrate.solve_ivp`` and the C
-``brentq``), doing the same floating-point operations in the same order, so
-their results are bit-identical to SciPy's; ``tests/test_ode.py`` checks that
-against SciPy itself.  Events, dense-output objects, other methods and further
-options are deliberately absent.
+The flows need ``solve_ivp`` (``method="RK45"`` with ``t_eval``) and ``brentq``,
+transcribed from SciPy's code paths for those calls onto floats and lists: the
+same operations in the same order, and no events, methods or options beyond.
+Each reduction (stage combinations, error norm, dense output) adds its terms in
+index order from the first, where SciPy's ``np.dot`` and ``np.linalg.norm`` sum
+in the CPU-dependent order of BLAS: the bits equal SciPy's run with index-order
+reductions, and ``brentq``'s equal SciPy's (``tests/test_ode.py``).
 
 References: J. R. Dormand and P. J. Prince, J. Comput. Appl. Math. 6 (1980)
 for the pair; L. F. Shampine, Math. Comp. 46 (1986) for the quartic dense
@@ -17,11 +17,10 @@ ch. 4 for the root finder.
 
 from __future__ import annotations
 
+import math
 import sys
-from functools import lru_cache
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
-
-from ._numpy import np
 
 EPS = sys.float_info.epsilon
 SAFETY = 0.9      # multiplies steps predicted from the asymptotic error
@@ -36,66 +35,74 @@ BRENT_MAXITER = 100
 class Tableau(NamedTuple):
     """Dormand-Prince coefficients: nodes C, stages A, weights B, error E, dense output P."""
 
-    C: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    E: np.ndarray
-    P: np.ndarray
+    C: tuple
+    A: tuple
+    B: tuple
+    E: tuple
+    P: tuple
 
 
-@lru_cache(maxsize=None)
-def tableau() -> Tableau:
-    """The Dormand-Prince tableau as float arrays, built on first use.
-
-    E = (5th-order weights) - (4th-order weights), and P gives the quartic
-    dense output with Shampine's optimum c_6.
-    """
-    return Tableau(
-        C=np.array([0, 1/5, 3/10, 4/5, 8/9, 1]),
-        A=np.array([
-            [0, 0, 0, 0, 0],
-            [1/5, 0, 0, 0, 0],
-            [3/40, 9/40, 0, 0, 0],
-            [44/45, -56/15, 32/9, 0, 0],
-            [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-            [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]]),
-        B=np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84]),
-        E=np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40]),
-        P=np.array([
-            [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-            [0, 0, 0, 0],
-            [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-            [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-            [0, 127303824393/49829197408, -318862633887/49829197408,
-             701980252875 / 199316789632],
-            [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-            [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]]))
+# E = (5th-order weights) - (4th-order weights); P gives the quartic dense output
+# with Shampine's optimum c_6
+TABLEAU = Tableau(
+    C=(0.0, 1/5, 3/10, 4/5, 8/9, 1.0),
+    A=((0.0, 0.0, 0.0, 0.0, 0.0),
+       (1/5, 0.0, 0.0, 0.0, 0.0),
+       (3/40, 9/40, 0.0, 0.0, 0.0),
+       (44/45, -56/15, 32/9, 0.0, 0.0),
+       (19372/6561, -25360/2187, 64448/6561, -212/729, 0.0),
+       (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656)),
+    B=(35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84),
+    E=(-71/57600, 0.0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40),
+    P=((1.0, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432),
+       (0.0, 0.0, 0.0, 0.0),
+       (0.0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799),
+       (0.0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072),
+       (0.0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632),
+       (0.0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
+       (0.0, 40617522/29380423, -110615467/29380423, 69997945/29380423)))
+# stage s: its node and the s coefficients of the stages before it
+_STAGES = tuple((c, a[:s]) for s, (c, a) in enumerate(zip(TABLEAU.C, TABLEAU.A)) if s)
+_P_COLUMNS = tuple(zip(*TABLEAU.P))  # the stage weights of each power of the dense output
 
 
 class OdeResult(NamedTuple):
-    """States at the requested times (``y[:, k]`` at ``t[k]``) and the run's outcome."""
+    """States at the requested times (``y[i][k]``, component i at ``t[k]``) and the run's
+    outcome, with its right-hand-side evaluations and rejected step attempts."""
 
-    t: np.ndarray
-    y: np.ndarray
+    t: list
+    y: list
     nfev: int
     message: str
     success: bool
+    rejected: int
 
 
-def _rms(x: np.ndarray):
-    return np.linalg.norm(x) / x.size ** 0.5
+def _combine(coeffs, rows) -> list:
+    """sum_j coeffs[j] * rows[j], component by component, added in index order."""
+    acc = [coeffs[0] * v for v in rows[0]]
+    for c, row in zip(coeffs[1:], rows[1:]):
+        acc = [a + c * v for a, v in zip(acc, row)]
+    return acc
+
+
+def _rms(x) -> float:
+    acc = x[0] * x[0]
+    for v in x[1:]:
+        acc += v * v
+    return math.sqrt(acc) / len(x) ** 0.5
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
     """Hairer-Norsett-Wanner starting step for an error estimate of order 4."""
     interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([f / s for f, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    f1 = fun(t0 + h0 * direction, [v + h0 * direction * f for v, f in zip(y0, f0)])
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -105,12 +112,11 @@ def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
 
 def _rk_step(fun, t, y, f, h, K):
     """One Dormand-Prince step; fills the stages into K and returns (y_new, f_new)."""
-    tab = tableau()
     K[0] = f
-    for s, (a, c) in enumerate(zip(tab.A[1:], tab.C[1:]), start=1):
-        dy = np.dot(K[:s].T, a[:s]) * h
-        K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, tab.B)
+    for s, (c, a) in enumerate(_STAGES, start=1):
+        dy = _combine(a, K)  # the s stages so far: _combine's zip stops with a
+        K[s] = fun(t + c * h, [v + d * h for v, d in zip(y, dy)])
+    y_new = [v + h * d for v, d in zip(y, _combine(TABLEAU.B, K))]
     f_new = fun(t + h, y_new)
     K[-1] = f_new
     return y_new, f_new
@@ -124,47 +130,42 @@ def solve_ivp(fun, t_span, y0, method: str = "RK45", *, rtol: float, atol: float
     t0, t_bound = map(float, t_span)
     if t0 == t_bound:
         raise ValueError("t_span is empty")
-    y = np.asarray(y0, dtype=float)
-    if y.ndim != 1 or not np.isfinite(y).all():
-        raise ValueError("y0 must be a finite 1-dimensional array")
-    if rtol < 100 * EPS:
-        rtol = np.maximum(rtol, 100 * EPS)
+    try:
+        y = [float(v) for v in y0]
+        t_eval = [float(v) for v in t_eval]
+    except TypeError:
+        raise ValueError("y0 and t_eval must be 1-dimensional") from None
+    if not all(map(math.isfinite, y)):
+        raise ValueError("y0 must be finite")
+    rtol = max(rtol, 100 * EPS)
     if atol < 0:
         raise ValueError("atol must be non-negative")
-    t_eval = np.asarray(t_eval)
-    if t_eval.ndim != 1:
-        raise ValueError("t_eval must be 1-dimensional")
-    if np.any(t_eval < min(t0, t_bound)) or np.any(t_eval > max(t0, t_bound)):
+    if any(v < min(t0, t_bound) or v > max(t0, t_bound) for v in t_eval):
         raise ValueError("values in t_eval are not within t_span")
-    steps = np.diff(t_eval)
-    if np.any(steps <= 0) if t_bound > t0 else np.any(steps >= 0):
+    steps = [b - a for a, b in zip(t_eval, t_eval[1:])]
+    if any(d <= 0 for d in steps) if t_bound > t0 else any(d >= 0 for d in steps):
         raise ValueError("values in t_eval are not sorted in the direction of t_span")
-    direction = np.sign(t_bound - t0)
-    if direction > 0:
-        t_eval_i = 0
-    else:  # decreasing, so that np.searchsorted applies
+    direction = 1.0 if t_bound > t0 else -1.0
+    if direction < 0:  # increasing, so that bisection applies
         t_eval = t_eval[::-1]
-        t_eval_i = t_eval.shape[0]
+    t_eval_i = 0 if direction > 0 else len(t_eval)
 
-    nfev = 0
-
+    nfev = rejected = 0
     def f_of(t, y):
         nonlocal nfev
         nfev += 1
-        return np.asarray(fun(t, y), dtype=float)
+        return fun(t, y)
 
     t = t0
     f = f_of(t, y)
     h_abs = _initial_step(f_of, t, y, f, t_bound, direction, rtol, atol)
-    tab = tableau()
-    K = np.empty((len(tab.E), y.size))
-    ts, ys = [], []
+    K = [None] * len(TABLEAU.E)
+    ts, ys = [], [[] for _ in y]
     status, message = None, REACHED_END  # status: 0 reached the end, -1 step too small
     while status is None:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        step_rejected = False
         while True:
             if h_abs < min_step:
                 status, message = -1, TOO_SMALL_STEP
@@ -173,48 +174,47 @@ def solve_ivp(fun, t_span, y0, method: str = "RK45", *, rtol: float, atol: float
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             y_new, f_new = _rk_step(f_of, t, y, f, h, K)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, tab.E) * h / scale)
+            # np.maximum may give nan where max does not; the norm is nan or inf, rejected alike
+            error_norm = _rms([e * h / (atol + max(abs(a), abs(b)) * rtol)
+                               for e, a, b in zip(_combine(TABLEAU.E, K), y, y_new)])
             if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-                if rejected:
+                factor = (MAX_FACTOR if error_norm == 0
+                          else min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
+                if step_rejected:
                     factor = min(1, factor)
                 h_abs *= factor
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-            rejected = True
+            step_rejected = True
+            rejected += 1
         if status is not None:
             break
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
-
         # t_eval points reached by this step, from its quartic interpolant
         if direction > 0:
-            t_eval_i_new = np.searchsorted(t_eval, t, side="right")
+            t_eval_i_new = bisect_right(t_eval, t)
             t_eval_step = t_eval[t_eval_i:t_eval_i_new]
         else:
-            t_eval_i_new = np.searchsorted(t_eval, t, side="left")
+            t_eval_i_new = bisect_left(t_eval, t)
             t_eval_step = t_eval[t_eval_i_new:t_eval_i][::-1]
-        if t_eval_step.size > 0:
+        if t_eval_step:
             h_step = t - t_old
-            x = (t_eval_step - t_old) / h_step
-            powers = np.cumprod(np.tile(x, (tab.P.shape[1], 1)), axis=0)
-            y_step = h_step * np.dot(K.T.dot(tab.P), powers)
-            y_step += y_old[:, None]
-            ts.append(t_eval_step)
-            ys.append(y_step)
+            Q = [_combine(column, K) for column in _P_COLUMNS]  # Q[j][i]: K^T P
+            for te in t_eval_step:
+                x = (te - t_old) / h_step
+                powers = (x, x * x, x * x * x, x * x * x * x)  # np.cumprod's products
+                for component, q, v in zip(ys, _combine(powers, Q), y_old):
+                    component.append(h_step * q + v)
+            ts += t_eval_step
             t_eval_i = t_eval_i_new
 
-    if ts:
-        ts, ys = np.hstack(ts), np.hstack(ys)
-    return OdeResult(t=ts, y=ys, nfev=nfev, message=message, success=status >= 0)
+    return OdeResult(t=ts, y=ys if ts else [], nfev=nfev, message=message,
+                     success=status >= 0, rejected=rejected)
 
 
 def brentq(f, a: float, b: float, *, xtol: float, rtol: float) -> float:
@@ -230,10 +230,10 @@ def brentq(f, a: float, b: float, *, xtol: float, rtol: float) -> float:
         raise ValueError(f"rtol too small ({rtol:g} < {4 * EPS:g})")
 
     def f_of(x: float) -> float:
-        fx = f(x)
-        if np.isnan(fx):
+        fx = float(f(x))
+        if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return float(fx)
+        return fx
 
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0

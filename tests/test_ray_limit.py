@@ -12,6 +12,7 @@ is MA, has no polynomial Z, and Z has a pole at (1, 0).
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 import mafoliate as mf
 from mafoliate import finite_type
 from mafoliate.calculus import GaussianRational, Polynomial, on_line
+from mafoliate.cli import main
 from mafoliate.finite_type import RAYS, gradient, gradients, polynomial_gradient, ray_limit
 from mafoliate.monge_ampere import EPS_D_DEFAULT
 
@@ -183,6 +185,21 @@ def test_bad_where_det_is_negative():
     with pytest.raises(mf.NoExtension) as err:
         mf.extend_gradient(p, q)
     assert str(err.value) == "det = -0.5625 < 0 at ((1+0j), 0j): the Levi form is indefinite"
+
+
+def test_negative_det_beyond_a_double_keeps_the_indefinite_message(tmp_path, capsys):
+    # bad with every coefficient times 1e200: det = -9/16 * 1e400 at (1, 0), past the
+    # largest double, where formatting float(det) raised OverflowError
+    p = mf.load("bad").scaled(10 ** 200)
+    want = "det = -5.625e+399 < 0 at ((1+0j), 0j): the Levi form is indefinite"
+    with pytest.raises(mf.NoExtension) as err:
+        mf.extend_gradient(p, mf.Point(1.0, 0.0))
+    assert str(err.value) == want
+    poly = tmp_path / "bad1e200.json"
+    poly.write_text(json.dumps(mf.serialize_polynomial(p)))
+    args = ["gradient", "--poly", str(poly), "--point=1,0,0,0", "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
 
 
 def test_where_det_is_positive_the_exact_value_needs_no_ray(monkeypatch):
