@@ -46,7 +46,6 @@ from .errors import (
     NotPositive,
     RankDeficientSamples,
     RealityViolation,
-    TypeCapExceeded,
     UnreachableLevel,
     ZeroDifferential,
 )
@@ -59,7 +58,6 @@ from .finite_type import (
     bracket_identities_check,
     extend_gradient,
     gradient,
-    gradients,
     lie_bracket,
     pair_d_rho,
     point_type,

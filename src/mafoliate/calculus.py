@@ -438,10 +438,6 @@ class HermitianPolynomial(Polynomial):
         twice = raw + raw.conjugate()
         return cls._exact(*_lowest(twice._num, 2 * twice._den))
 
-    def value(self, z1: complex, z2: complex) -> float:
-        """Evaluate; the imaginary part cancels by conjugate pairing."""
-        return self(z1, z2).real
-
     def __add__(self, other: Polynomial) -> Polynomial:
         out = Polynomial.__add__(self, other)
         if isinstance(other, HermitianPolynomial):

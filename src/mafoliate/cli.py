@@ -26,7 +26,6 @@ from .calculus import (
     HermitianPolynomial,
     Point,
     eval_jet,
-    eval_jets,
     evaluate_many,
     jet_polynomials,
     parse_polynomial,
@@ -52,14 +51,7 @@ from .foliation import (
     write_leaf_csv,
     zero_set_check,
 )
-from .monge_ampere import (
-    SAMPLE_D_CUTOFF,
-    complex_gradients,
-    is_ma_exact,
-    ma_scan,
-    require_nondegenerate,
-    write_ma_csv,
-)
+from .monge_ampere import SAMPLE_D_CUTOFF, is_ma_exact, ma_scan, write_ma_csv
 
 
 class _RunFields(NamedTuple):
@@ -354,14 +346,7 @@ def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
         pts = _sample_points(p, rng, cfg.samples)
         _, doc["ma"] = _ma_stage(p, pts)
 
-    with clock("gradient"):
-        jets = eval_jets(p, *point_array(pts[:500]).T)
-        require_nondegenerate(jets)
-        grad_defect = 0.0
-        for pairing, rho in zip(complex_gradients(jets)[2].tolist(), jets.rho.tolist()):
-            grad_defect = max(grad_defect, abs(pairing) / rho)
-    doc["gradient"] = {"max_relative_pairing_defect": grad_defect}
-    oks = [doc["ma"]["is_ma"], grad_defect < 1e-6]
+    oks = [doc["ma"]["is_ma"]]
 
     with clock("bracket_identities"):
         reps = bracket_identities(p, *point_array(pts[:100]).T)

@@ -39,10 +39,6 @@ class ZeroDifferential(MafoliateError):
     """d(rho) vanishes at the requested point; no level hypersurface there."""
 
 
-class TypeCapExceeded(MafoliateError):
-    """No bracket word up to the configured length pairs nontrivially with d(rho)."""
-
-
 class NoExtension(MafoliateError):
     """Z does not extend to the Levi-degenerate point: det < 0 there (the Levi form is
     indefinite), or Z has a pole along an approach ray, or its limit depends on the ray."""

@@ -27,8 +27,8 @@ exactly, ``polynomial_gradient`` gives Z as a polynomial field, defined
 everywhere; otherwise ``extend_gradient`` takes the cofactor formula where
 D > EPS_D_DEFAULT, the one Levi-degeneracy threshold, a constant, and elsewhere
 n_j / det exactly, or where det = 0 its limit along rational rays (``ray_limit``),
-or a typed reason there is none.  ``gradient_field`` (flows), ``gradient`` (one
-point) and ``gradients`` (a batch) take that decision.
+or a typed reason there is none.  ``gradient_field`` (flows and leaf diagnostics) and
+``gradient`` (one point) take that decision.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .calculus import (
     VARIABLES,
     at_exact,
     eval_jet,
-    eval_jets,
     evaluate_many,
     jet_polynomials,
     jet_stack,
@@ -295,7 +294,7 @@ def bracket_identities(p: HermitianPolynomial, z1, z2) -> list[BracketIdentityRe
             if worst <= EPS_D_DEFAULT:
                 raise degenerate_levi(worst.item(), jets.pair(i))
             raise ZeroDifferential(f"L vanishes at {jets.pair(i)}")
-        Z = np.stack(complex_gradients(jets)[:2])
+        Z = np.stack(complex_gradients(jets))
         Zc = Z.conjugate()
 
         # (a) [L, Lbar] against the cofactor field D (Z - Zbar)
@@ -449,21 +448,3 @@ def gradient(p: HermitianPolynomial, q: Point) -> GradientValue:
     Z1, Z2 = Z[0](z1, z2), Z[1](z1, z2)
     return GradientValue(Z1, Z2, jp.d1(z1, z2) * Z1 + jp.d2(z1, z2) * Z2 - rho, "polynomial")
 
-
-def gradients(p: HermitianPolynomial, z1, z2) -> tuple[np.ndarray, np.ndarray]:
-    """Z1 and Z2 of gradient at every point (z1[i], z2[i]), from one batched evaluation,
-    and from gradient itself, point by point in order, where the batch does not apply."""
-    z1 = np.asarray(z1, dtype=complex).ravel()
-    z2 = np.asarray(z2, dtype=complex).ravel()
-    Z = polynomial_gradient(p)
-    if Z is not None:
-        rho, Z1, Z2 = evaluate_many((p, *Z), z1, z2)
-        batch = (rho.real > 0.0) & (rho.real < np.inf)
-    else:
-        jets = eval_jets(p, z1, z2)
-        Z1, Z2, _ = complex_gradients(jets)
-        batch = (jets.rho > 0.0) & (jets.rho < np.inf) & (jets.D > EPS_D_DEFAULT)  # as extend_gradient
-    for i in np.flatnonzero(~batch):  # where the batch formula does not hold or gradient raises
-        g = gradient(p, Point(z1[i], z2[i]))
-        Z1[i], Z2[i] = g.Z1, g.Z2
-    return Z1, Z2

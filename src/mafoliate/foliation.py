@@ -25,8 +25,9 @@ The verdict operations:
   bidegree (k, k), plus the extreme-component vanishing and the ray growth
   law log rho(lambda z) = 2k log|lambda| + log rho(z).  The equation is
   decided by the exact certificate ``monge_ampere.is_ma_exact`` and the
-  bidegree by the exact decomposition, so the chain's verdict samples only
-  for positivity on the sphere and for the growth law.
+  bidegree by the exact decomposition, which makes the growth law exact: pure
+  bidegree (k, k) gives it monomial by monomial.  The chain's verdict samples
+  only for positivity on the sphere.
 * ``fit_holomorphic_Z`` / ``estimate_weights`` recover the linear model of Z
   at its zero from cofactor values at the samples (DegenerateLevi at a sample
   with D <= monge_ampere.EPS_D_DEFAULT, the one degeneracy threshold); the
@@ -294,7 +295,7 @@ def leaf_diagnostics(trace: LeafTrace) -> LeafDiagnostics:
 
     monotone = all(b - a > 0 for row0, row1 in zip(u, u[1:]) for a, b in zip(row0, row1))
 
-    Z = gradient_field(trace.poly)  # at rho > 0, the doubles of finite_type.gradients
+    Z = gradient_field(trace.poly)  # at rho > 0, the doubles of finite_type.gradient
     pts = trace.nodes
     par_defect, min_grad = 0.0, math.inf
     for lo, mid, hi in zip(pts, pts[1:], pts[2:]):  # f' by central differences in t
@@ -387,7 +388,7 @@ def fit_holomorphic_Z(p: HermitianPolynomial, samples: Sequence[Point],
     fit_set = samples[:n - n_hold]
 
     jets = eval_jets(p, *point_array(samples).T)
-    Z1s, Z2s, _ = complex_gradients(jets)
+    Z1s, Z2s = complex_gradients(jets)
     A = np.empty((len(fit_set), len(basis)), dtype=complex)
     Zs = np.empty((len(fit_set), 2), dtype=complex)
     for i, q in enumerate(fit_set):
@@ -616,14 +617,15 @@ def level_transport(p: HermitianPolynomial, r1: float, r2: float,
 
 
 class BurnsVerdict(NamedTuple):
-    """Joint record of the exact Monge-Ampere and bidegree verdicts, and the sampled growth law."""
+    """Joint record of the exact Monge-Ampere and bidegree verdicts, and the growth law
+    that pure bidegree implies."""
 
     k: int
     is_ma: bool
     bidegree_pure: bool
     components: tuple
     extreme_components_vanish: bool
-    growth_bound: float | None  # None unless bidegree_pure: the law needs pure bidegree
+    growth_bound: float | None  # 0.0, exactly, where bidegree_pure; else None: the law fails
     min_on_sphere: float
     theorem_consistent: bool
 
@@ -660,32 +662,10 @@ def _positive_min_on_sphere(p: HermitianPolynomial, n_samples: int, rng) -> tupl
     return best_val, Point(best_dir[0], best_dir[1])
 
 
-def _growth_bound(p: HermitianPolynomial, k: int, rng) -> float:
-    """Max |log rho(lambda v) - 2k log|lambda| - log rho(v)| over 64 rays and 13 |lambda|."""
-    growth = 0.0
-    rays, mags = 64, np.logspace(-3, 3, 13)
-    ray_points = []  # per ray: the base point, then one point per magnitude
-    for _ in range(rays):
-        v = random_vector(rng)
-        ray_points.append((v[0], v[1]))
-        for mag in mags:
-            lam = mag * np.exp(2j * math.pi * rng.uniform())
-            ray_points.append((lam * v[0], lam * v[1]))
-    z = np.array(ray_points, dtype=complex).reshape(-1, 2)
-    values = p.evaluate(z[:, 0], z[:, 1]).real.tolist()
-    for r in range(rays):
-        base = math.log(values[r * (len(mags) + 1)])
-        for m, mag in enumerate(mags):
-            val = math.log(values[r * (len(mags) + 1) + 1 + m])
-            growth = max(growth, abs(val - 2 * k * math.log(mag) - base))
-    return growth
-
-
 def burns_verify(p: HermitianPolynomial, sphere_samples: int = 10_000,
                  seed: int = 0) -> BurnsVerdict:
-    """Homogeneity-gated verdict: the exact MA certificate, bidegree purity, and, for pure
-    bidegree, growth along 64 rays; NotPositive when the sampled sphere minimum is not
-    positive."""
+    """Homogeneity-gated verdict: the exact MA certificate and bidegree purity, which makes
+    the growth law exact; NotPositive when the sampled sphere minimum is not positive."""
     degrees = p.total_degrees()
     if len(degrees) != 1:
         raise NotHomogeneous(f"mixed total degrees {sorted(degrees)}")
@@ -705,6 +685,8 @@ def burns_verify(p: HermitianPolynomial, sphere_samples: int = 10_000,
     extreme_vanish = (0, total) not in profile.components and (total, 0) not in profile.components
     is_ma = is_ma_exact(p)
 
-    growth = _growth_bound(p, k, rng) if pure else None
+    # pure bidegree (k, k): every monomial z^a zbar^b has |a| = |b| = k, so
+    # rho(lambda z) = |lambda|^{2k} rho(z) holds term by term
+    growth = 0.0 if pure else None
     return BurnsVerdict(k, is_ma, pure, comps, extreme_vanish, growth, min_sphere,
                         (not is_ma) or pure)

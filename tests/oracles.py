@@ -10,6 +10,7 @@ them.
 from __future__ import annotations
 
 import cmath
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -113,10 +114,15 @@ def full_bracket_tower(p, m_max):
     return tower
 
 
+class TypeCapExceeded(Exception):
+    """extension_ingredients found no bracket word up to the length cap that pairs
+    nontrivially with d(rho): point_type reported "exceeds_cap"."""
+
+
 def extension_ingredients(p, q, m_max=None):
     """(1,0) part V of the type witness at q and the transversality value
     phi = d(rho)(V) / rho, read from point_type and bracket_level."""
-    from mafoliate import PolyVectorField, TypeCapExceeded
+    from mafoliate import PolyVectorField
     from mafoliate.calculus import Polynomial
     from mafoliate.finite_type import TYPE_CAP_DEFAULT, bracket_level, point_type
 
@@ -371,3 +377,27 @@ def scalar_bracket_identities(p, q, eps_D=1e-10):
         {"phi1": phi1, "psi1": complex(psi1[0]), "psi2": complex(psi2[0]),
          "eta1": complex(eta1[0]), "eta2": complex(eta2[0])},
     )
+
+
+def sampled_growth_bound(p, k, rng) -> float:
+    """Max |log rho(lambda v) - 2k log|lambda| - log rho(v)| over 64 rays and 13 |lambda|:
+    the growth law of a homogeneous rho of pure bidegree (k, k), measured."""
+    from mafoliate.foliation import random_vector
+
+    growth = 0.0
+    rays, mags = 64, np.logspace(-3, 3, 13)
+    ray_points = []  # per ray: the base point, then one point per magnitude
+    for _ in range(rays):
+        v = random_vector(rng)
+        ray_points.append((v[0], v[1]))
+        for mag in mags:
+            lam = mag * np.exp(2j * math.pi * rng.uniform())
+            ray_points.append((lam * v[0], lam * v[1]))
+    z = np.array(ray_points, dtype=complex).reshape(-1, 2)
+    values = p.evaluate(z[:, 0], z[:, 1]).real.tolist()
+    for r in range(rays):
+        base = math.log(values[r * (len(mags) + 1)])
+        for m, mag in enumerate(mags):
+            val = math.log(values[r * (len(mags) + 1) + 1 + m])
+            growth = max(growth, abs(val - 2 * k * math.log(mag) - base))
+    return growth

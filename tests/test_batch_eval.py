@@ -189,12 +189,12 @@ def test_complex_gradients_match_complex_gradient(terms, pts):
     p = hermitian(terms)
     z1, z2 = as_z(pts)
     jets = eval_jets(p, z1, z2)
-    Z1, Z2, pairing = complex_gradients(jets)
+    Z1, Z2 = complex_gradients(jets)
     for i, (a, b) in enumerate(zip(z1, z2)):
         if not (np.isfinite(a) and np.isfinite(b)) or jets.D[i] <= 1e-10:
             continue  # complex_gradient raises there; a nan D is divided by, as CPython does
         g = mf.complex_gradient(mf.eval_jet(p, mf.Point(a, b)))
-        assert_same([Z1[i], Z2[i], pairing[i]], [g.Z1, g.Z2, g.pairing_check])
+        assert_same([Z1[i], Z2[i]], [g.Z1, g.Z2])
 
 
 def test_ma_scan_matches_ma_residual():

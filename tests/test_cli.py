@@ -9,6 +9,7 @@ import pytest
 import mafoliate as mf
 from mafoliate import cli
 from mafoliate.cli import main
+from mafoliate.corpus import corpus_text
 
 from test_ray_limit import pullback_terms
 
@@ -187,7 +188,7 @@ def test_meta_side_channel_has_timestamp(tmp_path):
                                     "transport_samples": 2, "trace_step": 0.1}))
     assert run(["report", "--poly", "euc", "--config", cfg_path, "--out", tmp_path]) == 0
     stage_s = read_json(tmp_path / "report_meta.json")["stage_s"]
-    assert sorted(stage_s) == sorted(["ma", "gradient", "bracket_identities", "type", "burns",
+    assert sorted(stage_s) == sorted(["ma", "bracket_identities", "type", "burns",
                                       "fit_and_weights", "transport", "trace"])
     assert all(s >= 0 for s in stage_s.values())
 
@@ -374,6 +375,21 @@ def test_coefficient_overflow_names_the_monomial(tmp_path, capsys):
     with pytest.raises(mf.CoefficientOverflow) as caught:
         mf.calculus.jet_polynomials(mf.parse_polynomial(huge.read_text())).det(1, 0)
     assert isinstance(caught.value, OverflowError)
+
+
+def test_burns_growth_law_needs_no_evaluation_beyond_the_sphere(tmp_path):
+    # fub times 1e297 is finite on the unit sphere, where burns samples it; the growth
+    # law follows from the pure bidegree, so no rho(lambda v) at |lambda| = 1e3 overflows
+    doc = json.loads(corpus_text("fub"))
+    for term in doc["terms"]:
+        term["re"] *= 1e297
+    huge = tmp_path / "huge_fub.json"
+    huge.write_text(json.dumps(doc))
+    assert run(["burns", "--poly", huge, "--out", tmp_path]) == 0
+    verdict = read_json(tmp_path / "burns_verdict.json")["analysis"]
+    assert verdict["growth_bound"] == 0.0
+    assert verdict["is_ma"] and verdict["bidegree_pure"] and verdict["theorem_consistent"]
+    assert 0 < verdict["min_on_sphere"] < math.inf
 
 
 def _jsonable_before(obj):

@@ -12,8 +12,8 @@ from mafoliate.finite_type import bracket_level, ray_limit
 
 from conftest import TERMS, admissible_points
 from oracles import (
-    VARS, Z1, Z2, _field_bracket, conj_expr, extension_ingredients, full_bracket_tower,
-    poly_expr, sympy_type,
+    VARS, Z1, Z2, TypeCapExceeded, _field_bracket, conj_expr, extension_ingredients,
+    full_bracket_tower, poly_expr, sympy_type,
 )
 from test_batch_eval import forms_rho
 from test_bracket_batch import NONDIAGONAL
@@ -331,7 +331,7 @@ def test_ingredients_weighted_nonzero_phi(corpus):
 
 
 def test_ingredients_cap_exceeded(corpus):
-    with pytest.raises(mf.TypeCapExceeded):
+    with pytest.raises(TypeCapExceeded):
         extension_ingredients(corpus["weighted"], mf.Point(0.0, 1.0), m_max=4)
 
 

@@ -9,6 +9,9 @@ import mafoliate as mf
 from mafoliate.foliation import _GradientFlow, _flow_states, _pack
 
 from conftest import admissible_points
+from oracles import sampled_growth_bound
+from test_batch_eval import forms_rho
+from test_bracket_batch import NONDIAGONAL
 
 
 def _measured_order(hs, defects):
@@ -359,7 +362,13 @@ def test_burns_bad_is_recorded_negative(corpus):
 def test_burns_growth_bound_only_for_pure_bidegree(corpus):
     # on impure bidegree rho(lambda z) depends on arg lambda, so there is no law to bound
     assert mf.burns_verify(corpus["bad"], sphere_samples=2000).growth_bound is None
-    assert mf.burns_verify(corpus["fub"], sphere_samples=2000).growth_bound < 1e-9
+    # pure bidegree (k, k) gives the law monomial by monomial: the bound is 0.0 exactly,
+    # and the sampled rays agree
+    generated = forms_rho(NONDIAGONAL, 3, 3)
+    for p in (corpus["euc"], corpus["fub"], corpus["quartic"], generated):
+        v = mf.burns_verify(p, sphere_samples=2000)
+        assert v.bidegree_pure and v.growth_bound == 0.0
+        assert sampled_growth_bound(p, v.k, np.random.default_rng(7)) < 1e-9
 
 
 def test_burns_rejects_inhomogeneous(corpus):

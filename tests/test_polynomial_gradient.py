@@ -21,7 +21,7 @@ from scipy.linalg import expm
 
 import mafoliate as mf
 from mafoliate.calculus import Polynomial, on_line
-from mafoliate.finite_type import gradient, gradients, polynomial_gradient, ray_limit
+from mafoliate.finite_type import gradient, polynomial_gradient, ray_limit
 from mafoliate.foliation import FlowConfig, fit_holomorphic_Z, leaf_diagnostics, trace_leaf
 
 from conftest import admissible_points
@@ -199,27 +199,6 @@ def test_extension_on_an_order3_line_is_the_exact_Z():
     assert g.method == "ray_limit_extension"
     assert abs(g.pairing_check) <= 1e-12 * p(*q.as_pair()).real
     assert abs(gradient(p, q).Z2 - g.Z2) <= 1e-15
-
-
-def test_gradients_is_gradient_at_every_point():
-    generic = [mf.Point(0.5, 0.5j), mf.Point(1.0, -0.3)]
-    for p, pts in ((mf.load("weighted"), [mf.Point(0.0, 1.0), *generic]),
-                   (mf.load("quartic"), [mf.Point(1.0, 0.0), *generic]), (mf.load("bad"), generic)):
-        Z1, Z2 = gradients(p, [q.z1 for q in pts], [q.z2 for q in pts])
-        for q, a, b in zip(pts, Z1, Z2):
-            g = gradient(p, q)
-            assert (a, b) == (g.Z1, g.Z2)
-    for name in ("weighted", "bad"):
-        with pytest.raises(mf.NonPositiveRho):
-            gradients(mf.load(name), [1.0, 0.0], [1.0, 0.0])
-    # bad is Levi-degenerate on both axes, where Z does not extend: at (0, 1) its limit
-    # depends on the direction, at (1, 0) det = -9/16 < 0
-    for q in (mf.Point(0.0, 1.0), mf.Point(1.0, 0.0)):
-        with pytest.raises(mf.NoExtension) as want:
-            gradient(mf.load("bad"), q)
-        with pytest.raises(mf.NoExtension) as got:
-            gradients(mf.load("bad"), [0.5, q.z1], [0.5j, q.z2])
-        assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import mafoliate as mf
 from mafoliate import finite_type
 from mafoliate.calculus import GaussianRational, Polynomial, on_line
 from mafoliate.cli import main
-from mafoliate.finite_type import RAYS, gradient, gradients, polynomial_gradient, ray_limit
+from mafoliate.finite_type import RAYS, gradient, polynomial_gradient, ray_limit
 from mafoliate.monge_ampere import EPS_D_DEFAULT
 
 from oracles import B1, B2, VARS, Z1, Z2, poly_expr
@@ -275,7 +275,4 @@ def test_an_overflowed_rho_is_an_error(name, point, value, monkeypatch):
     assert str(err.value) == message
     with pytest.raises(mf.NonPositiveRho) as err:
         gradient(p, q)
-    assert str(err.value) == message
-    with pytest.raises(mf.NonPositiveRho) as err:
-        gradients(p, [0.5, q.z1], [0.5, q.z2])
     assert str(err.value) == message

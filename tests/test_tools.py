@@ -51,3 +51,24 @@ def test_settable_values_counts_record_fields_with_defaults(tmp_path):
                            str(tmp_path)], capture_output=True, text=True, check=True)
     # A.x, B.x, B.y, C.x, then b, c and e
     assert proc.stdout.splitlines() == ["src_lines 27", "settable_values 7"]
+
+
+def test_compare_trees_names_the_side_that_holds_a_key(tmp_path, monkeypatch):
+    # importing the tool puts bench/ on sys.path and turns bytecode writing off; undo both
+    monkeypatch.setattr(sys, "path", [str(ROOT / "tools"), *sys.path])
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    from compare_trees import compare_outputs
+
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (parent / "report.json").write_text(
+        '{"analysis": {"gradient": {"defect": 1e-16}, "ok": true, "x": 1.0}}')
+    (change / "report.json").write_text(
+        '{"analysis": {"ok": true, "x": 1.5, "y": [2.0]}}')
+    assert compare_outputs(parent, change) == [
+        "    report.json: 3 path(s) differ",
+        "      analysis.gradient: only in parent",
+        "      analysis.x: max |difference| 0.5",
+        "      analysis.y: only in change",
+    ]

@@ -13,7 +13,7 @@ exit codes, each side's wall seconds (the median over the repeats), whether
 stderr is equal, each side's gate result (mismatches, known defect), and for
 every output file of the first repeat but ``*_meta.json`` either "equal" or the
 dotted JSON paths that differ with the largest absolute difference of their
-numbers.  Each workload runs at every given seed.  A closing summary gives,
+numbers, or with the side that holds a key the other lacks.  Each workload runs at every given seed.  A closing summary gives,
 per workload and side, the failed and attempted job runs (a run fails when its
 gate reports a mismatch, as in bench/run.py), the failures by known-defect
 name, the failures that match no known defect, and the wall seconds of all its
@@ -74,21 +74,22 @@ def _number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def json_diff(a, b, path: str = "") -> dict[str, float]:
-    """Dotted path -> |a - b| for each differing number, inf for any other difference."""
+def json_diff(a, b, path: str = "") -> dict[str, float | str]:
+    """Dotted path -> |a - b| for each differing number, "only in parent" or "only in
+    change" for a key that one side lacks, inf for any other difference."""
+    out: dict[str, float | str] = {}
     if isinstance(a, dict) and isinstance(b, dict):
-        missing = object()
-        items = [(f"{path}.{k}" if path else k, a.get(k, missing), b.get(k, missing))
-                 for k in sorted(set(a) | set(b))]
+        for k in sorted(set(a) | set(b)):
+            sub = f"{path}.{k}" if path else k
+            if k in a and k in b:
+                out.update(json_diff(a[k], b[k], sub))
+            else:
+                out[sub] = f"only in {'parent' if k in a else 'change'}"
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        items = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
-    elif _number(a) and _number(b):
-        return {} if a == b else {path: abs(a - b)}
-    else:
-        return {} if a == b else {path: math.inf}
-    out: dict[str, float] = {}
-    for sub, x, y in items:
-        out.update(json_diff(x, y, sub))
+        for i, (x, y) in enumerate(zip(a, b)):
+            out.update(json_diff(x, y, f"{path}[{i}]"))
+    elif a != b:
+        out[path] = abs(a - b) if _number(a) and _number(b) else math.inf
     return out
 
 
@@ -110,7 +111,8 @@ def compare_outputs(left: Path, right: Path) -> list[str]:
             lines.append(f"    {name}: bytes differ (not JSON)")
             continue
         lines.append(f"    {name}: {len(diff)} path(s) differ")
-        lines += [f"      {p}: max |difference| {gap:.3g}" for p, gap in sorted(diff.items())]
+        lines += [f"      {p}: {gap if isinstance(gap, str) else f'max |difference| {gap:.3g}'}"
+                  for p, gap in sorted(diff.items())]
     return lines
 
 
