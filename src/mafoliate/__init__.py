@@ -13,7 +13,6 @@ from .calculus import (
     BidegreeProfile,
     GaussianRational,
     HermitianPolynomial,
-    JetBatch,
     MonomialKey,
     Point,
     Polynomial,
@@ -21,7 +20,6 @@ from .calculus import (
     bidegree_decompose,
     canonical_json,
     eval_jet,
-    eval_jets,
     evaluate_many,
     parse_polynomial,
     polynomial_hash,
@@ -90,7 +88,6 @@ from .monge_ampere import (
     HermitianPairing,
     MAReport,
     complex_gradient,
-    complex_gradients,
     is_ma_exact,
     ma_residual,
     ma_scan,

@@ -29,24 +29,27 @@ value, holomorphic gradient, Levi matrix ``rho_{mu nubar}``, its determinant
 which is the pairing of the Levi form against the tangential directions;
 ``rho * D - B`` is the pointwise Monge-Ampere residual used downstream.
 
-Batched evaluation.  :func:`evaluate_many` (and ``Polynomial.evaluate``),
-:func:`eval_jets` and ``monge_ampere.complex_gradients`` evaluate at N points
-at once and return the doubles that ``Polynomial.__call__``, :func:`eval_jet`
-and ``complex_gradient`` return one point at a time: the same compiled rows
-and coefficients, powers grown as ``z^k = z^(k-1) * z``, each polynomial's
-terms added in row order from ``0j``, and every complex product and quotient
-written out in float64 ufuncs in CPython's formula and operand order
-(:func:`cmul`, :func:`cdiv_real`).  numpy's ``complex128`` multiply is not
-used: it may fuse a multiply and an add, which rounds once where CPython
-rounds twice.  Signed zeros, infs and the places of nans agree; which of two
-nan operands an operation returns is not fixed by IEEE 754, so a nan's sign
-bit may differ, and nothing in the toolkit reads it.  One-point callers keep
-the scalar path, which is faster at N = 1 and stays the reference the tests
-compare the batch against: the flow's right-hand side (``finite_type.gradient_field``),
-``finite_type.gradient``, the jet of ``extend_gradient`` (whose value at a
-Levi-degenerate point is exact, from :func:`at_exact` and :func:`on_line`),
-``level_set_samples`` (Brent's method), the probes of ``level_transport``, and a
-leaf trace (rho along it, Z at its nodes), which never imports numpy.
+Batched evaluation.  :func:`evaluate_many` (and ``Polynomial.evaluate``) evaluates
+polynomials at N points at once and returns the doubles that ``Polynomial.__call__``
+returns one point at a time: the same compiled rows and coefficients, powers grown
+as ``z^k = z^(k-1) * z``, each polynomial's terms added in row order from ``0j``, and
+every complex product written out in float64 ufuncs in CPython's formula and operand
+order (:func:`cmul`).  numpy's ``complex128`` multiply is not used: it may fuse a
+multiply and an add, which rounds once where CPython rounds twice.  Signed zeros,
+infs and the places of nans agree; which of two nan operands an operation returns
+is not fixed by IEEE 754, so a nan's sign bit may differ, and nothing in the toolkit
+reads it.  Only the polynomial values are batched, as they are the costly part.  A
+sweep (``monge_ampere.ma_scan``, ``foliation.fit_holomorphic_Z``,
+``finite_type.bracket_identities``) hands each point's values to
+:meth:`WirtingerJet.from_values`, the one copy of the D and B formulas, and takes Z
+and the residual from the scalar ``complex_gradient`` and ``ma_residual``, so a sweep
+gives what a loop over :func:`eval_jet` gives.  One-point callers evaluate with
+``Polynomial.__call__``, which is faster at N = 1: the flow's right-hand side
+(``finite_type.gradient_field``), ``finite_type.gradient``, the jet of
+``extend_gradient`` (whose value at a Levi-degenerate point is exact, from
+:func:`at_exact` and :func:`on_line`), ``level_set_samples`` (Brent's method), the
+probes of ``level_transport``, and a leaf trace (rho along it, Z at its nodes), which
+never imports numpy.
 
 Interchange format (JSON-compatible)::
 
@@ -521,6 +524,16 @@ class WirtingerJet(NamedTuple):
     D: float
     B: float
 
+    @classmethod
+    def from_values(cls, q: Point, rho: complex, d1: complex, d2: complex, h11: complex,
+                    h12: complex, h21: complex, h22: complex) -> "WirtingerJet":
+        """The jet at q from the values there of p and of its derivatives d1, d2, h11, h12,
+        h21, h22 (see jet_polynomials)."""
+        D = (h11 * h22 - h12 * h21).real
+        B = (h11 * d2 * d2.conjugate() + h22 * d1 * d1.conjugate()
+             - h12 * d1.conjugate() * d2 - h21 * d1 * d2.conjugate()).real
+        return cls(q, rho.real, d1, d2, ((h11, h12), (h21, h22)), D, B)
+
     def levi_matrix(self) -> np.ndarray:
         return np.array(self.levi, dtype=complex)
 
@@ -563,17 +576,8 @@ def eval_jet(p: HermitianPolynomial, q: Point) -> WirtingerJet:
     """Evaluate value, gradient, Levi matrix, D and B of p at q."""
     jp = jet_polynomials(p)
     z1, z2 = q.as_pair()
-    rho = p(z1, z2).real
-    d1 = jp.d1(z1, z2)
-    d2 = jp.d2(z1, z2)
-    h11 = jp.h11(z1, z2)
-    h12 = jp.h12(z1, z2)
-    h21 = jp.h21(z1, z2)
-    h22 = jp.h22(z1, z2)
-    D = (h11 * h22 - h12 * h21).real
-    B = (h11 * d2 * d2.conjugate() + h22 * d1 * d1.conjugate()
-         - h12 * d1.conjugate() * d2 - h21 * d1 * d2.conjugate()).real
-    return WirtingerJet(q, rho, d1, d2, ((h11, h12), (h21, h22)), D, B)
+    return WirtingerJet.from_values(q, p(z1, z2), jp.d1(z1, z2), jp.d2(z1, z2), jp.h11(z1, z2),
+                                    jp.h12(z1, z2), jp.h21(z1, z2), jp.h22(z1, z2))
 
 
 def on_line(f: Polynomial, q: Sequence[complex], v: Sequence[complex]) -> list[GaussianRational]:
@@ -634,25 +638,6 @@ def cmul(ar, ai, br, bi):
     x enters as (x, 0.0), as CPython before 3.14 promotes it.
     """
     return ar * br - ai * bi, ar * bi + ai * br
-
-
-def cdiv_real(ar, ai, d):
-    """CPython's complex / float on float arrays: d enters as complex(d, 0.0), and a nan
-    divisor gives (nan, nan) with clear sign bits; d must not be zero.  (CPython 3.14
-    divides a complex by a float part by part; this is the rule of 3.10 to 3.13.)"""
-    ratio = 0.0 / d
-    denom = d + 0.0 * ratio
-    nan = np.isnan(d)
-    return (np.where(nan, np.nan, (ar + ai * ratio) / denom),
-            np.where(nan, np.nan, (ai - ar * ratio) / denom))
-
-
-def complex_array(re, im) -> np.ndarray:
-    """A complex array with these parts; unlike re + 1j*im, which computes 0*inf = nan."""
-    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
 
 
 class _Stack(NamedTuple):
@@ -732,68 +717,9 @@ def evaluate_many(polys: Sequence[Polynomial], z1, z2) -> np.ndarray:
         return out
 
 
-class JetBatch(NamedTuple):
-    """The fields of :class:`WirtingerJet` at N points, bit for bit as :func:`eval_jet` gives them.
-
-    Real fields are float arrays, complex ones complex arrays.  ``det`` is the
-    value of the exact determinant polynomial ``jet_polynomials(p).det``, which
-    can differ from ``D`` (formed from the rounded Levi entries) in the last bits.
-    """
-
-    z1: np.ndarray
-    z2: np.ndarray
-    rho: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    h11: np.ndarray
-    h12: np.ndarray
-    h21: np.ndarray
-    h22: np.ndarray
-    D: np.ndarray
-    B: np.ndarray
-    det: np.ndarray
-
-    def pair(self, i: int) -> tuple[complex, complex]:
-        """Point i as Point.as_pair() gives it."""
-        return (complex(self.z1[i]), complex(self.z2[i]))
-
-
 def point_array(points: Iterable[Point]) -> np.ndarray:
     """The points as rows (z1, z2) of a complex array of shape (N, 2)."""
     return np.array([q.as_pair() for q in points], dtype=complex).reshape(-1, 2)
-
-
-def jet_stack(p: Polynomial) -> tuple[Polynomial, ...]:
-    """The polynomials a JetBatch is made from, in the order jets_from_values reads them."""
-    jp = jet_polynomials(p)
-    return (p, jp.d1, jp.d2, jp.h11, jp.h12, jp.h21, jp.h22, jp.det)
-
-
-def jets_from_values(z1: np.ndarray, z2: np.ndarray, values: np.ndarray) -> JetBatch:
-    """The JetBatch at the points from evaluate_many's values there, whose first
-    rows are those of jet_stack(p)."""
-    with np.errstate(all="ignore"):
-        rho, d1, d2, h11, h12, h21, h22, det = values[:8]
-        re, im = values.real, values.imag  # rows: rho, d1, d2, h11, h12, h21, h22, det
-        # D = (h11 h22 - h12 h21).real
-        D = (re[3] * re[6] - im[3] * im[6]) - (re[4] * re[5] - im[4] * im[5])
-        # B's four products (u * v) * w side by side: h11 d2 conj(d2), h22 d1 conj(d1),
-        # h12 conj(d1) d2 and h21 d1 conj(d2); only their real parts enter B
-        v_i = im[[2, 1, 1, 1]]
-        v_i[2] = -v_i[2]
-        w_i = -im[[2, 1, 2, 2]]
-        w_i[2] = -w_i[2]
-        uv_r, uv_i = cmul(re[[3, 6, 4, 5]], im[[3, 6, 4, 5]], re[[2, 1, 1, 1]], v_i)
-        x = uv_r * re[[2, 1, 2, 2]] - uv_i * w_i
-        B = ((x[0] + x[1]) - x[2]) - x[3]
-        return JetBatch(z1, z2, rho.real, d1, d2, h11, h12, h21, h22, D, B, det.real)
-
-
-def eval_jets(p: HermitianPolynomial, z1, z2) -> JetBatch:
-    """eval_jet at every point (z1[i], z2[i]), plus the det polynomial; for many points at once."""
-    z1 = np.asarray(z1, dtype=complex).ravel()
-    z2 = np.asarray(z2, dtype=complex).ravel()
-    return jets_from_values(z1, z2, evaluate_many(jet_stack(p), z1, z2))
 
 
 # ---------------------------------------------------------------------------

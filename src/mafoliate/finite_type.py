@@ -45,12 +45,11 @@ from .calculus import (
     Point,
     Polynomial,
     VARIABLES,
+    WirtingerJet,
     at_exact,
     eval_jet,
     evaluate_many,
     jet_polynomials,
-    jet_stack,
-    jets_from_values,
     on_line,
 )
 from .errors import (
@@ -63,7 +62,6 @@ from .monge_ampere import (
     EPS_D_DEFAULT,
     GradientValue,
     complex_gradient,
-    complex_gradients,
     degenerate_levi,
 )
 
@@ -250,11 +248,13 @@ class BracketIdentityReport(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _identity_polynomials(p: HermitianPolynomial) -> tuple[Polynomial, ...]:
-    """jet_stack(p), then the four components of [L, Lbar], n1 and n2, and the four
-    partials of each of n1, n2, det and L's components c1, c2: 34 rows."""
+    """p, d1, d2, h11, h12, h21, h22 (a jet's values) and det, then the four components of
+    [L, Lbar], n1 and n2, and the four partials of each of n1, n2, det and L's components
+    c1, c2: 34 rows."""
     jp = jet_polynomials(p)
     L = tangential_field(p)
-    return (*jet_stack(p), *bracket_level(p, 2)[0][1].components(), jp.n1, jp.n2,
+    return (p, jp.d1, jp.d2, jp.h11, jp.h12, jp.h21, jp.h22, jp.det,
+            *bracket_level(p, 2)[0][1].components(), jp.n1, jp.n2,
             *(f.derive(v) for f in (jp.n1, jp.n2, jp.det, L.c1, L.c2) for v in VARIABLES))
 
 
@@ -280,21 +280,24 @@ def bracket_identities(p: HermitianPolynomial, z1, z2) -> list[BracketIdentityRe
         z1 = np.asarray(z1, dtype=complex).ravel()
         z2 = np.asarray(z2, dtype=complex).ravel()
         values = evaluate_many(_identity_polynomials(p), z1, z2)
-        jets = jets_from_values(z1, z2, values)
-        llbar, n = values[8:12], values[12:14]
+        d, det, llbar, n = values[1:3], values[7].real, values[8:12], values[12:14]
         dn, ddet = values[14:22].reshape(2, 4, -1), values[22:26]
         dL = values[26:34].reshape(2, 4, -1)
-        D, det = jets.D, jets.det
-        L = np.stack([jets.d2, -jets.d1])  # (1,0) part of L; its (0,1) part is zero
+        L = np.stack([d[1], -d[0]])  # (1,0) part of L; its (0,1) part is zero
         L_norm2 = (L.conjugate() * L).real.sum(axis=0)
-        bad = np.flatnonzero((D <= EPS_D_DEFAULT) | (det <= EPS_D_DEFAULT) | (L_norm2 == 0.0))
-        if bad.size:
-            i = bad[0]
-            worst = D[i] if D[i] <= EPS_D_DEFAULT else det[i]
-            if worst <= EPS_D_DEFAULT:
-                raise degenerate_levi(worst.item(), jets.pair(i))
-            raise ZeroDifferential(f"L vanishes at {jets.pair(i)}")
-        Z = np.stack(complex_gradients(jets))
+        points, D, Z = [], [], []
+        for a, b, row, det_i, l2 in zip(z1.tolist(), z2.tolist(), values[:7].T.tolist(),
+                                        det.tolist(), L_norm2.tolist()):
+            jet = WirtingerJet.from_values(Point(a, b), *row)
+            Z.append(complex_gradient(jet).as_vector())  # DegenerateLevi at a small D
+            if det_i <= EPS_D_DEFAULT:
+                raise degenerate_levi(det_i, (a, b))
+            if l2 == 0.0:
+                raise ZeroDifferential(f"L vanishes at {(a, b)}")
+            points.append(jet.point)
+            D.append(jet.D)
+        D = np.array(D)
+        Z = np.array(Z, dtype=complex).reshape(-1, 2).T
         Zc = Z.conjugate()
 
         # (a) [L, Lbar] against the cofactor field D (Z - Zbar)
@@ -324,7 +327,6 @@ def bracket_identities(p: HermitianPolynomial, z1, z2) -> list[BracketIdentityRe
         eta2, r2 = _project(zzb_01, L.conjugate())
         scale_d = 1.0 + np.maximum(_peak(zzb_10), _peak(zzb_01))
         defect_zzbar = np.maximum(r1, r2) / scale_d
-        d = np.stack([jets.d1, jets.d2])
         drho = (d * zzb_10).sum(axis=0) + (d.conjugate() * zzb_01).sum(axis=0)
         drho_zzbar = np.abs(drho) / ((1.0 + _peak(d)) * scale_d)
 
@@ -332,8 +334,8 @@ def bracket_identities(p: HermitianPolynomial, z1, z2) -> list[BracketIdentityRe
                                              drho_zzbar)))
         coefficients = zip(*(a.tolist() for a in (phi1, psi1, psi2, eta1, eta2)))
         names = ("phi1", "psi1", "psi2", "eta1", "eta2")
-        return [BracketIdentityReport(Point(a, b), *dv, dict(zip(names, cv)))
-                for a, b, dv, cv in zip(z1.tolist(), z2.tolist(), defects, coefficients)]
+        return [BracketIdentityReport(q, *dv, dict(zip(names, cv)))
+                for q, dv, cv in zip(points, defects, coefficients)]
 
 
 def bracket_identities_check(p: HermitianPolynomial, q: Point) -> BracketIdentityReport:

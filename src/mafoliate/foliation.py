@@ -29,9 +29,11 @@ The verdict operations:
   bidegree (k, k) gives it monomial by monomial.  The chain's verdict samples
   only for positivity on the sphere.
 * ``fit_holomorphic_Z`` / ``estimate_weights`` recover the linear model of Z
-  at its zero from cofactor values at the samples (DegenerateLevi at a sample
-  with D <= monge_ampere.EPS_D_DEFAULT, the one degeneracy threshold); the
-  eigenvalues (c1, c2) are the weights in the circular-domain law
+  at its zero from ``monge_ampere.complex_gradient`` at the samples, whose jets
+  take their polynomial values from one ``calculus.evaluate_many`` call
+  (DegenerateLevi at a sample with D <= monge_ampere.EPS_D_DEFAULT, the one
+  degeneracy threshold); the eigenvalues (c1, c2) are the weights in the
+  circular-domain law
   rho(e^{c1 lambda} z1, e^{c2 lambda} z2) = |e^lambda|^2 rho(z), which
   ``weighted_homogeneity_check`` verifies directly.
 * ``level_transport`` moves level sets onto each other with the real flow of
@@ -49,8 +51,10 @@ from ._numpy import np
 from .calculus import (
     HermitianPolynomial,
     Point,
+    WirtingerJet,
     bidegree_decompose,
-    eval_jets,
+    evaluate_many,
+    jet_polynomials,
     point_array,
     polynomial_hash,
 )
@@ -66,12 +70,7 @@ from .errors import (
     UnreachableLevel,
 )
 from .finite_type import gradient_field
-from .monge_ampere import (
-    EPS_D_DEFAULT,
-    complex_gradients,
-    degenerate_levi,
-    is_ma_exact,
-)
+from .monge_ampere import complex_gradient, is_ma_exact
 from .ode import brentq, solve_ivp
 
 
@@ -375,28 +374,29 @@ def fit_holomorphic_Z(p: HermitianPolynomial, samples: Sequence[Point],
                       degree: int) -> HolomorphicFit:
     """Fit each gradient component on holomorphic monomials up to `degree`.
 
-    The tail fifth of `samples` is withheld from the fit and used only for the
-    reported residual of d(rho)(Z_fit) - rho.
+    The tail fifth of `samples`, at least two but no more than leaves 3x the
+    basis to the fit, is withheld from the fit and used only for the reported
+    residual of d(rho)(Z_fit) - rho; with 3x the basis or fewer samples, none
+    is left and RankDeficientSamples is raised.
     """
     basis = _holomorphic_basis(degree)
     n = len(samples)
-    if n < 3 * len(basis):
-        raise RankDeficientSamples(f"{n} samples for {len(basis)} basis monomials (need 3x)")
-    n_hold = max(2, n // 5)
-    if n - n_hold < 3 * len(basis):
-        n_hold = n - 3 * len(basis)
+    if n <= 3 * len(basis):
+        raise RankDeficientSamples(f"{n} samples for {len(basis)} basis monomials (need more "
+                                   f"than 3x: 3x to fit, and at least one to hold out)")
+    n_hold = min(max(2, n // 5), n - 3 * len(basis))
     fit_set = samples[:n - n_hold]
 
-    jets = eval_jets(p, *point_array(samples).T)
-    Z1s, Z2s = complex_gradients(jets)
+    jp = jet_polynomials(p)
+    values = evaluate_many((p, jp.d1, jp.d2, jp.h11, jp.h12, jp.h21, jp.h22),
+                           *point_array(samples).T)
+    jets = [WirtingerJet.from_values(q, *row) for q, row in zip(samples, values.T.tolist())]
     A = np.empty((len(fit_set), len(basis)), dtype=complex)
     Zs = np.empty((len(fit_set), 2), dtype=complex)
     for i, q in enumerate(fit_set):
         z1, z2 = q.as_pair()
         A[i] = [z1**a * z2**b for a, b in basis]
-        if jets.D[i] <= EPS_D_DEFAULT:
-            raise degenerate_levi(jets.D[i].item(), jets.pair(i))
-        Zs[i] = (Z1s[i], Z2s[i])
+        Zs[i] = complex_gradient(jets[i]).as_vector()
     coeffs = []
     for comp in range(2):
         sol, _res, rank, _sv = np.linalg.lstsq(A, Zs[:, comp], rcond=None)
@@ -408,10 +408,9 @@ def fit_holomorphic_Z(p: HermitianPolynomial, samples: Sequence[Point],
 
     fit = HolomorphicFit(degree, coeffs[0], coeffs[1], max_residual, 0.0)
     hold_res = 0.0
-    for i in range(len(fit_set), n):
-        rho, d1, d2 = jets.rho[i].item(), jets.d1[i].item(), jets.d2[i].item()
-        Z1, Z2 = fit.evaluate(*jets.pair(i))
-        gap = abs(d1 * Z1 + d2 * Z2 - rho) / rho
+    for jet in jets[len(fit_set):]:
+        Z1, Z2 = fit.evaluate(*jet.point.as_pair())
+        gap = abs(jet.d1 * Z1 + jet.d2 * Z2 - jet.rho) / jet.rho
         hold_res = max(hold_res, gap)
     return HolomorphicFit(degree, coeffs[0], coeffs[1], max_residual, hold_res)
 

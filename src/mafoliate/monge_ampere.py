@@ -20,7 +20,9 @@ B = rho_1 N^1 + rho_2 N^2, so ``is_ma_exact`` decides the equation by
 checking that rho * D - rho_1 N^1 - rho_2 N^2 is the zero polynomial.  The
 equation is required on the open set rho > 0, and a polynomial vanishing on
 a nonempty open set vanishes identically, so the check is complete.  The
-sampled residuals of ``ma_scan`` stay as its independent numeric oracle.
+sampled residuals of ``ma_scan`` (``ma_residual`` at each sample, the
+polynomial values batched by ``calculus.evaluate_many``) stay as its
+independent numeric oracle.
 
 The pairing evaluator treats (1,1)-forms matrix-style,
 
@@ -42,17 +44,12 @@ from __future__ import annotations
 import csv
 from typing import Iterable, NamedTuple, Sequence
 
-from ._numpy import np
 from .calculus import (
     SWEEP_BLOCK,
     HermitianPolynomial,
-    JetBatch,
     Point,
     WirtingerJet,
-    cdiv_real,
-    cmul,
-    complex_array,
-    eval_jets,
+    evaluate_many,
     jet_polynomials,
     point_array,
 )
@@ -129,20 +126,6 @@ def complex_gradient(jet: WirtingerJet) -> GradientValue:
     return GradientValue(Z1, Z2, pairing)
 
 
-def complex_gradients(jets: JetBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Z1 and Z2 at every point of the batch, bit for bit as complex_gradient computes
-    them.  Entries where D <= EPS_D_DEFAULT mean nothing: the caller checks ``jets.D``
-    where complex_gradient would raise."""
-    with np.errstate(all="ignore"):
-        h = np.stack([jets.h22, jets.h21, jets.h11, jets.h12])
-        db = np.stack([jets.d1, jets.d2, jets.d2, jets.d1]).conjugate()
-        # cofactor products h22 db1, h21 db2, h11 db2, h12 db1, then the two differences
-        p_r, p_i = cmul(h.real, h.imag, db.real, db.imag)
-        Z_r, Z_i = cdiv_real(p_r[::2] - p_r[1::2], p_i[::2] - p_i[1::2], jets.D)
-        Z = complex_array(Z_r, Z_i)
-        return Z[0], Z[1]
-
-
 class HermitianPairing:
     """(1,1)-form evaluator over one jet: ddc_rho, ddc_u, d(rho), and Omega."""
 
@@ -179,21 +162,17 @@ def omega_pairing(jet: WirtingerJet, V: Vector, W: Vector) -> complex:
 
 
 def ma_scan(p: HermitianPolynomial, points: Iterable[Point]) -> list[MAReport]:
-    """ma_residual of every point's jet, evaluated in batches; the same reports and errors."""
+    """ma_residual of every point's jet; the polynomial values come from evaluate_many,
+    a block of SWEEP_BLOCK points at a time, which bounds the per-point lists."""
     points = list(points)
+    jp = jet_polynomials(p)
+    polys = (p, jp.d1, jp.d2, jp.h11, jp.h12, jp.h21, jp.h22)
     reports: list[MAReport] = []
     for start in range(0, len(points), SWEEP_BLOCK):
         block = points[start:start + SWEEP_BLOCK]
-        jets = eval_jets(p, *point_array(block).T)
-        bad = np.flatnonzero(jets.rho <= 0.0)
-        if bad.size:
-            raise NonPositiveRho(f"rho = {jets.rho[bad[0]].item()} <= 0 at {jets.pair(bad[0])}")
-        with np.errstate(all="ignore"):
-            rho_D = jets.rho * jets.D
-            residual = rho_D - jets.B
-            normalized = residual / (np.abs(rho_D) + np.abs(jets.B) + 1e-300)
-        reports += [MAReport(q, *values) for q, *values in zip(
-            block, *(a.tolist() for a in (jets.rho, jets.D, jets.B, residual, normalized)))]
+        values = evaluate_many(polys, *point_array(block).T)
+        reports += [ma_residual(WirtingerJet.from_values(q, *row))
+                    for q, row in zip(block, values.T.tolist())]
     return reports
 
 

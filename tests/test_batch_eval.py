@@ -1,11 +1,12 @@
 """Batched evaluation against the one-point path, bit for bit.
 
-``evaluate_many``, ``eval_jets`` and ``complex_gradients`` promise the very
-doubles that ``Polynomial.__call__``, ``eval_jet`` and ``complex_gradient``
-give: signed zeros, infs and nans in the same places.  Every comparison here is
-on the bit patterns, so a fused multiply-add or a reordered sum anywhere fails
-it.  At the end, the exact ray limit of ``extend_gradient`` is checked against
-the numeric ray ladder it replaced (``oracles.scalar_extend_gradient``).
+``evaluate_many`` promises the very doubles that ``Polynomial.__call__`` gives:
+signed zeros, infs and nans in the same places.  ``ma_scan`` hands those values
+to the scalar jet and residual formulas, so it promises the reports of
+``ma_residual(eval_jet(p, q))``.  Every comparison here is on the bit patterns,
+so a fused multiply-add or a reordered sum anywhere fails it.  At the end, the
+exact ray limit of ``extend_gradient`` is checked against the numeric ray ladder
+it replaced (``oracles.scalar_extend_gradient``).
 """
 
 from __future__ import annotations
@@ -21,16 +22,12 @@ import mafoliate as mf
 from mafoliate.calculus import (
     HermitianPolynomial,
     Polynomial,
-    cdiv_real,
     cmul,
-    complex_array,
-    eval_jets,
     evaluate_many,
     jet_polynomials,
     on_line,
 )
 from mafoliate.finite_type import polynomial_gradient
-from mafoliate.monge_ampere import complex_gradients
 
 from oracles import LadderDisagreement, scalar_extend_gradient
 
@@ -112,17 +109,15 @@ def test_many_terms_at_one_point_are_summed_in_row_order(terms, pt):
 SPECIAL = [0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan, 1e300, 5e-324]
 
 
-def test_cmul_and_cdiv_real_are_cpythons_complex_arithmetic():
+def test_cmul_is_cpythons_complex_product():
     """Every combination of zeros, infs, nans, huge and subnormal parts."""
     values = [complex(x, y) for x in SPECIAL for y in SPECIAL]
-    divisors = [d for d in SPECIAL if d != 0.0]  # CPython raises ZeroDivisionError there
     a, b = (np.array(v) for v in zip(*[(x, y) for x in values for y in values]))
-    a2, d = (np.array(v) for v in zip(*[(x, y) for x in values for y in divisors]))
     with np.errstate(all="ignore"):
-        product = complex_array(*cmul(a.real, a.imag, b.real, b.imag))
-        quotient = complex_array(*cdiv_real(a2.real, a2.imag, d))
-    assert_same(product, [x * y for x in values for y in values])
-    assert_same(quotient, [x / y for x in values for y in divisors])
+        product_r, product_i = cmul(a.real, a.imag, b.real, b.imag)
+    want = [x * y for x in values for y in values]
+    assert_same(product_r, [w.real for w in want])
+    assert_same(product_i, [w.imag for w in want])
 
 
 def test_points_on_the_axes_and_signed_zeros():
@@ -151,61 +146,38 @@ def test_many_points_cross_the_chunk_boundaries():
         assert_same(got[k], [q(a, b) for a, b in zip(z[0], z[1])])
 
 
+OVERFLOWING = [(1e200, 1e200), (1e300j, 1.0), (0.0, -1e250)]
+
+
 def test_batch_raises_no_floating_point_warning():
     """CPython's float arithmetic overflows silently; so does the batch."""
     p = mf.load("quartic")
+    z1, z2 = zip(*OVERFLOWING)
     with np.errstate(all="raise"):
-        jets = eval_jets(p, [1e200, 1e300j, 0.0], [1e200, 1.0, -1e250])
-        complex_gradients(jets)
-    assert not np.isfinite(jets.B).all()
+        values = evaluate_many(jet_polynomials(p), z1, z2)
+        reports = mf.ma_scan(p, [mf.Point(*q) for q in OVERFLOWING])
+    assert not np.isfinite(values).all()
+    assert not all(math.isfinite(rep.B) for rep in reports)
 
 
 # ---------------------------------------------------------------------------
-# jets and gradients
+# the Monge-Ampere sweep
 # ---------------------------------------------------------------------------
-
-
-@BATCH
-@given(term_maps, points)
-def test_eval_jets_matches_eval_jet(terms, pts):
-    p = hermitian(terms)
-    z1, z2 = as_z(pts)
-    jets = eval_jets(p, z1, z2)
-    det = jet_polynomials(p).det
-    for i, (a, b) in enumerate(zip(z1, z2)):
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
-        jet = mf.eval_jet(p, mf.Point(a, b))
-        (h11, h12), (h21, h22) = jet.levi
-        assert_same([jets.rho[i], jets.d1[i], jets.d2[i], jets.h11[i], jets.h12[i],
-                     jets.h21[i], jets.h22[i], jets.D[i], jets.B[i], jets.det[i]],
-                    [jet.rho, jet.d1, jet.d2, h11, h12, h21, h22, jet.D, jet.B, det(a, b).real])
-        assert jets.pair(i) == jet.point.as_pair()
-
-
-@BATCH
-@given(term_maps, points)
-def test_complex_gradients_match_complex_gradient(terms, pts):
-    p = hermitian(terms)
-    z1, z2 = as_z(pts)
-    jets = eval_jets(p, z1, z2)
-    Z1, Z2 = complex_gradients(jets)
-    for i, (a, b) in enumerate(zip(z1, z2)):
-        if not (np.isfinite(a) and np.isfinite(b)) or jets.D[i] <= 1e-10:
-            continue  # complex_gradient raises there; a nan D is divided by, as CPython does
-        g = mf.complex_gradient(mf.eval_jet(p, mf.Point(a, b)))
-        assert_same([Z1[i], Z2[i]], [g.Z1, g.Z2])
 
 
 def test_ma_scan_matches_ma_residual():
+    """Random points, signed zeros on the axes, and points where the values overflow."""
     p = mf.load("fub")
     rng = np.random.default_rng(3)
     pts = [mf.Point(*row) for row in rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2))]
-    for rep, q in zip(mf.ma_scan(p, pts), pts):
+    pts += [mf.Point(complex(x, y), complex(u, v))
+            for x in (0.0, -0.0) for y in (0.0, -0.0) for u, v in ((1.5, -0.0), (-0.0, -2.0))]
+    pts += [mf.Point(*q) for q in OVERFLOWING]
+    for rep, q in zip(mf.ma_scan(p, pts), pts, strict=True):
         want = mf.ma_residual(mf.eval_jet(p, q))
         assert rep.point is q
         assert_same([rep.rho, rep.D, rep.B, rep.residual, rep.normalized],
-                     [want.rho, want.D, want.B, want.residual, want.normalized])
+                    [want.rho, want.D, want.B, want.residual, want.normalized])
 
 
 # ---------------------------------------------------------------------------

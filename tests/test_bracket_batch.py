@@ -17,7 +17,7 @@ import pytest
 
 import mafoliate as mf
 from mafoliate import finite_type
-from mafoliate.calculus import point_array
+from mafoliate.calculus import jet_polynomials, point_array
 from mafoliate.foliation import _sphere_directions
 
 from conftest import admissible_points
@@ -105,12 +105,13 @@ def test_the_det_polynomial_is_checked_as_well_as_the_jets_D(monkeypatch):
     # D; with the threshold between the two, only the det check can raise
     p = forms_rho(NONDIAGONAL, 2, 2)
     points = admissible_points(p, np.random.default_rng(1013), 50)
-    z = point_array(points)
-    jets = mf.eval_jets(p, z[:, 0], z[:, 1])
-    below = np.flatnonzero(jets.det < jets.D)
+    det_polynomial = jet_polynomials(p).det
+    D = np.array([mf.eval_jet(p, q).D for q in points])
+    det = np.array([det_polynomial(*q.as_pair()).real for q in points])
+    below = np.flatnonzero(det < D)
     assert below.size
     for i in below[:5]:
-        q, eps_D = points[i], jets.det[i].item()
+        q, eps_D = points[i], det[i].item()
         monkeypatch.setattr(finite_type, "EPS_D_DEFAULT", eps_D)
         assert outcome(lambda: scalar_bracket_identities(p, q, eps_D)) is mf.DegenerateLevi
         assert outcome(lambda: mf.bracket_identities_check(p, q)) is mf.DegenerateLevi

@@ -186,6 +186,17 @@ def test_fit_needs_enough_samples(corpus):
         mf.fit_holomorphic_Z(corpus["fub"], pts, degree=2)
 
 
+def test_fit_holds_out_at_least_one_sample(corpus):
+    # degree 2 has 6 basis monomials: 18 samples all go to the fit, 19 leave one to hold out
+    pts = admissible_points(corpus["fub"], np.random.default_rng(331), 19)
+    with pytest.raises(mf.RankDeficientSamples):
+        mf.fit_holomorphic_Z(corpus["fub"], pts[:18], degree=2)
+    fit = mf.fit_holomorphic_Z(corpus["fub"], pts, degree=2)
+    jet = mf.eval_jet(corpus["fub"], pts[18])
+    Z1, Z2 = fit.evaluate(*pts[18].as_pair())
+    assert fit.holdout_pairing_residual == abs(jet.d1 * Z1 + jet.d2 * Z2 - jet.rho) / jet.rho
+
+
 def test_fit_rank_deficient_geometry(corpus):
     # samples on a single complex line cannot pin down degree-2 monomials
     pts = [mf.Point(t, t) for t in np.linspace(0.5, 1.5, 40)]

@@ -53,8 +53,19 @@ def test_settable_values_counts_record_fields_with_defaults(tmp_path):
     assert proc.stdout.splitlines() == ["src_lines 27", "settable_values 7"]
 
 
+def test_importing_compare_trees_leaves_the_interpreter_as_it_was(monkeypatch):
+    monkeypatch.setattr(sys, "path", [str(ROOT / "tools"), *sys.path])
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    monkeypatch.delitem(sys.modules, "compare_trees", raising=False)
+    path = list(sys.path)
+    import compare_trees  # noqa: F401
+
+    assert sys.path == path
+    assert sys.dont_write_bytecode is False
+
+
 def test_compare_trees_names_the_side_that_holds_a_key(tmp_path, monkeypatch):
-    # importing the tool puts bench/ on sys.path and turns bytecode writing off; undo both
+    # running jobs puts bench/ on sys.path and turns bytecode writing off; undo both
     monkeypatch.setattr(sys, "path", [str(ROOT / "tools"), *sys.path])
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     from compare_trees import compare_outputs

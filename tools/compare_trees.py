@@ -13,13 +13,13 @@ exit codes, each side's wall seconds (the median over the repeats), whether
 stderr is equal, each side's gate result (mismatches, known defect), and for
 every output file of the first repeat but ``*_meta.json`` either "equal" or the
 dotted JSON paths that differ with the largest absolute difference of their
-numbers, or with the side that holds a key the other lacks.  Each workload runs at every given seed.  A closing summary gives,
-per workload and side, the failed and attempted job runs (a run fails when its
-gate reports a mismatch, as in bench/run.py), the failures by known-defect
-name, the failures that match no known defect, and the wall seconds of all its
-runs; then, per workload, each side's median wall seconds of one pass over its
-jobs (one repeat at one seed) and in how many of those pairs of passes the
-change took less time.
+numbers, or with the side that holds a key the other lacks.  Each workload runs
+at every given seed.  A closing summary gives, per workload and side, the failed
+and attempted job runs (a run fails when its gate reports a mismatch, as in
+bench/run.py), the failures by known-defect name, the failures that match no
+known defect, and the wall seconds of all its runs; then, per workload, each
+side's median wall seconds of one pass over its jobs (one repeat at one seed)
+and in how many of those pairs of passes the change took less time.
 
 Exit status: 1 when any exit code, stderr or gate result differs, between the
 trees or between the repeats, else 0.
@@ -42,10 +42,15 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
-sys.dont_write_bytecode = True  # leave no __pycache__ in bench/
 
-import workloads  # noqa: E402
+
+def load_workloads():
+    """bench/workloads.py, imported when jobs are to run, writing no __pycache__ in bench/."""
+    if str(ROOT / "bench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "bench"))
+    sys.dont_write_bytecode = True
+    import workloads
+    return workloads
 
 
 def run_job(tree: Path, job, out: Path, cwd: Path) -> tuple[int, str, dict | None, float]:
@@ -65,6 +70,7 @@ def run_job(tree: Path, job, out: Path, cwd: Path) -> tuple[int, str, dict | Non
 
 def gate(job, code: int, doc: dict | None, stderr: str) -> tuple:
     """The benchmark's verdict on one run: (mismatches, known defect)."""
+    workloads = load_workloads()
     mismatches = workloads.check(job, code, doc)
     defect = workloads.known_defect(job, mismatches, doc, stderr)
     return [list(map(str, m)) for m in mismatches], defect
@@ -136,6 +142,7 @@ def pass_line(workload: str, passes: dict[str, list[float]]) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    workloads = load_workloads()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
