@@ -49,7 +49,6 @@ from .errors import (
 )
 from .finite_type import (
     BracketIdentityReport,
-    BracketWord,
     PolyVectorField,
     TypeReport,
     bracket_identities,

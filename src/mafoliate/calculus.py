@@ -15,9 +15,10 @@ Conventions used throughout the toolkit:
   over one denominator per polynomial (see :class:`Polynomial`), so all
   symbolic stages (derivatives, products, bracket towers) are exact integer
   arithmetic.  Pointwise evaluation happens in complex double precision, from
-  correctly rounded coefficients; :func:`at_exact` gives the exact value at a
-  point and :func:`on_line` the exact restriction to a real line through it,
-  taking the point's doubles as the dyadic rationals they are.
+  correctly rounded coefficients.  :func:`at_exact`, the one exact evaluator,
+  gives the value at a point, taking its doubles as the dyadic rationals they
+  are; :func:`on_line` reads with it the Taylor coefficients of the restriction
+  to a real line through the point, derived along the line's direction.
 
 The pointwise second-order data of rho is collected in :class:`WirtingerJet`:
 value, holomorphic gradient, Levi matrix ``rho_{mu nubar}``, its determinant
@@ -142,10 +143,6 @@ class MonomialKey(NamedTuple):
     def conjugate(self) -> "MonomialKey":
         return MonomialKey(self.b1, self.b2, self.a1, self.a2)
 
-    def sort_key(self) -> tuple[int, int, int, int, int]:
-        # graded lexicographic: total degree first, then the raw quadruple
-        return (self.total_degree, self.a1, self.a2, self.b1, self.b2)
-
 
 def _validate_key(key) -> MonomialKey:
     if isinstance(key, MonomialKey):
@@ -163,7 +160,7 @@ def _validate_key(key) -> MonomialKey:
 
 
 def _grlex(key: tuple) -> tuple:
-    return (sum(key), key)  # graded lexicographic, as MonomialKey.sort_key
+    return (sum(key), key)  # graded lexicographic: total degree first, then the raw quadruple
 
 
 def _lowest(num: dict, den: int) -> tuple[dict, int]:
@@ -246,7 +243,7 @@ class Polynomial:
         return tuple(map(max, zip(*self._num)))  # type: ignore[return-value]
 
     def canonical_terms(self) -> list[tuple[MonomialKey, GaussianRational]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self._den == other._den and self._num == other._num
@@ -286,8 +283,8 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._exact({k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
+    def __neg__(self) -> "Polynomial":  # of the same class: minus a real polynomial is real
+        return self._exact({k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -359,6 +356,16 @@ class Polynomial:
                 out[key[:idx] + (e - 1,) + key[idx + 1:]] = (re * e, im * e)
         return Polynomial._exact(*_lowest(out, self._den))
 
+    def derive_along(self, c1: "Polynomial", c2: "Polynomial", cbar1: "Polynomial",
+                     cbar2: "Polynomial") -> "Polynomial":
+        """The field c1 d/dz1 + c2 d/dz2 + cbar1 d/dzbar1 + cbar2 d/dzbar2 applied to self,
+        exactly: the sum of c_k times the derivative in VARIABLES[k], over the nonzero c_k."""
+        out = Polynomial.zero()
+        for c, var in zip((c1, c2, cbar1, cbar2), VARIABLES):
+            if not c.is_zero():
+                out = out + c * self.derive(var)
+        return out
+
     # -- evaluation ------------------------------------------------------------
 
     def _compile(self):
@@ -414,18 +421,18 @@ class HermitianPolynomial(Polynomial):
     """
 
     @classmethod
-    def from_terms(cls, terms: Mapping | Iterable, tol: float = REALITY_TOL) -> "HermitianPolynomial":
-        """Check conjugate pairing within tol, then keep the exact real part (p + conj p) / 2."""
+    def from_terms(cls, terms: Mapping | Iterable) -> "HermitianPolynomial":
+        """Check conjugate pairing within REALITY_TOL, then keep the exact real part (p + conj p) / 2."""
         items = list(terms.items() if hasattr(terms, "items") else terms)
         raw = Polynomial(items)
         d = raw._den
         coeffs = dict.fromkeys((_validate_key(k) for k, _ in items), 0j)  # zero entries are checked too
         coeffs.update({MonomialKey(*k): complex(re / d, im / d) for k, (re, im) in raw._num.items()})
-        for key in sorted(coeffs, key=MonomialKey.sort_key):
+        for key in sorted(coeffs, key=_grlex):
             partner = key.conjugate()
             c = coeffs[key]
             if partner == key:
-                if abs(c.imag) > tol * max(1.0, abs(c)):
+                if abs(c.imag) > REALITY_TOL * max(1.0, abs(c)):
                     raise RealityViolation(
                         f"self-conjugate key {tuple(key)} has non-real coefficient {c}"
                     )
@@ -433,7 +440,7 @@ class HermitianPolynomial(Polynomial):
             cp = coeffs.get(partner, 0j)
             gap = abs(c - cp.conjugate())
             scale = max(1.0, abs(c), abs(cp))
-            if gap > tol * scale:
+            if gap > REALITY_TOL * scale:
                 raise RealityViolation(
                     f"key {tuple(key)} (coefficient {c}) is not conjugate-paired "
                     f"with {tuple(partner)} (coefficient {cp})"
@@ -443,12 +450,6 @@ class HermitianPolynomial(Polynomial):
 
     def __add__(self, other: Polynomial) -> Polynomial:
         out = Polynomial.__add__(self, other)
-        if isinstance(other, HermitianPolynomial):
-            return _wrap_hermitian(out)
-        return out
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        out = Polynomial.__sub__(self, other)
         if isinstance(other, HermitianPolynomial):
             return _wrap_hermitian(out)
         return out
@@ -582,25 +583,21 @@ def eval_jet(p: HermitianPolynomial, q: Point) -> WirtingerJet:
 
 def on_line(f: Polynomial, q: Sequence[complex], v: Sequence[complex]) -> list[GaussianRational]:
     """The exact coefficients c_0, ..., c_deg(f), in the real parameter t, of f(q + t v),
-    with q and v taken exactly (a double is a dyadic rational).  t takes z1's place in
-    Polynomial's arithmetic; as t is real, zbar_k = conj(q_k) + t conj(v_k)."""
-    t = Polynomial.variable("z1")
-    lines = [Polynomial.constant(a) + t * b for a, b in zip(q, v)]
-    lines += [Polynomial.constant(a.conjugate()) + t * b.conjugate() for a, b in zip(q, v)]
-    powers = [[line**e for e in range(top + 1)] for line, top in zip(lines, f.max_exponents())]
-    out = Polynomial.zero()
-    for key, c in f.terms.items():
-        term = Polynomial.constant(c)
-        for row, e in zip(powers, key):
-            term = term * row[e]
-        out = out + term
-    c, zero = out.terms, GaussianRational(Fraction(0), Fraction(0))
-    return [c.get((k, 0, 0, 0), zero) for k in range(max(f.total_degrees(), default=0) + 1)]
+    with q and v taken exactly (a double is a dyadic rational): c_k = (D^k f)(q) / k!
+    for D = v1 d/dz1 + v2 d/dz2 + conj(v1) d/dzbar1 + conj(v2) d/dzbar2, as t is real,
+    each value read by at_exact."""
+    D = [Polynomial.constant(c) for c in (*v, *(c.conjugate() for c in v))]
+    out = []
+    for k in range(max(f.total_degrees(), default=0) + 1):
+        c = at_exact(f, q)
+        out.append(GaussianRational(c.re / math.factorial(k), c.im / math.factorial(k)))
+        f = f.derive_along(*D)
+    return out
 
 
 def at_exact(f: Polynomial, q: Sequence[complex]) -> GaussianRational:
-    """The exact value of f at q, q's doubles taken as the dyadic rationals they are: that is
-    on_line(f, q, (0, 0))[0], here in Gaussian integers w_k = s z_k over one power of s."""
+    """The exact value of f at q, q's doubles taken as the dyadic rationals they are, computed
+    in Gaussian integers w_k = s z_k over one power of s."""
     ratios = [x.as_integer_ratio() for z in map(complex, q) for x in (z.real, z.imag)]
     s = math.lcm(*(d for _, d in ratios))
     x1, y1, x2, y2 = (n * (s // d) for n, d in ratios)

@@ -270,6 +270,14 @@ def _weights_ok(doc: dict) -> bool:
             and doc["zero_set"]["isolated_zero_at_origin"])
 
 
+def _transport_ok(rec: dict) -> bool:
+    return rec["max_landing_defect"] < 1e-6 and rec["max_roundtrip_defect"] < 1e-5
+
+
+def _type_ok(recs: list[dict]) -> bool:
+    return all(rec["type_m"] != "exceeds_cap" for rec in recs)
+
+
 # ---------------------------------------------------------------------------
 # subcommands; each writes its artifacts and returns whether the verdict holds
 # ---------------------------------------------------------------------------
@@ -300,9 +308,9 @@ def _cmd_gradient(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> boo
 def _cmd_type_at(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     point = _parse_point(args.point)
     with clock("type"):
-        report = point_type(p, point, m_max=cfg.m_max)
-    _write_json(out / "type_report.json", p, _record(report))
-    return report.type_m != "exceeds_cap"
+        rec = _record(point_type(p, point, m_max=cfg.m_max))
+    _write_json(out / "type_report.json", p, rec)
+    return _type_ok([rec])
 
 
 def _cmd_trace_leaf(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
@@ -333,7 +341,7 @@ def _cmd_transport(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bo
     with clock("transport"):
         rec = _transport_stage(p, cfg, args.r1, args.r2)
     _write_json(out / "transport.json", p, rec)
-    return rec["max_landing_defect"] < 1e-6 and rec["max_roundtrip_defect"] < 1e-5
+    return _transport_ok(rec)
 
 
 def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
@@ -374,10 +382,9 @@ def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     # the remaining stages presuppose the equation; on a failing input their
     # errors are analysis outcomes and belong in the record, not on stderr
     for name, stage, passed in (
-            ("type", type_stage, lambda rec: True),
+            ("type", type_stage, _type_ok),
             ("fit_and_weights", lambda: _fit_weights_dict(p, cfg, rng), _weights_ok),
-            ("transport", lambda: _transport_stage(p, cfg, 1.0, 2.0),
-             lambda rec: rec["max_landing_defect"] < 1e-6),
+            ("transport", lambda: _transport_stage(p, cfg, 1.0, 2.0), _transport_ok),
             ("trace", trace_stage, lambda rec: rec["monotone_growth"])):
         try:
             with clock(name):

@@ -11,8 +11,9 @@ points have type 2, witnessed by [L, Lbar].
 
 Bracket words are enumerated left-normed, breadth-first by length.  Left-normed
 words span all bracket words of a given length (Jacobi identity), so the search
-is complete; antisymmetry makes [Lbar, L] redundant at length two.  All bracket
-coefficients are exact polynomials.
+is complete; antisymmetry makes [Lbar, L] redundant at length two.  A word is a
+string such as "[[L,Lbar],Lbar]", as ``TypeReport.witness`` gives it.  Fields
+apply themselves exactly, through ``Polynomial.derive_along``.
 
 ``point_type`` takes the Levi-form type instead, equal in C^2 (Kohn, J. Diff.
 Geom. 6, 1972; Bloom & Graham, Invent. Math. 40, 1977): m = 2 + a + b for the
@@ -106,53 +107,18 @@ def tangential_field(p: HermitianPolynomial) -> PolyVectorField:
 
 
 def lie_bracket(V: PolyVectorField, W: PolyVectorField) -> PolyVectorField:
-    """Exact commutator of first-order derivations over the four-component frame."""
-    vc = V.components()
-    wc = W.components()
-    out = []
-    for j in range(4):
-        acc = Polynomial.zero()
-        for k, var in enumerate(VARIABLES):
-            if not vc[k].is_zero():
-                acc = acc + vc[k] * wc[j].derive(var)
-            if not wc[k].is_zero():
-                acc = acc - wc[k] * vc[j].derive(var)
-        out.append(acc)
-    return PolyVectorField(*out)
+    """Exact commutator [V, W]: each component is V applied to W's, less W applied to V's."""
+    return PolyVectorField(*(w.derive_along(*V) - v.derive_along(*W) for v, w in zip(V, W)))
 
 
 def pair_d_rho(p: HermitianPolynomial, field: PolyVectorField) -> Polynomial:
     """d(rho) paired against the (1,0) components: rho_1 c1 + rho_2 c2 (exact)."""
-    jp = jet_polynomials(p)
-    return jp.d1 * field.c1 + jp.d2 * field.c2
+    return p.derive_along(field.c1, field.c2, Polynomial.zero(), Polynomial.zero())
 
 
 # ---------------------------------------------------------------------------
 # bracket words and type
 # ---------------------------------------------------------------------------
-
-
-class BracketWord(NamedTuple):
-    """Left-normed bracket expression over the generators L and Lbar."""
-
-    leaf: str | None = None
-    left: "BracketWord | None" = None
-    right: "BracketWord | None" = None
-
-    @classmethod
-    def generator(cls, name: str) -> "BracketWord":
-        if name not in ("L", "Lbar"):
-            raise ValueError(f"unknown generator {name!r}")
-        return cls(leaf=name)
-
-    @classmethod
-    def pair(cls, left: "BracketWord", right: "BracketWord") -> "BracketWord":
-        return cls(left=left, right=right)
-
-    def __str__(self) -> str:
-        if self.leaf is not None:
-            return self.leaf
-        return f"[{self.left},{self.right}]"
 
 
 @lru_cache(maxsize=64)
@@ -162,15 +128,14 @@ def _generators(p: HermitianPolynomial) -> dict[str, PolyVectorField]:
 
 
 @lru_cache(maxsize=512)
-def bracket_level(p: HermitianPolynomial, length: int) -> tuple[tuple[BracketWord, PolyVectorField], ...]:
+def bracket_level(p: HermitianPolynomial, length: int) -> tuple[tuple[str, PolyVectorField], ...]:
     """All left-normed words of the given leaf count, breadth-first, [.., L] before [.., Lbar]."""
     gens = _generators(p)
     if length < 2:
         raise ValueError("bracket words start at length 2")
     if length == 2:
-        word = BracketWord.pair(BracketWord.generator("L"), BracketWord.generator("Lbar"))
-        return ((word, lie_bracket(gens["L"], gens["Lbar"])),)
-    return tuple((BracketWord.pair(word, BracketWord.generator(g)), lie_bracket(field, gens[g]))
+        return (("[L,Lbar]", lie_bracket(gens["L"], gens["Lbar"])),)
+    return tuple((f"[{word},{g}]", lie_bracket(field, gens[g]))
                  for word, field in bracket_level(p, length - 1) for g in gens)
 
 
@@ -178,12 +143,12 @@ def bracket_level(p: HermitianPolynomial, length: int) -> tuple[tuple[BracketWor
 def levi_level(p: HermitianPolynomial, k: int) -> tuple[Polynomial, ...]:
     """The k + 1 polynomials Lbar^(k-a) L^a lambda for a = k, ..., 0 (L applied first),
     lambda = d1 n1 + d2 n2; each is one derivation of a polynomial of level k - 1."""
-    jp = jet_polynomials(p)
     if k == 0:
-        return (jp.d1 * jp.n1 + jp.d2 * jp.n2,)
+        jp = jet_polynomials(p)
+        return (p.derive_along(jp.n1, jp.n2, Polynomial.zero(), Polynomial.zero()),)
+    L, Lbar = _generators(p).values()
     prev = levi_level(p, k - 1)
-    top = jp.d2 * prev[0].derive("z1") - jp.d1 * prev[0].derive("z2")  # L f
-    return (top, *(jp.db2 * f.derive("zbar1") - jp.db1 * f.derive("zbar2") for f in prev))
+    return (prev[0].derive_along(*L), *(f.derive_along(*Lbar) for f in prev))
 
 
 class TypeReport(NamedTuple):
@@ -191,7 +156,7 @@ class TypeReport(NamedTuple):
 
     point: Point
     type_m: int | str  # smallest witnessed bracket length, or "exceeds_cap"
-    witness: str | None  # the witness word, as BracketWord prints it
+    witness: str | None  # the witness word, in bracket_level's format
     pairing_value: complex  # its pairing with d(rho), rounded to doubles
 
 

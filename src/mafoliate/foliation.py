@@ -69,7 +69,7 @@ from .errors import (
     RankDeficientSamples,
     UnreachableLevel,
 )
-from .finite_type import gradient_field
+from .finite_type import _check_rho, gradient_field
 from .monge_ampere import complex_gradient, is_ma_exact
 from .ode import brentq, solve_ivp
 
@@ -138,8 +138,7 @@ def _flow_states(rhs, y0, values, cfg: FlowConfig, runs: list | None = None) -> 
             for i in idx_list:
                 states[i] = [float(v) for v in y0]
             continue
-        sol = solve_ivp(rhs, (0.0, ts[-1]), y0, method="RK45", rtol=cfg.rtol, atol=cfg.atol,
-                        t_eval=ts)
+        sol = solve_ivp(rhs, (0.0, ts[-1]), y0, rtol=cfg.rtol, atol=cfg.atol, t_eval=ts)
         if runs is not None:
             runs.append(sol)
         if not sol.success:
@@ -377,7 +376,8 @@ def fit_holomorphic_Z(p: HermitianPolynomial, samples: Sequence[Point],
     The tail fifth of `samples`, at least two but no more than leaves 3x the
     basis to the fit, is withheld from the fit and used only for the reported
     residual of d(rho)(Z_fit) - rho; with 3x the basis or fewer samples, none
-    is left and RankDeficientSamples is raised.
+    is left and RankDeficientSamples is raised.  NonPositiveRho names the first
+    sample where rho <= 0 or rho is not finite.
     """
     basis = _holomorphic_basis(degree)
     n = len(samples)
@@ -391,6 +391,8 @@ def fit_holomorphic_Z(p: HermitianPolynomial, samples: Sequence[Point],
     values = evaluate_many((p, jp.d1, jp.d2, jp.h11, jp.h12, jp.h21, jp.h22),
                            *point_array(samples).T)
     jets = [WirtingerJet.from_values(q, *row) for q, row in zip(samples, values.T.tolist())]
+    for jet in jets:  # the holdout residual is relative to rho
+        _check_rho(jet.rho, jet.point)
     A = np.empty((len(fit_set), len(basis)), dtype=complex)
     Zs = np.empty((len(fit_set), 2), dtype=complex)
     for i, q in enumerate(fit_set):
@@ -421,9 +423,9 @@ _SPHERE_SPECIAL = [
 ]
 
 
-def _sphere_directions(count: int, seed: int = 718281828) -> np.ndarray:
+def _sphere_directions(count: int) -> np.ndarray:
     """Deterministic unit vectors in C^2, always including the axis and diagonal points."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(718281828)
     raw = rng.normal(size=(max(count - len(_SPHERE_SPECIAL), 0), 4))
     vecs = [np.array(v, dtype=complex) for v in _SPHERE_SPECIAL]
     for row in raw:

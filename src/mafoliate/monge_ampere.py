@@ -48,6 +48,7 @@ from .calculus import (
     SWEEP_BLOCK,
     HermitianPolynomial,
     Point,
+    Polynomial,
     WirtingerJet,
     evaluate_many,
     jet_polynomials,
@@ -96,7 +97,7 @@ class GradientValue(NamedTuple):
 def is_ma_exact(p: HermitianPolynomial) -> bool:
     """Whether log p solves the Monge-Ampere equation: rho * D - B is the zero polynomial."""
     jp = jet_polynomials(p)
-    return (p * jp.det - (jp.d1 * jp.n1 + jp.d2 * jp.n2)).is_zero()
+    return (p * jp.det - p.derive_along(jp.n1, jp.n2, Polynomial.zero(), Polynomial.zero())).is_zero()
 
 
 def ma_residual(jet: WirtingerJet) -> MAReport:

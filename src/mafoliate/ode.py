@@ -1,6 +1,6 @@
 """Dormand-Prince 5(4) integration and Brent root finding, on Python floats.
 
-The flows need ``solve_ivp`` (``method="RK45"`` with ``t_eval``) and ``brentq``,
+The flows need ``solve_ivp`` (SciPy's ``method="RK45"`` with ``t_eval``) and ``brentq``,
 transcribed from SciPy's code paths for those calls onto floats and lists: the
 same operations in the same order, and no events, methods or options beyond.
 Each reduction (stage combinations, error norm, dense output) adds its terms in
@@ -122,11 +122,8 @@ def _rk_step(fun, t, y, f, h, K):
     return y_new, f_new
 
 
-def solve_ivp(fun, t_span, y0, method: str = "RK45", *, rtol: float, atol: float,
-              t_eval) -> OdeResult:
+def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult:
     """Integrate y' = fun(t, y) over t_span (either direction), reporting y at t_eval."""
-    if method != "RK45":
-        raise ValueError(f"only method='RK45' is implemented, got {method!r}")
     t0, t_bound = map(float, t_span)
     if t0 == t_bound:
         raise ValueError("t_span is empty")

@@ -100,15 +100,14 @@ def full_bracket_tower(p, m_max):
     """{m: level m} for m = 2..m_max: every left-normed word of length m with its field,
     each field bracketed out of its parent's by lie_bracket, with no symmetry used.
     finite_type.bracket_level must equal it exactly."""
-    from mafoliate.finite_type import BracketWord, lie_bracket, tangential_field
+    from mafoliate.finite_type import lie_bracket, tangential_field
 
     L = tangential_field(p)
     gens = {"L": L, "Lbar": L.conjugate()}
-    level = [(BracketWord.pair(BracketWord.generator("L"), BracketWord.generator("Lbar")),
-              lie_bracket(L, gens["Lbar"]))]
+    level = [("[L,Lbar]", lie_bracket(L, gens["Lbar"]))]
     tower = {2: level}
     for m in range(3, m_max + 1):
-        level = [(BracketWord.pair(word, BracketWord.generator(g)), lie_bracket(field, gens[g]))
+        level = [(f"[{word},{g}]", lie_bracket(field, gens[g]))
                  for word, field in level for g in ("L", "Lbar")]
         tower[m] = level
     return tower

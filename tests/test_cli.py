@@ -424,3 +424,26 @@ def test_numpy_values_serialize_as_before():
             '"zs": [{"v": [1.5, 2.5]}]}')
     assert json.dumps(_jsonable_before(doc), sort_keys=True) == want
     assert json.dumps(cli._jsonable(doc), sort_keys=True) == want
+
+
+@pytest.mark.parametrize("stage", ["transport", "type"])
+def test_report_judges_a_stage_as_its_subcommand_does(tmp_path, monkeypatch, stage):
+    # report's transport stage judged the landing defect alone, its type stage always passed
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"samples": 100, "fit_samples": 30, "trials": 20,
+                                    "transport_samples": 2, "trace_step": 0.1}))
+    common = ["--poly", "euc", "--config", cfg_path, "--out", tmp_path, "--strict"]
+    assert run(["report", *common]) == 0
+    if stage == "transport":
+        stage_record = cli._transport_stage
+        monkeypatch.setattr(cli, "_transport_stage", lambda *args: {
+            **stage_record(*args), "max_landing_defect": 0.0, "max_roundtrip_defect": 1e-3})
+        argv = ["transport", "--r1", 1, "--r2", 2]
+    else:
+        monkeypatch.setattr(cli, "point_type", lambda p, q, m_max: mf.TypeReport(
+            q, "exceeds_cap", None, 0j))
+        argv = ["type-at", "--point", "1,0,0,0"]
+    assert run([*argv, *common]) == 1
+    assert run(["report", *common]) == 1
+    doc = read_json(tmp_path / "report.json")["analysis"]
+    assert doc["ok"] is False and "error" not in doc[stage]

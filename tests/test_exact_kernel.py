@@ -142,6 +142,28 @@ def test_derive_and_conjugate_match_reference(terms):
     assert ref(p.conjugate()) == r_conj(ref(p))
 
 
+Z_SYMBOLS = sp.symbols("z1 z2 zbar1 zbar2")  # independent, as in Wirtinger calculus
+
+
+def to_sympy(p: Polynomial):
+    return sp.Add(*((sp.Rational(c.re) + sp.I * sp.Rational(c.im))
+                    * sp.Mul(*(v**e for v, e in zip(Z_SYMBOLS, k))) for k, c in p.terms.items()))
+
+
+# a coefficient of a field is often zero, so fields with zero components and with
+# (0,1) parts both occur
+coefficients = st.one_of(st.just({}), term_maps)
+
+
+@KERNEL
+@given(term_maps, st.tuples(*[coefficients] * 4))
+def test_derive_along_matches_sympy(terms, field):
+    f = Polynomial(terms)
+    field = [Polynomial(c) for c in field]
+    want = sum(to_sympy(c) * sp.diff(to_sympy(f), v) for c, v in zip(field, Z_SYMBOLS))
+    assert sp.expand(to_sympy(f.derive_along(*field)) - want) == 0
+
+
 @KERNEL
 @given(term_maps, rationals, rationals)
 def test_scaled_matches_reference(terms, re, im):

@@ -197,6 +197,26 @@ def test_fit_holds_out_at_least_one_sample(corpus):
     assert fit.holdout_pairing_residual == abs(jet.d1 * Z1 + jet.d2 * Z2 - jet.rho) / jet.rho
 
 
+def test_fit_rejects_the_first_sample_where_rho_is_not_positive_and_finite(corpus):
+    # the holdout residual is relative to rho: rho = 0 raised ZeroDivisionError, the
+    # negative gap of a holdout with rho < 0 was dropped by max, and an overflowing
+    # sample raised a raw OverflowError
+    fub = corpus["fub"]
+    pts = admissible_points(fub, np.random.default_rng(331), 29)
+    with pytest.raises(mf.NonPositiveRho, match=r"^rho\(\(0j, 0j\)\) = 0\.0 <= 0$"):
+        mf.fit_holomorphic_Z(fub, [*pts, mf.Point(0, 0)], degree=2)
+    with pytest.raises(mf.NonPositiveRho, match=r"^rho\(\(\(1e\+200\+0j\), 0j\)\) = nan is not finite$"):
+        mf.fit_holomorphic_Z(fub, [*pts, mf.Point(1e200, 0)], degree=2)
+    ball = corpus["euc"] + mf.HermitianPolynomial.from_terms({(0, 0, 0, 0): -1})
+    pts = admissible_points(ball, np.random.default_rng(331), 28)
+    first_bad = r"^rho\(\(\(0\.1\+0j\), \(0\.1\+0j\)\)\) = -0\.98 <= 0$"
+    with pytest.raises(mf.NonPositiveRho, match=first_bad):
+        mf.fit_holomorphic_Z(ball, [*pts, mf.Point(0.1, 0.1)], degree=2)
+    with pytest.raises(mf.NonPositiveRho, match=first_bad):
+        mf.fit_holomorphic_Z(ball, [*pts[:3], mf.Point(0.1, 0.1), *pts[3:], mf.Point(0.3, 0)],
+                             degree=2)
+
+
 def test_fit_rank_deficient_geometry(corpus):
     # samples on a single complex line cannot pin down degree-2 monomials
     pts = [mf.Point(t, t) for t in np.linspace(0.5, 1.5, 40)]

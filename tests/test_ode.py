@@ -67,7 +67,7 @@ def _kinked(t, y):
 def _assert_same_run(f, span, y0, t_eval, rtol=RTOL, atol=ATOL):
     want = scipy.integrate.solve_ivp(f, span, y0, method="RK45", rtol=rtol, atol=atol,
                                      t_eval=t_eval)
-    got = ode.solve_ivp(f, span, y0, method="RK45", rtol=rtol, atol=atol, t_eval=t_eval)
+    got = ode.solve_ivp(f, span, y0, rtol=rtol, atol=atol, t_eval=t_eval)
     assert np.array_equal(got.y, want.y)
     assert np.array_equal(got.t, want.t)
     assert (got.nfev, got.success, got.message) == (want.nfev, want.success, want.message)

@@ -53,6 +53,31 @@ def test_settable_values_counts_record_fields_with_defaults(tmp_path):
     assert proc.stdout.splitlines() == ["src_lines 27", "settable_values 7"]
 
 
+def test_settable_values_lists_each_value_where_it_is_set(tmp_path):
+    (tmp_path / "knobs.py").write_text(
+        "from typing import NamedTuple\n"
+        "\n"
+        "\n"
+        "class B(NamedTuple):\n"
+        "    z: str\n"
+        "    x: int = 1\n"
+        "\n"
+        "\n"
+        "def f(a, b=1, *, c=(2, 3), d):\n"
+        "    return lambda e=-3: a\n"
+        "\n"
+        "\n"
+        "def g(p, q=0, /, r=1.5):\n"
+        "    pass\n")
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "settable_values.py"),
+                           str(tmp_path), "--list"], capture_output=True, text=True, check=True)
+    where = f"{tmp_path.name}/knobs.py"
+    assert proc.stdout.splitlines() == [
+        f"{where}:6 B.x = 1", f"{where}:9 f.b = 1", f"{where}:9 f.c = (2, 3)",
+        f"{where}:10 <lambda>.e = -3", f"{where}:13 g.q = 0", f"{where}:13 g.r = 1.5",
+        "src_lines 14", "settable_values 6"]
+
+
 def test_importing_compare_trees_leaves_the_interpreter_as_it_was(monkeypatch):
     monkeypatch.setattr(sys, "path", [str(ROOT / "tools"), *sys.path])
     monkeypatch.setattr(sys, "dont_write_bytecode", False)
