@@ -84,7 +84,6 @@ from .foliation import (
 )
 from .monge_ampere import (
     GradientValue,
-    HermitianPairing,
     MAReport,
     complex_gradient,
     is_ma_exact,

@@ -9,8 +9,7 @@ Conventions used throughout the toolkit:
   four directions are named ``"z1"``, ``"z2"``, ``"zbar1"``, ``"zbar2"``.
 * A polynomial is real-valued exactly when each key ``(a, b)`` carries the
   conjugate of the coefficient of the swapped key ``(b, a)``.  Such validated
-  polynomials are :class:`HermitianPolynomial`; they model the exhaustion rho
-  and everything built from it.
+  polynomials are :class:`HermitianPolynomial`; they model the exhaustion rho.
 * Coefficients are Gaussian rationals, held as Gaussian-integer numerators
   over one denominator per polynomial (see :class:`Polynomial`), so all
   symbolic stages (derivatives, products, bracket towers) are exact integer
@@ -18,7 +17,8 @@ Conventions used throughout the toolkit:
   correctly rounded coefficients.  :func:`at_exact`, the one exact evaluator,
   gives the value at a point, taking its doubles as the dyadic rationals they
   are; :func:`on_line` reads with it the Taylor coefficients of the restriction
-  to a real line through the point, derived along the line's direction.
+  to a real line through the point from the derivatives along the line's
+  direction, a tower built once per (polynomial, direction) and cached.
 
 The pointwise second-order data of rho is collected in :class:`WirtingerJet`:
 value, holomorphic gradient, Levi matrix ``rho_{mu nubar}``, its determinant
@@ -415,9 +415,9 @@ def _powers(z: complex, n: int) -> list[complex]:
 class HermitianPolynomial(Polynomial):
     """Real-valued polynomial: coefficients conjugate-paired under (a, b) -> (b, a).
 
-    Construct through :meth:`from_terms` (validating) or by arithmetic on
-    existing instances; the invariant is preserved exactly by +, * and scaling
-    with real rationals.
+    Construct through :meth:`from_terms` (validating); negation and
+    :func:`substitute_linear` keep the class.  Sums and products are plain
+    :class:`Polynomial` objects, equal and hashing alike whatever their class.
     """
 
     @classmethod
@@ -448,31 +448,8 @@ class HermitianPolynomial(Polynomial):
         twice = raw + raw.conjugate()
         return cls._exact(*_lowest(twice._num, 2 * twice._den))
 
-    def __add__(self, other: Polynomial) -> Polynomial:
-        out = Polynomial.__add__(self, other)
-        if isinstance(other, HermitianPolynomial):
-            return _wrap_hermitian(out)
-        return out
-
-    def __mul__(self, other) -> Polynomial:
-        out = Polynomial.__mul__(self, other)
-        if isinstance(other, HermitianPolynomial):
-            return _wrap_hermitian(out)
-        if not isinstance(other, Polynomial):
-            c = GaussianRational.from_value(other)
-            if c.im == 0:
-                return _wrap_hermitian(out)
-        return out
-
-    __rmul__ = __mul__
-
     def conjugate(self) -> "HermitianPolynomial":
         return self
-
-
-def _wrap_hermitian(p: Polynomial) -> HermitianPolynomial:
-    # trusted internal path: the pairing invariant holds exactly by construction
-    return HermitianPolynomial._exact(p._num, p._den)
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +562,19 @@ def on_line(f: Polynomial, q: Sequence[complex], v: Sequence[complex]) -> list[G
     """The exact coefficients c_0, ..., c_deg(f), in the real parameter t, of f(q + t v),
     with q and v taken exactly (a double is a dyadic rational): c_k = (D^k f)(q) / k!
     for D = v1 d/dz1 + v2 d/dz2 + conj(v1) d/dzbar1 + conj(v2) d/dzbar2, as t is real,
-    each value read by at_exact."""
+    each value read by at_exact from the cached tower of (f, v)."""
+    return [GaussianRational(c.re / math.factorial(k), c.im / math.factorial(k))
+            for k, c in enumerate(at_exact(g, q) for g in _line_tower(f, tuple(v)))]
+
+
+@lru_cache(maxsize=256)
+def _line_tower(f: Polynomial, v: tuple) -> tuple[Polynomial, ...]:
+    """f, D f, ..., D^deg(f) f for on_line's D, which depends on the direction v, not the point."""
     D = [Polynomial.constant(c) for c in (*v, *(c.conjugate() for c in v))]
-    out = []
-    for k in range(max(f.total_degrees(), default=0) + 1):
-        c = at_exact(f, q)
-        out.append(GaussianRational(c.re / math.factorial(k), c.im / math.factorial(k)))
-        f = f.derive_along(*D)
-    return out
+    tower = [f]
+    for _ in range(max(f.total_degrees(), default=0)):
+        tower.append(tower[-1].derive_along(*D))
+    return tuple(tower)
 
 
 def at_exact(f: Polynomial, q: Sequence[complex]) -> GaussianRational:
@@ -851,6 +833,6 @@ def substitute_linear(p: Polynomial, matrix) -> Polynomial:
             if e:
                 term = term * lin[var] ** e
         out = out + term
-    if isinstance(p, HermitianPolynomial):
-        return _wrap_hermitian(out)
+    if isinstance(p, HermitianPolynomial):  # conjugate pairing survives the substitution exactly
+        return HermitianPolynomial._exact(out._num, out._den)
     return out

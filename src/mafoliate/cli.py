@@ -129,8 +129,9 @@ def _jsonable(obj):
         return [z1.real, z1.imag, z2.real, z2.imag]
     if type(obj).__module__ == "numpy":  # an array or scalar; asks nothing of numpy's import
         return _jsonable(obj.tolist())
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, dict):  # a tuple key (a, b) is written "a,b"
+        return {",".join(map(str, k)) if isinstance(k, tuple) else str(k): _jsonable(v)
+                for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     return obj
@@ -241,28 +242,12 @@ def _transport_stage(p, cfg: RunConfig, r1: float, r2: float) -> dict:
 
 
 def _fit_weights_dict(p, cfg: RunConfig, rng) -> dict:
-    pts = _sample_points(p, rng, cfg.fit_samples)
-    fit = fit_holomorphic_Z(p, pts, cfg.fit_degree)
+    fit = fit_holomorphic_Z(p, _sample_points(p, rng, cfg.fit_samples), cfg.fit_degree)
     zero = zero_set_check(fit)
     est = estimate_weights(fit)
-    return {
-        "degree": fit.degree,
-        "coefficients": {
-            "Z1": {f"{a},{b}": c for (a, b), c in sorted(fit.coeff1.items())},
-            "Z2": {f"{a},{b}": c for (a, b), c in sorted(fit.coeff2.items())},
-        },
-        "max_residual": fit.max_residual,
-        "holdout_pairing_residual": fit.holdout_pairing_residual,
-        "zero_set": {
-            "isolated_zero_at_origin": zero.isolated_zero_at_origin,
-            "linear_min_singular": zero.linear_min_singular,
-            "min_on_unit_sphere": zero.min_on_unit_sphere,
-            "other_zeros": zero.other_zeros,
-        },
-        "weights": {"c1": est.c1, "c2": est.c2, "diagonalization_residual": est.residual},
-        "homogeneity_defect": weighted_homogeneity_check(p, est.c1, est.c2,
-                                                         trials=cfg.trials, seed=cfg.seed),
-    }
+    return _record(fit, zero_set=_record(zero), weights=_record(est),
+                   homogeneity_defect=weighted_homogeneity_check(p, est.c1, est.c2,
+                                                                 trials=cfg.trials, seed=cfg.seed))
 
 
 def _weights_ok(doc: dict) -> bool:

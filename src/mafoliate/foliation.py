@@ -27,7 +27,10 @@ The verdict operations:
   decided by the exact certificate ``monge_ampere.is_ma_exact`` and the
   bidegree by the exact decomposition, which makes the growth law exact: pure
   bidegree (k, k) gives it monomial by monomial.  The chain's verdict samples
-  only for positivity on the sphere.
+  only for positivity on the sphere, at SPHERE_SAMPLES directions, and reads
+  rho exactly (``calculus.at_exact``) at the sampled minimizer, so a zero of rho
+  that a sample hits is never taken for a tiny positive minimum.  A zero that
+  no sample hits still passes.
 * ``fit_holomorphic_Z`` / ``estimate_weights`` recover the linear model of Z
   at its zero from ``monge_ampere.complex_gradient`` at the samples, whose jets
   take their polynomial values from one ``calculus.evaluate_many`` call
@@ -52,6 +55,7 @@ from .calculus import (
     HermitianPolynomial,
     Point,
     WirtingerJet,
+    at_exact,
     bidegree_decompose,
     evaluate_many,
     jet_polynomials,
@@ -74,14 +78,17 @@ from .monge_ampere import complex_gradient, is_ma_exact
 from .ode import brentq, solve_ivp
 
 
+FLOW_STEP_BUDGET = 500_000  # right-hand-side calls one flow may make before FlowEscape
+SPHERE_SAMPLES = 10_000  # burns_verify's unit-sphere directions, the 8 special ones included
+
+
 class _FlowFields(NamedTuple):
     rtol: float = 1e-10
     atol: float = 1e-10
-    max_steps: int = 500_000
 
 
 class FlowConfig(_FlowFields):
-    """Integrator policy shared by every flow-based operation."""
+    """Integrator tolerances shared by every flow-based operation."""
 
     __slots__ = ()
 
@@ -89,8 +96,6 @@ class FlowConfig(_FlowFields):
         self = super().__new__(cls, *args, **kwargs)
         if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
         return self
 
 
@@ -99,19 +104,19 @@ def _pack(z1: complex, z2: complex) -> list[float]:
 
 
 class _GradientFlow:
-    """ODE right-hand side dz/dtau = rot * Z(z), with Z from finite_type.gradient_field."""
+    """ODE right-hand side dz/dtau = rot * Z(z), with Z from finite_type.gradient_field;
+    cfg reaches the integrator through _flow_states, and the right-hand side never reads it."""
 
     def __init__(self, p: HermitianPolynomial, cfg: FlowConfig, rot: complex):
         self.p = p
-        self.cfg = cfg
         self.rot = rot
         self.Z = gradient_field(p)
         self.evals = 0
 
     def __call__(self, _t, y) -> list[float]:
         self.evals += 1
-        if self.evals > self.cfg.max_steps:
-            raise FlowEscape(f"flow exceeded the step budget of {self.cfg.max_steps}")
+        if self.evals > FLOW_STEP_BUDGET:
+            raise FlowEscape(f"flow exceeded the step budget of {FLOW_STEP_BUDGET}")
         x1, y1, x2, y2 = y
         z1, z2 = complex(x1, y1), complex(x2, y2)
         if self.p(z1, z2).real <= 0.0:
@@ -343,10 +348,6 @@ class HolomorphicFit(NamedTuple):
     coeff2: dict
     max_residual: float
     holdout_pairing_residual: float
-
-    @classmethod
-    def from_components(cls, coeff1: dict, coeff2: dict, degree: int) -> "HolomorphicFit":
-        return cls(degree, dict(coeff1), dict(coeff2), 0.0, math.nan)
 
     def evaluate(self, z1: complex, z2: complex) -> tuple[complex, complex]:
         return tuple(sum(c * z1**a * z2**b for (a, b), c in coeffs.items())
@@ -663,10 +664,10 @@ def _positive_min_on_sphere(p: HermitianPolynomial, n_samples: int, rng) -> tupl
     return best_val, Point(best_dir[0], best_dir[1])
 
 
-def burns_verify(p: HermitianPolynomial, sphere_samples: int = 10_000,
-                 seed: int = 0) -> BurnsVerdict:
+def burns_verify(p: HermitianPolynomial, seed: int = 0) -> BurnsVerdict:
     """Homogeneity-gated verdict: the exact MA certificate and bidegree purity, which makes
-    the growth law exact; NotPositive when the sampled sphere minimum is not positive."""
+    the growth law exact; NotPositive when the sampled sphere minimum is not positive, in
+    doubles or in the exact value at its direction."""
     degrees = p.total_degrees()
     if len(degrees) != 1:
         raise NotHomogeneous(f"mixed total degrees {sorted(degrees)}")
@@ -676,9 +677,11 @@ def burns_verify(p: HermitianPolynomial, sphere_samples: int = 10_000,
     k = total // 2
 
     rng = np.random.default_rng(seed)
-    min_sphere, worst = _positive_min_on_sphere(p, sphere_samples, rng)
-    if min_sphere <= 0.0:
-        raise NotPositive(f"rho = {min_sphere} at {worst.as_pair()}", witness=worst)
+    min_sphere, worst = _positive_min_on_sphere(p, SPHERE_SAMPLES, rng)
+    exact = at_exact(p, worst).re  # a double may round a zero of rho up to a tiny positive value
+    if min_sphere <= 0.0 or exact <= 0:
+        shown = min_sphere if min_sphere <= 0.0 else float(exact)
+        raise NotPositive(f"rho = {shown} at {worst.as_pair()}", witness=worst)
 
     profile = bidegree_decompose(p)
     comps = tuple(sorted(profile.components))

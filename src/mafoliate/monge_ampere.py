@@ -24,13 +24,14 @@ sampled residuals of ``ma_scan`` (``ma_residual`` at each sample, the
 polynomial values batched by ``calculus.evaluate_many``) stay as its
 independent numeric oracle.
 
-The pairing evaluator treats (1,1)-forms matrix-style,
+``omega_pairing`` evaluates the singular metric at one jet.  It treats
+(1,1)-forms matrix-style,
 
     ddc_f(V, W) = sum f_{mu nubar} V^mu conj(W^nu),
 
 normalized so that ddc_rho(L, Lbar) = B, which under the equation equals
-D * rho for the tangential field L.  On that normalization the singular
-metric
+D * rho for the tangential field L.  With ddc_u = ddc_rho / rho -
+d(rho)(V) conj(d(rho)(W)) / rho^2 for u = log rho, the singular metric
 
     Omega(V, W) = rho * ddc_u(V, W) / D + d(rho)(V) * conj(d(rho)(W)) / rho
 
@@ -71,14 +72,6 @@ class MAReport(NamedTuple):
     B: float
     residual: float
     normalized: float
-
-    def to_json_dict(self) -> dict:
-        z1, z2 = self.point.as_pair()
-        return {
-            "x1": z1.real, "y1": z1.imag, "x2": z2.real, "y2": z2.imag,
-            "rho": self.rho, "D": self.D, "B": self.B,
-            "residual": self.residual, "normalized": self.normalized,
-        }
 
 
 class GradientValue(NamedTuple):
@@ -127,39 +120,21 @@ def complex_gradient(jet: WirtingerJet) -> GradientValue:
     return GradientValue(Z1, Z2, pairing)
 
 
-class HermitianPairing:
-    """(1,1)-form evaluator over one jet: ddc_rho, ddc_u, d(rho), and Omega."""
-
-    def __init__(self, jet: WirtingerJet):
-        self.jet = jet
-
-    def d_rho(self, V: Vector) -> complex:
-        return self.jet.d1 * V[0] + self.jet.d2 * V[1]
-
-    def ddc_rho(self, V: Vector, W: Vector) -> complex:
-        (h11, h12), (h21, h22) = self.jet.levi
-        w0 = W[0].conjugate()
-        w1 = W[1].conjugate()
-        return (h11 * V[0] * w0 + h12 * V[0] * w1 + h21 * V[1] * w0 + h22 * V[1] * w1)
-
-    def ddc_u(self, V: Vector, W: Vector) -> complex:
-        if self.jet.rho <= 0.0:
-            raise NonPositiveRho(f"rho = {self.jet.rho} <= 0")
-        r = self.jet.rho
-        return self.ddc_rho(V, W) / r - self.d_rho(V) * self.d_rho(W).conjugate() / r**2
-
-    def omega(self, V: Vector, W: Vector) -> complex:
-        if self.jet.rho <= 0.0:
-            raise NonPositiveRho(f"rho = {self.jet.rho} <= 0")
-        if self.jet.D <= EPS_D_DEFAULT:
-            raise degenerate_levi(self.jet.D, self.jet.point.as_pair())
-        return (self.jet.rho * self.ddc_u(V, W) / self.jet.D
-                + self.d_rho(V) * self.d_rho(W).conjugate() / self.jet.rho)
-
-
 def omega_pairing(jet: WirtingerJet, V: Vector, W: Vector) -> complex:
     """Omega(V, conj W) for (1,0) tangent vectors V, W at the jet's point."""
-    return HermitianPairing(jet).omega(V, W)
+    r = jet.rho
+    if r <= 0.0:
+        raise NonPositiveRho(f"rho = {r} <= 0")
+    if jet.D <= EPS_D_DEFAULT:
+        raise degenerate_levi(jet.D, jet.point.as_pair())
+    (h11, h12), (h21, h22) = jet.levi
+    w0 = W[0].conjugate()
+    w1 = W[1].conjugate()
+    ddc_rho = h11 * V[0] * w0 + h12 * V[0] * w1 + h21 * V[1] * w0 + h22 * V[1] * w1
+    d_rho_v = jet.d1 * V[0] + jet.d2 * V[1]
+    conj_d_rho_w = (jet.d1 * W[0] + jet.d2 * W[1]).conjugate()
+    ddc_u = ddc_rho / r - d_rho_v * conj_d_rho_w / r**2
+    return r * ddc_u / jet.D + d_rho_v * conj_d_rho_w / r
 
 
 def ma_scan(p: HermitianPolynomial, points: Iterable[Point]) -> list[MAReport]:
@@ -188,5 +163,6 @@ def write_ma_csv(reports: Sequence[MAReport], path, version: str, poly_hash: str
         writer = csv.writer(fh)
         writer.writerow(MA_CSV_COLUMNS)
         for rep in reports:
-            row = rep.to_json_dict()
-            writer.writerow([repr(row[c]) for c in MA_CSV_COLUMNS])
+            z1, z2 = rep.point.as_pair()
+            writer.writerow([repr(x) for x in (z1.real, z1.imag, z2.real, z2.imag, rep.rho,
+                                               rep.D, rep.B, rep.residual, rep.normalized)])

@@ -144,15 +144,16 @@ def _fit(name):
 @pytest.mark.parametrize("fit", [
     pytest.param(lambda: _fit("fub"), id="fub"),
     pytest.param(lambda: _fit("weighted"), id="weighted"),
-    pytest.param(lambda: mf.HolomorphicFit.from_components({(1, 0): 1.0 + 0j}, {}, 1),
+    pytest.param(lambda: mf.HolomorphicFit(1, {(1, 0): 1.0 + 0j}, {}, 0.0, math.nan),
                  id="empty-component"),
-    pytest.param(lambda: mf.HolomorphicFit.from_components(
-        {(1, 0): 1.0 + 0j, (0, 1): 1.0 + 0j}, {(2, 0): 1.0 + 0j, (1, 1): 1.0 + 0j}, 2),
+    pytest.param(lambda: mf.HolomorphicFit(
+        2, {(1, 0): 1.0 + 0j, (0, 1): 1.0 + 0j}, {(2, 0): 1.0 + 0j, (1, 1): 1.0 + 0j},
+        0.0, math.nan),
         id="zero-line"),
     # |Z| = 5e-8 on the line z1 = -z2: a zero by the tolerance 1e-7 (1 + r), on every shell
-    pytest.param(lambda: mf.HolomorphicFit.from_components(
-        {(0, 0): 5e-8 + 0j, (1, 0): 1.0 + 0j, (0, 1): 1.0 + 0j},
-        {(2, 0): 1.0 + 0j, (1, 1): 1.0 + 0j}, 2),
+    pytest.param(lambda: mf.HolomorphicFit(
+        2, {(0, 0): 5e-8 + 0j, (1, 0): 1.0 + 0j, (0, 1): 1.0 + 0j},
+        {(2, 0): 1.0 + 0j, (1, 1): 1.0 + 0j}, 0.0, math.nan),
         id="near-zero-line"),
 ])
 def test_zero_set_check_matches_the_per_direction_loop(fit):

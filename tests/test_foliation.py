@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mafoliate as mf
+from mafoliate import foliation
 from mafoliate.foliation import _GradientFlow, _flow_states, _pack
 
 from conftest import admissible_points
@@ -68,10 +69,10 @@ def test_trace_requires_positive_rho(corpus):
         mf.trace_leaf(corpus["euc"], mf.Point(0.0, 0.0), [0.0, 0.1], [0.0, 0.1])
 
 
-def test_trace_step_budget(corpus):
-    cfg = mf.FlowConfig(max_steps=3)
+def test_trace_step_budget(corpus, monkeypatch):
+    monkeypatch.setattr(foliation, "FLOW_STEP_BUDGET", 3)
     with pytest.raises(mf.FlowEscape):
-        mf.trace_leaf(corpus["euc"], mf.Point(1.0, 0.0), [0.0, 0.5], [0.0, 0.5], cfg)
+        mf.trace_leaf(corpus["euc"], mf.Point(1.0, 0.0), [0.0, 0.5], [0.0, 0.5])
 
 
 def test_trace_escapes_shifted_domain():
@@ -262,7 +263,7 @@ def test_zero_set_weighted(corpus):
 
 
 def test_zero_set_degenerate_synthetic_field():
-    fit = mf.HolomorphicFit.from_components({(1, 0): 1.0 + 0j}, {}, degree=1)
+    fit = mf.HolomorphicFit(1, {(1, 0): 1.0 + 0j}, {}, 0.0, math.nan)
     rep = mf.zero_set_check(fit)
     assert not rep.isolated_zero_at_origin
     assert rep.linear_min_singular == pytest.approx(0.0, abs=1e-14)
@@ -289,13 +290,13 @@ def test_weights_euclidean(corpus):
 
 
 def test_weights_reject_nonvanishing_center():
-    fit = mf.HolomorphicFit.from_components({(0, 0): 1.0, (1, 0): 1.0}, {(0, 1): 1.0}, 1)
+    fit = mf.HolomorphicFit(1, {(0, 0): 1.0, (1, 0): 1.0}, {(0, 1): 1.0}, 0.0, math.nan)
     with pytest.raises(mf.NonVanishingAtCenter):
         mf.estimate_weights(fit)
 
 
 def test_weights_reject_rotation_field():
-    fit = mf.HolomorphicFit.from_components({(0, 1): -1.0}, {(1, 0): 1.0}, 1)
+    fit = mf.HolomorphicFit(1, {(0, 1): -1.0}, {(1, 0): 1.0}, 0.0, math.nan)
     with pytest.raises(mf.ComplexEigenvalues):
         mf.estimate_weights(fit)
 
@@ -370,34 +371,40 @@ def test_level_set_samples_raise_where_no_regular_point_is_found():
 # ---------------------------------------------------------------------------
 
 
-def test_burns_fub(corpus):
-    v = mf.burns_verify(corpus["fub"], sphere_samples=2000)
+@pytest.fixture
+def sphere_2000(monkeypatch):
+    """burns_verify with 2,000 sphere directions, as these tests have always drawn."""
+    monkeypatch.setattr(foliation, "SPHERE_SAMPLES", 2000)
+
+
+def test_burns_fub(corpus, sphere_2000):
+    v = mf.burns_verify(corpus["fub"])
     assert v.k == 2 and v.is_ma and v.bidegree_pure and v.extreme_components_vanish
     assert v.growth_bound < 1e-9
     assert v.theorem_consistent
 
 
-def test_burns_quartic(corpus):
-    v = mf.burns_verify(corpus["quartic"], sphere_samples=2000)
+def test_burns_quartic(corpus, sphere_2000):
+    v = mf.burns_verify(corpus["quartic"])
     assert v.k == 2 and v.is_ma and v.bidegree_pure
     assert v.growth_bound < 1e-9
 
 
-def test_burns_bad_is_recorded_negative(corpus):
-    v = mf.burns_verify(corpus["bad"], sphere_samples=2000)
+def test_burns_bad_is_recorded_negative(corpus, sphere_2000):
+    v = mf.burns_verify(corpus["bad"])
     assert not v.is_ma
     assert not v.bidegree_pure
     assert v.theorem_consistent  # the purity conclusion is not claimed without the equation
 
 
-def test_burns_growth_bound_only_for_pure_bidegree(corpus):
+def test_burns_growth_bound_only_for_pure_bidegree(corpus, sphere_2000):
     # on impure bidegree rho(lambda z) depends on arg lambda, so there is no law to bound
-    assert mf.burns_verify(corpus["bad"], sphere_samples=2000).growth_bound is None
+    assert mf.burns_verify(corpus["bad"]).growth_bound is None
     # pure bidegree (k, k) gives the law monomial by monomial: the bound is 0.0 exactly,
     # and the sampled rays agree
     generated = forms_rho(NONDIAGONAL, 3, 3)
     for p in (corpus["euc"], corpus["fub"], corpus["quartic"], generated):
-        v = mf.burns_verify(p, sphere_samples=2000)
+        v = mf.burns_verify(p)
         assert v.bidegree_pure and v.growth_bound == 0.0
         assert sampled_growth_bound(p, v.k, np.random.default_rng(7)) < 1e-9
 
@@ -407,11 +414,11 @@ def test_burns_rejects_inhomogeneous(corpus):
         mf.burns_verify(corpus["weighted"])
 
 
-def test_burns_rejects_nonpositive():
+def test_burns_rejects_nonpositive(sphere_2000):
     p = mf.HermitianPolynomial.from_terms(
         {(2, 0, 2, 0): 1, (0, 2, 0, 2): 1, (3, 0, 0, 1): 2, (0, 1, 3, 0): 2}
     )
     with pytest.raises(mf.NotPositive) as err:
-        mf.burns_verify(p, sphere_samples=2000)
+        mf.burns_verify(p)
     witness = err.value.witness
     assert p(*witness.as_pair()).real <= 0.0

@@ -108,3 +108,13 @@ def test_compare_trees_names_the_side_that_holds_a_key(tmp_path, monkeypatch):
         "      analysis.x: max |difference| 0.5",
         "      analysis.y: only in change",
     ]
+
+
+def test_compare_trees_summary_lines_count_the_pairs_the_change_won(monkeypatch):
+    monkeypatch.setattr(sys, "path", [str(ROOT / "tools"), *sys.path])
+    from compare_trees import import_line, pass_line
+
+    assert pass_line("type-deep", {"parent": [1.0, 2.0, 3.0], "change": [1.5, 1.0, 2.5]}) == (
+        "type-deep: median pass wall s 2.00 / 1.50; change faster in 2/3 pairs")
+    assert import_line({"parent": [0.1, 0.12, 0.2], "change": [0.09, 0.13, 0.1]}) == (
+        "import mafoliate.cli: median wall s 0.120 / 0.100; change faster in 2/3 pairs")

@@ -19,7 +19,12 @@ and attempted job runs (a run fails when its gate reports a mismatch, as in
 bench/run.py), the failures by known-defect name, the failures that match no
 known defect, and the wall seconds of all its runs; then, per workload, each
 side's median wall seconds of one pass over its jobs (one repeat at one seed)
-and in how many of those pairs of passes the change took less time.
+and in how many of those pairs of passes the change took less time.  After the
+jobs of each workload and seed, each tree runs five bare ``python3 -c "import
+mafoliate.cli"`` processes per repeat (what bench/run.py's ``setup_s`` takes the
+median of), in pairs whose first tree alternates; the summary's last timing line
+gives each side's median import wall seconds over all of them and in how many
+pairs the change was faster.
 
 Exit status: 1 when any exit code, stderr or gate result differs, between the
 trees or between the repeats, else 0.
@@ -42,6 +47,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+IMPORT_RUNS = 5  # bare imports per tree and repeat, as many as bench/run.py's setup_s
 
 
 def load_workloads():
@@ -56,16 +62,27 @@ def load_workloads():
 def run_job(tree: Path, job, out: Path, cwd: Path) -> tuple[int, str, dict | None, float]:
     """Exit code, stderr, the parsed output (None if the job failed) and wall seconds."""
     out.mkdir(parents=True)
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "mafoliate.cli", *job.argv, "--out", str(out)],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+                          cwd=cwd, env=_env(tree), capture_output=True, text=True)
     wall = time.perf_counter() - start
     try:
         doc = json.loads((out / job.output).read_text("utf-8")) if proc.returncode == 0 else None
     except (OSError, ValueError):
         doc = None
     return proc.returncode, proc.stderr, doc, wall
+
+
+def time_import(tree: Path, cwd: Path) -> float:
+    """Wall seconds of a fresh interpreter that only imports mafoliate.cli from tree."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", "import mafoliate.cli"], cwd=cwd, env=_env(tree),
+                   check=True, capture_output=True)
+    return time.perf_counter() - start
+
+
+def _env(tree: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(tree / "src")}
 
 
 def gate(job, code: int, doc: dict | None, stderr: str) -> tuple:
@@ -141,6 +158,14 @@ def pass_line(workload: str, passes: dict[str, list[float]]) -> str:
             f"{len(passes['change'])} pairs")
 
 
+def import_line(imports: dict[str, list[float]]) -> str:
+    """Each side's median bare-import wall and the pairs of imports the change took less time in."""
+    won = sum(b < a for a, b in zip(imports["parent"], imports["change"]))
+    return (f"import mafoliate.cli: median wall s {statistics.median(imports['parent']):.3f} / "
+            f"{statistics.median(imports['change']):.3f}; change faster in {won}/"
+            f"{len(imports['change'])} pairs")
+
+
 def main(argv: list[str] | None = None) -> int:
     workloads = load_workloads()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -163,6 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     gates: dict[tuple[str, str], list] = {}  # (workload, side) -> gate results of its runs
     walls: dict[tuple[str, str], list] = {}  # (workload, side) -> wall seconds of its runs
     passes: dict[str, dict[str, list]] = {}  # workload -> side -> wall seconds of each pass
+    imports: dict[str, list] = {side: [] for side in trees}  # wall seconds of each bare import
     for workload in dict.fromkeys(args.workload):
         for seed in dict.fromkeys(args.seed):
             with tempfile.TemporaryDirectory(prefix="compare-trees-") as tmp:
@@ -197,6 +223,10 @@ def main(argv: list[str] | None = None) -> int:
                     for line in compare_outputs(work / "parent" / job.id,
                                                 work / "change" / job.id):
                         print(line)
+                for _ in range(args.repeats * IMPORT_RUNS):
+                    first = len(imports["parent"]) % 2  # 0: the parent goes first
+                    for side in (list(trees) if first == 0 else list(trees)[::-1]):
+                        imports[side].append(time_import(trees[side], work))
                 for side in trees:
                     passes.setdefault(workload, {}).setdefault(side, []).extend(pass_walls[side])
     print("== summary")
@@ -204,6 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         print(tally_line(workload, side, results, walls[workload, side]))
     for workload, sides in passes.items():
         print(pass_line(workload, sides))
+    print(import_line(imports))
     verdict = "differ" if differs else "are equal"
     print(f"exit codes, stderr and gate results {verdict}")
     return 1 if differs else 0
