@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .calculus import (
     BidegreeProfile,
     GaussianRational,
-    HermitianPolynomial,
     MonomialKey,
     Point,
     Polynomial,
@@ -23,6 +22,7 @@ from .calculus import (
     evaluate_many,
     parse_polynomial,
     polynomial_hash,
+    real_polynomial,
     serialize_polynomial,
     substitute_linear,
 )

@@ -8,8 +8,9 @@ Conventions used throughout the toolkit:
 * Wirtinger derivatives treat ``z`` and ``zbar`` as independent variables; the
   four directions are named ``"z1"``, ``"z2"``, ``"zbar1"``, ``"zbar2"``.
 * A polynomial is real-valued exactly when each key ``(a, b)`` carries the
-  conjugate of the coefficient of the swapped key ``(b, a)``.  Such validated
-  polynomials are :class:`HermitianPolynomial`; they model the exhaustion rho.
+  conjugate of the coefficient of the swapped key ``(b, a)``, so that it equals
+  its ``conjugate()``.  :func:`real_polynomial` builds one from validated
+  coefficients; real-valued polynomials model the exhaustion rho.
 * Coefficients are Gaussian rationals, held as Gaussian-integer numerators
   over one denominator per polynomial (see :class:`Polynomial`), so all
   symbolic stages (derivatives, products, bracket towers) are exact integer
@@ -30,7 +31,7 @@ value, holomorphic gradient, Levi matrix ``rho_{mu nubar}``, its determinant
 which is the pairing of the Levi form against the tangential directions;
 ``rho * D - B`` is the pointwise Monge-Ampere residual used downstream.
 
-Batched evaluation.  :func:`evaluate_many` (and ``Polynomial.evaluate``) evaluates
+Batched evaluation.  :func:`evaluate_many`, the one batched path, evaluates
 polynomials at N points at once and returns the doubles that ``Polynomial.__call__``
 returns one point at a time: the same compiled rows and coefficients, powers grown
 as ``z^k = z^(k-1) * z``, each polynomial's terms added in row order from ``0j``, and
@@ -90,8 +91,8 @@ REALITY_TOL = 1e-12  # relative, applied when validating user-supplied coefficie
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, numbers.Integral):  # numpy's ints too
+        return Fraction(int(x))
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"coefficient {x!r} is not finite")
@@ -109,12 +110,15 @@ class GaussianRational(NamedTuple):
 
     @classmethod
     def from_value(cls, value) -> "GaussianRational":
+        """Ints (numpy's too), Fractions, strings such as "1/3" and (re, im) pairs of them keep
+        their value; any other number goes through complex(), whose doubles embed exactly."""
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, complex):
-            return cls(Fraction(value.real), Fraction(value.imag))
         if isinstance(value, tuple) and len(value) == 2:
             return cls(_as_fraction(value[0]), _as_fraction(value[1]))
+        if isinstance(value, numbers.Number) and not isinstance(value, numbers.Rational):
+            value = complex(value)
+            return cls(_as_fraction(value.real), _as_fraction(value.imag))
         return cls(_as_fraction(value), Fraction(0))
 
     def conjugate(self) -> "GaussianRational":
@@ -283,7 +287,7 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def __neg__(self) -> "Polynomial":  # of the same class: minus a real polynomial is real
+    def __neg__(self) -> "Polynomial":
         return self._exact({k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
 
     def __mul__(self, other) -> "Polynomial":
@@ -303,7 +307,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scaled(self, value) -> "Polynomial":
-        return Polynomial.__mul__(self, Polynomial.constant(value))
+        return self * Polynomial.constant(value)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -400,10 +404,6 @@ class Polynomial:
             total += c * p1[a1] * p2[a2] * p3[b1] * p4[b2]
         return total
 
-    def evaluate(self, z1, z2) -> np.ndarray:
-        """The value at every point (z1[i], z2[i]), as a complex array; see evaluate_many."""
-        return evaluate_many((self,), z1, z2)[0]
-
 
 def _powers(z: complex, n: int) -> list[complex]:
     out = [1.0 + 0j]
@@ -412,44 +412,34 @@ def _powers(z: complex, n: int) -> list[complex]:
     return out
 
 
-class HermitianPolynomial(Polynomial):
-    """Real-valued polynomial: coefficients conjugate-paired under (a, b) -> (b, a).
-
-    Construct through :meth:`from_terms` (validating); negation and
-    :func:`substitute_linear` keep the class.  Sums and products are plain
-    :class:`Polynomial` objects, equal and hashing alike whatever their class.
-    """
-
-    @classmethod
-    def from_terms(cls, terms: Mapping | Iterable) -> "HermitianPolynomial":
-        """Check conjugate pairing within REALITY_TOL, then keep the exact real part (p + conj p) / 2."""
-        items = list(terms.items() if hasattr(terms, "items") else terms)
-        raw = Polynomial(items)
-        d = raw._den
-        coeffs = dict.fromkeys((_validate_key(k) for k, _ in items), 0j)  # zero entries are checked too
-        coeffs.update({MonomialKey(*k): complex(re / d, im / d) for k, (re, im) in raw._num.items()})
-        for key in sorted(coeffs, key=_grlex):
-            partner = key.conjugate()
-            c = coeffs[key]
-            if partner == key:
-                if abs(c.imag) > REALITY_TOL * max(1.0, abs(c)):
-                    raise RealityViolation(
-                        f"self-conjugate key {tuple(key)} has non-real coefficient {c}"
-                    )
-                continue
-            cp = coeffs.get(partner, 0j)
-            gap = abs(c - cp.conjugate())
-            scale = max(1.0, abs(c), abs(cp))
-            if gap > REALITY_TOL * scale:
+def real_polynomial(terms: Mapping | Iterable) -> Polynomial:
+    """The real-valued polynomial with these coefficients: RealityViolation where a key's
+    coefficient and the conjugate of its partner's differ beyond REALITY_TOL, else the
+    exact real part (p + conj p) / 2."""
+    items = list(terms.items() if hasattr(terms, "items") else terms)
+    raw = Polynomial(items)
+    d = raw._den
+    coeffs = dict.fromkeys((_validate_key(k) for k, _ in items), 0j)  # zero entries are checked too
+    coeffs.update({MonomialKey(*k): complex(re / d, im / d) for k, (re, im) in raw._num.items()})
+    for key in sorted(coeffs, key=_grlex):
+        partner = key.conjugate()
+        c = coeffs[key]
+        if partner == key:
+            if abs(c.imag) > REALITY_TOL * max(1.0, abs(c)):
                 raise RealityViolation(
-                    f"key {tuple(key)} (coefficient {c}) is not conjugate-paired "
-                    f"with {tuple(partner)} (coefficient {cp})"
+                    f"self-conjugate key {tuple(key)} has non-real coefficient {c}"
                 )
-        twice = raw + raw.conjugate()
-        return cls._exact(*_lowest(twice._num, 2 * twice._den))
-
-    def conjugate(self) -> "HermitianPolynomial":
-        return self
+            continue
+        cp = coeffs.get(partner, 0j)
+        gap = abs(c - cp.conjugate())
+        scale = max(1.0, abs(c), abs(cp))
+        if gap > REALITY_TOL * scale:
+            raise RealityViolation(
+                f"key {tuple(key)} (coefficient {c}) is not conjugate-paired "
+                f"with {tuple(partner)} (coefficient {cp})"
+            )
+    twice = raw + raw.conjugate()
+    return Polynomial._exact(*_lowest(twice._num, 2 * twice._den))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +540,7 @@ def jet_polynomials(p: Polynomial) -> _JetPolys:
     return _JetPolys(d1, d2, db1, db2, h11, h12, h21, h22, det, n1, n2)
 
 
-def eval_jet(p: HermitianPolynomial, q: Point) -> WirtingerJet:
+def eval_jet(p: Polynomial, q: Point) -> WirtingerJet:
     """Evaluate value, gradient, Levi matrix, D and B of p at q."""
     jp = jet_polynomials(p)
     z1, z2 = q.as_pair()
@@ -767,8 +757,9 @@ def polynomial_hash(p: Polynomial) -> str:
     return hashlib.sha256(canonical_json(p).encode("ascii")).hexdigest()
 
 
-def parse_polynomial(source) -> HermitianPolynomial:
-    """Parse the interchange format (JSON text, parsed dict, or term list).
+def parse_polynomial(source) -> Polynomial:
+    """Parse the interchange format (JSON text, parsed dict, or term list) into the
+    real-valued polynomial that real_polynomial builds.
 
     Raises RealityViolation if any key lacks its conjugate partner within the
     coefficient tolerance, NegativeExponent on malformed keys or term entries,
@@ -792,23 +783,12 @@ def parse_polynomial(source) -> HermitianPolynomial:
             raise NegativeExponent(f"malformed term entry {entry!r}") from exc
         key = _validate_key((a[0], a[1], b[0], b[1]))
         terms.append((key, (_as_fraction(entry.get("re", 0)), _as_fraction(entry.get("im", 0)))))
-    return HermitianPolynomial.from_terms(terms)
+    return real_polynomial(terms)
 
 
 # ---------------------------------------------------------------------------
 # coordinate changes
 # ---------------------------------------------------------------------------
-
-
-def _matrix_entry(x) -> GaussianRational:
-    # ints (numpy's too), Fractions, strings such as "1/3", (re, im) pairs and
-    # GaussianRationals convert exactly; any other number goes through complex(),
-    # whose doubles embed exactly
-    if isinstance(x, numbers.Integral):
-        return GaussianRational(Fraction(int(x)), Fraction(0))
-    if isinstance(x, (Fraction, str, tuple, GaussianRational)):
-        return GaussianRational.from_value(x)
-    return GaussianRational.from_value(complex(x))
 
 
 def substitute_linear(p: Polynomial, matrix) -> Polynomial:
@@ -819,7 +799,7 @@ def substitute_linear(p: Polynomial, matrix) -> Polynomial:
     and floats and complex numbers embed exactly, so real-valued inputs stay
     exactly conjugate-paired.
     """
-    m = [[_matrix_entry(matrix[i][j]) for j in range(2)] for i in range(2)]
+    m = [[GaussianRational.from_value(matrix[i][j]) for j in range(2)] for i in range(2)]
     lin = {
         "z1": Polynomial({MonomialKey(1, 0, 0, 0): m[0][0], MonomialKey(0, 1, 0, 0): m[0][1]}),
         "z2": Polynomial({MonomialKey(1, 0, 0, 0): m[1][0], MonomialKey(0, 1, 0, 0): m[1][1]}),
@@ -833,6 +813,4 @@ def substitute_linear(p: Polynomial, matrix) -> Polynomial:
             if e:
                 term = term * lin[var] ** e
         out = out + term
-    if isinstance(p, HermitianPolynomial):  # conjugate pairing survives the substitution exactly
-        return HermitianPolynomial._exact(out._num, out._den)
     return out

@@ -23,8 +23,8 @@ from typing import NamedTuple
 from . import __version__
 from ._numpy import np
 from .calculus import (
-    HermitianPolynomial,
     Point,
+    Polynomial,
     eval_jet,
     evaluate_many,
     jet_polynomials,
@@ -33,7 +33,7 @@ from .calculus import (
     polynomial_hash,
     serialize_polynomial,
 )
-from .corpus import CORPUS_NAMES, corpus_text
+from .corpus import CORPUS_NAMES, load
 from .errors import MafoliateError, NotHomogeneous
 from .finite_type import TYPE_CAP_DEFAULT, bracket_identities, gradient, point_type
 from .foliation import (
@@ -108,9 +108,10 @@ def _load_config(path: str | None) -> RunConfig:
     return RunConfig(**data)
 
 
-def _load_poly(name_or_path: str) -> HermitianPolynomial:
+def _load_poly(name_or_path: str) -> Polynomial:
+    """The real-valued polynomial of a corpus name or an interchange-format file."""
     if name_or_path in CORPUS_NAMES:
-        return parse_polynomial(corpus_text(name_or_path))
+        return load(name_or_path)
     return parse_polynomial(Path(name_or_path).read_text("utf-8"))
 
 
@@ -137,7 +138,7 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: Path, p: HermitianPolynomial, analysis: dict) -> None:
+def _write_json(path: Path, p: Polynomial, analysis: dict) -> None:
     doc = {
         "toolkit_version": __version__,
         "poly_sha256": polynomial_hash(p),
@@ -189,7 +190,7 @@ def _write_meta(path: Path, argv: list[str], clock: _StageClock) -> None:
     path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n", "utf-8")
 
 
-def _sample_points(p: HermitianPolynomial, rng, count: int) -> list[Point]:
+def _sample_points(p: Polynomial, rng, count: int) -> list[Point]:
     """Seeded cloud in the annulus 0.5 <= |z| <= 1.5, rejecting rho <= 0 and
     Levi-degenerate points (det <= SAMPLE_D_CUTOFF).
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
-from .calculus import HermitianPolynomial, parse_polynomial
+from .calculus import Polynomial, parse_polynomial
 
 CORPUS_NAMES = ("euc", "fub", "quartic", "weighted", "bad")
 MA_CORPUS_NAMES = ("euc", "fub", "quartic", "weighted")
@@ -33,13 +33,14 @@ def corpus_text(name: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def load(name: str) -> HermitianPolynomial:
+def load(name: str) -> Polynomial:
+    """The real-valued corpus member, parsed once."""
     return parse_polynomial(corpus_text(name))
 
 
-def corpus() -> dict[str, HermitianPolynomial]:
+def corpus() -> dict[str, Polynomial]:
     return {name: load(name) for name in CORPUS_NAMES}
 
 
-def ma_corpus() -> dict[str, HermitianPolynomial]:
+def ma_corpus() -> dict[str, Polynomial]:
     return {name: load(name) for name in MA_CORPUS_NAMES}

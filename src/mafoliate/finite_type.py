@@ -1,6 +1,7 @@
 """Exact Lie-bracket towers for the tangential field, point type, and gradient extension.
 
-On each level set of rho the holomorphic tangent space is spanned by
+On each level set of the real-valued polynomial rho the holomorphic tangent
+space is spanned by
 
     L = rho_2 d/dz1 - rho_1 d/dz2,
 
@@ -42,7 +43,6 @@ from typing import Callable, NamedTuple
 from ._numpy import np
 from .calculus import (
     GaussianRational,
-    HermitianPolynomial,
     Point,
     Polynomial,
     VARIABLES,
@@ -99,7 +99,7 @@ class PolyVectorField(NamedTuple):
         return tuple(c(z1, z2) for c in self.components())  # type: ignore[return-value]
 
 
-def tangential_field(p: HermitianPolynomial) -> PolyVectorField:
+def tangential_field(p: Polynomial) -> PolyVectorField:
     """L = rho_2 d1 - rho_1 d2; pairs to the zero polynomial against d(rho)."""
     jp = jet_polynomials(p)
     zero = Polynomial.zero()
@@ -111,7 +111,7 @@ def lie_bracket(V: PolyVectorField, W: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(*(w.derive_along(*V) - v.derive_along(*W) for v, w in zip(V, W)))
 
 
-def pair_d_rho(p: HermitianPolynomial, field: PolyVectorField) -> Polynomial:
+def pair_d_rho(p: Polynomial, field: PolyVectorField) -> Polynomial:
     """d(rho) paired against the (1,0) components: rho_1 c1 + rho_2 c2 (exact)."""
     return p.derive_along(field.c1, field.c2, Polynomial.zero(), Polynomial.zero())
 
@@ -122,13 +122,13 @@ def pair_d_rho(p: HermitianPolynomial, field: PolyVectorField) -> Polynomial:
 
 
 @lru_cache(maxsize=64)
-def _generators(p: HermitianPolynomial) -> dict[str, PolyVectorField]:
+def _generators(p: Polynomial) -> dict[str, PolyVectorField]:
     L = tangential_field(p)
     return {"L": L, "Lbar": L.conjugate()}
 
 
 @lru_cache(maxsize=512)
-def bracket_level(p: HermitianPolynomial, length: int) -> tuple[tuple[str, PolyVectorField], ...]:
+def bracket_level(p: Polynomial, length: int) -> tuple[tuple[str, PolyVectorField], ...]:
     """All left-normed words of the given leaf count, breadth-first, [.., L] before [.., Lbar]."""
     gens = _generators(p)
     if length < 2:
@@ -140,7 +140,7 @@ def bracket_level(p: HermitianPolynomial, length: int) -> tuple[tuple[str, PolyV
 
 
 @lru_cache(maxsize=512)
-def levi_level(p: HermitianPolynomial, k: int) -> tuple[Polynomial, ...]:
+def levi_level(p: Polynomial, k: int) -> tuple[Polynomial, ...]:
     """The k + 1 polynomials Lbar^(k-a) L^a lambda for a = k, ..., 0 (L applied first),
     lambda = d1 n1 + d2 n2; each is one derivation of a polynomial of level k - 1."""
     if k == 0:
@@ -167,7 +167,7 @@ def _double(x: Fraction) -> float:  # x rounded to a double, an overflow to +-in
         return math.inf if x > 0 else -math.inf
 
 
-def point_type(p: HermitianPolynomial, q: Point, m_max: int = TYPE_CAP_DEFAULT) -> TypeReport:
+def point_type(p: Polynomial, q: Point, m_max: int = TYPE_CAP_DEFAULT) -> TypeReport:
     """Smallest bracket length whose pairing with d(rho) at q's doubles is not zero."""
     jp = jet_polynomials(p)
     if p(*q.as_pair()).real <= 0.0:
@@ -212,7 +212,7 @@ class BracketIdentityReport(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _identity_polynomials(p: HermitianPolynomial) -> tuple[Polynomial, ...]:
+def _identity_polynomials(p: Polynomial) -> tuple[Polynomial, ...]:
     """p, d1, d2, h11, h12, h21, h22 (a jet's values) and det, then the four components of
     [L, Lbar], n1 and n2, and the four partials of each of n1, n2, det and L's components
     c1, c2: 34 rows."""
@@ -234,7 +234,7 @@ def _project(v: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, _peak(v - c * b)
 
 
-def bracket_identities(p: HermitianPolynomial, z1, z2) -> list[BracketIdentityReport]:
+def bracket_identities(p: Polynomial, z1, z2) -> list[BracketIdentityReport]:
     """The bracket identity defects at every point (z1[i], z2[i]), from one evaluation.
 
     The first point, in order, where they are undefined raises: DegenerateLevi
@@ -303,7 +303,7 @@ def bracket_identities(p: HermitianPolynomial, z1, z2) -> list[BracketIdentityRe
                 for q, dv, cv in zip(points, defects, coefficients)]
 
 
-def bracket_identities_check(p: HermitianPolynomial, q: Point) -> BracketIdentityReport:
+def bracket_identities_check(p: Polynomial, q: Point) -> BracketIdentityReport:
     """bracket_identities at the one point q."""
     return bracket_identities(p, *q.as_pair())[0]
 
@@ -333,7 +333,7 @@ def _order(c: list[GaussianRational]) -> float:  # the first nonzero coefficient
     return next((k for k, ck in enumerate(c) if ck.re or ck.im), math.inf)
 
 
-def ray_limit(p: HermitianPolynomial, q: Point) -> tuple[GaussianRational, GaussianRational]:
+def ray_limit(p: Polynomial, q: Point) -> tuple[GaussianRational, GaussianRational]:
     """Z = (n1, n2) / det at q, or where det(q) = 0 its limit along the approach RAYS
     (unnormalized Gaussian integers), exactly.  On a ray where det vanishes to order k
     with det[k] > 0 (else the ray does not count), n_j / det tends to n_j[k] / det[k]
@@ -369,7 +369,7 @@ def ray_limit(p: HermitianPolynomial, q: Point) -> tuple[GaussianRational, Gauss
     return first[1]
 
 
-def extend_gradient(p: HermitianPolynomial, q: Point) -> GradientValue:
+def extend_gradient(p: Polynomial, q: Point) -> GradientValue:
     """Complex gradient at a point with 0 < rho < inf: the cofactor formula where
     D > EPS_D_DEFAULT, otherwise the exact ray_limit, rounded to doubles."""
     jet = eval_jet(p, q)
@@ -381,7 +381,7 @@ def extend_gradient(p: HermitianPolynomial, q: Point) -> GradientValue:
 
 
 @lru_cache(maxsize=64)
-def polynomial_gradient(p: HermitianPolynomial) -> tuple[Polynomial, Polynomial] | None:
+def polynomial_gradient(p: Polynomial) -> tuple[Polynomial, Polynomial] | None:
     """(Z1, Z2) = (n1, n2) / det as polynomials when det divides both cofactor numerators
     exactly, else None: then Z is defined everywhere, with no limit and no test of D."""
     jp = jet_polynomials(p)
@@ -389,7 +389,7 @@ def polynomial_gradient(p: HermitianPolynomial) -> tuple[Polynomial, Polynomial]
     return None if None in Z else tuple(Z)
 
 
-def gradient_field(p: HermitianPolynomial) -> Callable[..., tuple[complex, complex]]:
+def gradient_field(p: Polynomial) -> Callable[..., tuple[complex, complex]]:
     """Z1 and Z2 as a function of (z1, z2), for points the caller has checked for rho > 0,
     decided once for p: the two polynomials of polynomial_gradient where det divides,
     else extend_gradient at every point (which checks rho again)."""
@@ -400,7 +400,7 @@ def gradient_field(p: HermitianPolynomial) -> Callable[..., tuple[complex, compl
     return lambda z1, z2: (Z1(z1, z2), Z2(z1, z2))
 
 
-def gradient(p: HermitianPolynomial, q: Point) -> GradientValue:
+def gradient(p: Polynomial, q: Point) -> GradientValue:
     """The complex gradient at a point with 0 < rho < inf: the polynomial Z where it
     exists, otherwise extend_gradient (the cofactor formula, or the exact ray limit
     where D <= EPS_D_DEFAULT).

@@ -1,8 +1,9 @@
 """Flows of the gradient field, leaf tracing, holomorphic fits, and the headline verdicts.
 
-A leaf of the annihilator foliation through a seed p is parametrized by
+The polynomial ``p`` of every operation is the real-valued rho.  A leaf of the
+annihilator foliation through a seed q is parametrized by
 
-    f(t + i s) = phi_t(psi_s(p)),
+    f(t + i s) = phi_t(psi_s(q)),
 
 where phi is the flow of dz/dt = Z(z) and psi the flow of dz/ds = i Z(z);
 with that convention f is holomorphic on each leaf, f' = Z(f), the s-flow
@@ -52,8 +53,8 @@ from typing import NamedTuple, Sequence
 
 from ._numpy import np
 from .calculus import (
-    HermitianPolynomial,
     Point,
+    Polynomial,
     WirtingerJet,
     at_exact,
     bidegree_decompose,
@@ -107,7 +108,7 @@ class _GradientFlow:
     """ODE right-hand side dz/dtau = rot * Z(z), with Z from finite_type.gradient_field;
     cfg reaches the integrator through _flow_states, and the right-hand side never reads it."""
 
-    def __init__(self, p: HermitianPolynomial, cfg: FlowConfig, rot: complex):
+    def __init__(self, p: Polynomial, cfg: FlowConfig, rot: complex):
         self.p = p
         self.rot = rot
         self.Z = gradient_field(p)
@@ -158,7 +159,7 @@ def _as_pair(state) -> tuple[complex, complex]:  # a state (x1, y1, x2, y2) as (
     return complex(x1, y1), complex(x2, y2)
 
 
-def flow_point(p: HermitianPolynomial, q: Point, time: float,
+def flow_point(p: Polynomial, q: Point, time: float,
                cfg: FlowConfig | None = None) -> Point:
     """Single endpoint of the real flow dz/dt = Z(z) started at q."""
     cfg = cfg or FlowConfig()
@@ -177,7 +178,7 @@ class LeafTrace(NamedTuple):
     """Image of a (t, s) grid under f(t + i s) = phi_t(psi_s(seed)), with node data as
     nested lists; ``points``, ``rho_values`` and ``u_values`` build them as numpy arrays."""
 
-    poly: HermitianPolynomial
+    poly: Polynomial  # the real-valued rho
     seed: Point
     t_values: list
     s_values: list
@@ -200,7 +201,7 @@ class LeafTrace(NamedTuple):
         return np.array(self.u_rows, dtype=float)
 
 
-def trace_leaf(p: HermitianPolynomial, seed: Point, t_values, s_values,
+def trace_leaf(p: Polynomial, seed: Point, t_values, s_values,
                cfg: FlowConfig | None = None) -> LeafTrace:
     """Integrate the two real flows of Z over the grid; record rho, u, diagnostics and runs."""
     cfg = cfg or FlowConfig()
@@ -215,7 +216,7 @@ def trace_leaf(p: HermitianPolynomial, seed: Point, t_values, s_values,
     columns = [_flow_states(_GradientFlow(p, cfg, 1.0 + 0j), s_state, t_values, cfg, runs)
                for s_state in s_states]
     nodes = [[_as_pair(column[i]) for column in columns] for i in range(len(t_values))]
-    rho_rows = [[p(*node).real for node in row] for row in nodes]  # the bits of p.evaluate
+    rho_rows = [[p(*node).real for node in row] for row in nodes]  # the bits of evaluate_many
     if any(r <= 0.0 for row in rho_rows for r in row):
         raise FlowEscape("a grid node left the domain rho > 0")
     u_rows = [[math.log(r) for r in row] for row in rho_rows]
@@ -240,13 +241,16 @@ def trace_leaf(p: HermitianPolynomial, seed: Point, t_values, s_values,
             for t0, t1, row0, row1 in zip(t_values, t_values[1:], u_rows, u_rows[1:])
             for u0, u1 in zip(row0, row1)) / scale
 
-    # distance to the complex line through the seed (meaningful for homogeneous rho)
-    v1, v2 = (v / seed.norm() for v in seed.as_pair())
-    worst = 0.0
-    for z1, z2 in (node for row in nodes for node in row):
-        inner = z1 * v1.conjugate() + z2 * v2.conjugate()
-        worst = max(worst, math.hypot(abs(z1 - inner * v1), abs(z2 - inner * v2))
-                    / math.hypot(abs(z1), abs(z2)))
+    # distance to the complex line through the seed (meaningful for homogeneous rho);
+    # None at the origin, through which no complex line passes
+    worst = None
+    if seed.norm() > 0.0:
+        v1, v2 = (v / seed.norm() for v in seed.as_pair())
+        worst = 0.0
+        for z1, z2 in (node for row in nodes for node in row):
+            inner = z1 * v1.conjugate() + z2 * v2.conjugate()
+            worst = max(worst, math.hypot(abs(z1 - inner * v1), abs(z2 - inner * v2))
+                        / math.hypot(abs(z1), abs(z2)))
     diag["radiality_defect"] = worst
     counts = {"flows": len(runs), "nfev": sum(r.nfev for r in runs),
               "rejected_steps": sum(r.rejected for r in runs)}
@@ -370,7 +374,7 @@ class HolomorphicFit(NamedTuple):
         return (self.coeff1 if component == 1 else self.coeff2).get(key, 0j)
 
 
-def fit_holomorphic_Z(p: HermitianPolynomial, samples: Sequence[Point],
+def fit_holomorphic_Z(p: Polynomial, samples: Sequence[Point],
                       degree: int) -> HolomorphicFit:
     """Fit each gradient component on holomorphic monomials up to `degree`.
 
@@ -514,7 +518,7 @@ def random_vector(rng, r_lo: float | None = None, r_hi: float | None = None) -> 
     return v
 
 
-def weighted_homogeneity_check(p: HermitianPolynomial, c1: float, c2: float,
+def weighted_homogeneity_check(p: Polynomial, c1: float, c2: float,
                                trials: int = 1000, seed: int = 0) -> float:
     """Max relative defect of rho(e^{c1 L} z1, e^{c2 L} z2) = |e^L|^2 rho(z) over random (z, L)."""
     if c1 <= 0 or c2 <= 0:
@@ -527,7 +531,7 @@ def weighted_homogeneity_check(p: HermitianPolynomial, c1: float, c2: float,
         lam = complex(rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))
         z[t] = (np.exp(c1 * lam) * v[0], np.exp(c2 * lam) * v[1]), v
         growth.append(math.exp(2.0 * lam.real))
-    lhs, base = p.evaluate(z[..., 0], z[..., 1]).real.reshape(trials, 2).T.tolist()
+    lhs, base = evaluate_many((p,), z[..., 0], z[..., 1])[0].real.reshape(trials, 2).T.tolist()
     worst = 0.0
     for scale, left, right in zip(growth, lhs, base):
         rhs = scale * right
@@ -540,7 +544,7 @@ def weighted_homogeneity_check(p: HermitianPolynomial, c1: float, c2: float,
 # ---------------------------------------------------------------------------
 
 
-def level_set_samples(p: HermitianPolynomial, r: float, count: int,
+def level_set_samples(p: Polynomial, r: float, count: int,
                       seed: int = 0) -> list[Point]:
     """Points on {rho = r}, found by radial root-finding along random directions."""
     rng = np.random.default_rng(seed)
@@ -582,11 +586,11 @@ class TransportReport(NamedTuple):
     roundtrip_defects: tuple
 
 
-def level_transport(p: HermitianPolynomial, r1: float, r2: float,
+def level_transport(p: Polynomial, r1: float, r2: float,
                     samples: Sequence[Point], cfg: FlowConfig | None = None) -> TransportReport:
     """Flow {rho = r1} onto {rho = r2} for the time predicted by the measured rate."""
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError("level values must be positive")
+    if not (0 < r1 < math.inf and 0 < r2 < math.inf):
+        raise ValueError("level values must be positive and finite")
     cfg = cfg or FlowConfig()
     if not samples:
         raise ValueError("need at least one sample on the source level set")
@@ -632,10 +636,10 @@ class BurnsVerdict(NamedTuple):
     theorem_consistent: bool
 
 
-def _first_minimum(p: HermitianPolynomial, batch: np.ndarray, best_val: float, best_dir):
+def _first_minimum(p: Polynomial, batch: np.ndarray, best_val: float, best_dir):
     """What scanning the rows of batch in order for a value strictly below the best so far
     keeps: the first row holding the least value below best_val (nans never count)."""
-    vals = p.evaluate(batch[:, 0], batch[:, 1]).real
+    vals = evaluate_many((p,), batch[:, 0], batch[:, 1])[0].real
     below = np.where(vals < best_val, vals, np.inf)
     i = int(np.argmin(below))
     if below[i] < best_val:
@@ -643,16 +647,14 @@ def _first_minimum(p: HermitianPolynomial, batch: np.ndarray, best_val: float, b
     return best_val, best_dir
 
 
-def _positive_min_on_sphere(p: HermitianPolynomial, n_samples: int, rng) -> tuple[float, Point]:
-    dirs = _sphere_directions(8)
-    best_val, best_dir = math.inf, dirs[0]
+def _positive_min_on_sphere(p: Polynomial, n_samples: int, rng) -> tuple[float, Point]:
+    dirs = np.array(_SPHERE_SPECIAL, dtype=complex)
     raw = rng.normal(size=(max(n_samples - len(dirs), 0), 4))
     cloud = np.empty((len(raw), 2), dtype=complex)
     cloud[:, 0] = raw[:, 0] + 1j * raw[:, 1]
     cloud[:, 1] = raw[:, 2] + 1j * raw[:, 3]
     cloud /= np.linalg.norm(cloud, axis=1)[:, None]
-    for batch in (dirs, cloud):
-        best_val, best_dir = _first_minimum(p, batch, best_val, best_dir)
+    best_val, best_dir = _first_minimum(p, np.concatenate([dirs, cloud]), math.inf, dirs[0])
     # local refinement around the worst direction
     for shrink in (0.3, 0.1, 0.03):
         raw = rng.normal(size=(2000, 4))
@@ -664,7 +666,7 @@ def _positive_min_on_sphere(p: HermitianPolynomial, n_samples: int, rng) -> tupl
     return best_val, Point(best_dir[0], best_dir[1])
 
 
-def burns_verify(p: HermitianPolynomial, seed: int = 0) -> BurnsVerdict:
+def burns_verify(p: Polynomial, seed: int = 0) -> BurnsVerdict:
     """Homogeneity-gated verdict: the exact MA certificate and bidegree purity, which makes
     the growth law exact; NotPositive when the sampled sphere minimum is not positive, in
     doubles or in the exact value at its direction."""

@@ -1,7 +1,7 @@
 """Pointwise Monge-Ampere residuals, the complex gradient Z, and the singular pairing.
 
-For u = log rho, the degenerate complex Monge-Ampere equation (dd^c u)^2 = 0
-reduces in coordinates to the scalar identity
+For u = log rho, rho a real-valued polynomial, the degenerate complex
+Monge-Ampere equation (dd^c u)^2 = 0 reduces in coordinates to the scalar identity
 
     rho * D - B = 0
 
@@ -47,7 +47,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .calculus import (
     SWEEP_BLOCK,
-    HermitianPolynomial,
     Point,
     Polynomial,
     WirtingerJet,
@@ -87,7 +86,7 @@ class GradientValue(NamedTuple):
         return (self.Z1, self.Z2)
 
 
-def is_ma_exact(p: HermitianPolynomial) -> bool:
+def is_ma_exact(p: Polynomial) -> bool:
     """Whether log p solves the Monge-Ampere equation: rho * D - B is the zero polynomial."""
     jp = jet_polynomials(p)
     return (p * jp.det - p.derive_along(jp.n1, jp.n2, Polynomial.zero(), Polynomial.zero())).is_zero()
@@ -137,7 +136,7 @@ def omega_pairing(jet: WirtingerJet, V: Vector, W: Vector) -> complex:
     return r * ddc_u / jet.D + d_rho_v * conj_d_rho_w / r
 
 
-def ma_scan(p: HermitianPolynomial, points: Iterable[Point]) -> list[MAReport]:
+def ma_scan(p: Polynomial, points: Iterable[Point]) -> list[MAReport]:
     """ma_residual of every point's jet; the polynomial values come from evaluate_many,
     a block of SWEEP_BLOCK points at a time, which bounds the per-point lists."""
     points = list(points)

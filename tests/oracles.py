@@ -381,6 +381,7 @@ def scalar_bracket_identities(p, q, eps_D=1e-10):
 def sampled_growth_bound(p, k, rng) -> float:
     """Max |log rho(lambda v) - 2k log|lambda| - log rho(v)| over 64 rays and 13 |lambda|:
     the growth law of a homogeneous rho of pure bidegree (k, k), measured."""
+    from mafoliate.calculus import evaluate_many
     from mafoliate.foliation import random_vector
 
     growth = 0.0
@@ -393,7 +394,7 @@ def sampled_growth_bound(p, k, rng) -> float:
             lam = mag * np.exp(2j * math.pi * rng.uniform())
             ray_points.append((lam * v[0], lam * v[1]))
     z = np.array(ray_points, dtype=complex).reshape(-1, 2)
-    values = p.evaluate(z[:, 0], z[:, 1]).real.tolist()
+    values = evaluate_many((p,), z[:, 0], z[:, 1])[0].real.tolist()
     for r in range(rays):
         base = math.log(values[r * (len(mags) + 1)])
         for m, mag in enumerate(mags):

@@ -89,7 +89,7 @@ def test_first_bad_point_of_a_mixed_batch_raises_what_the_reference_raises(name,
 
 
 def test_errors_follow_point_order():
-    p = mf.HermitianPolynomial.from_terms(DEGENERATE_AND_CRITICAL)
+    p = mf.real_polynomial(DEGENERATE_AND_CRITICAL)
     good, degenerate, critical = mf.Point(0.5, 0.1), mf.Point(1.0, 0.0), mf.Point(0.0, 0.0)
     assert outcome(lambda: scalar_bracket_identities(p, good)) is None
     assert outcome(lambda: scalar_bracket_identities(p, degenerate)) is mf.DegenerateLevi

@@ -15,7 +15,7 @@ from oracles import fd_jet, psh_min_eigen, sympy_jet
 
 
 def hp(terms):
-    return mf.HermitianPolynomial.from_terms(dict(terms))
+    return mf.real_polynomial(dict(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,7 @@ def test_substitute_linear_matches_composition(corpus):
     u = _random_unitary(rng)
     p = corpus["fub"]
     q = mf.substitute_linear(p, u)
-    assert isinstance(q, mf.HermitianPolynomial)
+    assert q == q.conjugate()
     for w in random_points(rng, 10):
         w1, w2 = w.as_pair()
         z = u @ np.array([w1, w2])
@@ -329,6 +329,20 @@ def test_substitute_linear_float_and_complex_entries_embed_as_before(corpus):
     assert q == mf.substitute_linear(p, [[complex(x) for x in row] for row in floats])
     scaled = mf.substitute_linear(corpus["euc"], [[0.1, 0], [0, 1]])
     assert scaled.terms[MonomialKey(1, 0, 1, 0)].re == Fraction(0.1) ** 2
+
+
+def test_from_value_takes_numpy_scalars_and_json_values_as_before():
+    GR = mf.GaussianRational
+    assert GR.from_value(np.int64(3)) == GR(Fraction(3), Fraction(0))
+    assert GR.from_value(np.float32(0.5)) == GR(Fraction(1, 2), Fraction(0))
+    assert GR.from_value(np.complex64(-1j)) == GR(Fraction(0), Fraction(-1))
+    assert GR.from_value(True) == GR(Fraction(1), Fraction(0))
+    assert GR.from_value("1/3") == GR(Fraction(1, 3), Fraction(0))
+    assert GR.from_value(0.1) == GR(Fraction(0.1), Fraction(0))
+    with pytest.raises(ValueError, match="not finite"):
+        GR.from_value(math.nan)
+    with pytest.raises(mf.MalformedPolynomial):
+        GR.from_value(None)
 
 
 def test_jet_polynomial_cache_consistency(corpus):

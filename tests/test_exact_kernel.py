@@ -14,7 +14,7 @@ from fractions import Fraction
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from mafoliate.calculus import VARIABLES, HermitianPolynomial, Polynomial, at_exact, on_line
+from mafoliate.calculus import VARIABLES, Polynomial, at_exact, on_line, real_polynomial
 from mafoliate.corpus import CORPUS_NAMES, load
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -202,7 +202,7 @@ def test_thirds_and_cancellation_reach_the_canonical_form(terms):
 
 def test_hermitian_real_part_is_exact():
     # (1/3 + i/5) z1 zbar2 paired with (1/3 - i/5) z2 zbar1, plus 5/12 |z1|^2
-    p = HermitianPolynomial.from_terms([((1, 0, 0, 1), (Fraction(1, 3), Fraction(1, 5))),
+    p = real_polynomial([((1, 0, 0, 1), (Fraction(1, 3), Fraction(1, 5))),
                                         ((0, 1, 1, 0), (Fraction(1, 3), Fraction(-1, 5))),
                                         ((1, 0, 1, 0), Fraction(5, 12))])
     assert ref(p) == {(1, 0, 0, 1): (Fraction(1, 3), Fraction(1, 5)),

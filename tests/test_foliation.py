@@ -77,7 +77,7 @@ def test_trace_step_budget(corpus, monkeypatch):
 
 def test_trace_escapes_shifted_domain():
     # rho = |z|^2 - 1/2 turns negative along the backward gradient flow
-    p = mf.HermitianPolynomial.from_terms(
+    p = mf.real_polynomial(
         {(1, 0, 1, 0): 1, (0, 1, 0, 1): 1, (0, 0, 0, 0): "-1/2"}
     )
     with pytest.raises(mf.FlowEscape):
@@ -208,7 +208,7 @@ def test_fit_rejects_the_first_sample_where_rho_is_not_positive_and_finite(corpu
         mf.fit_holomorphic_Z(fub, [*pts, mf.Point(0, 0)], degree=2)
     with pytest.raises(mf.NonPositiveRho, match=r"^rho\(\(\(1e\+200\+0j\), 0j\)\) = nan is not finite$"):
         mf.fit_holomorphic_Z(fub, [*pts, mf.Point(1e200, 0)], degree=2)
-    ball = corpus["euc"] + mf.HermitianPolynomial.from_terms({(0, 0, 0, 0): -1})
+    ball = corpus["euc"] + mf.real_polynomial({(0, 0, 0, 0): -1})
     pts = admissible_points(ball, np.random.default_rng(331), 28)
     first_bad = r"^rho\(\(\(0\.1\+0j\), \(0\.1\+0j\)\)\) = -0\.98 <= 0$"
     with pytest.raises(mf.NonPositiveRho, match=first_bad):
@@ -309,7 +309,7 @@ def test_homogeneity_check_weighted(corpus):
 
 def test_homogeneity_check_monomial_rule():
     # |z1|^(2a) + |z2|^(2b) matches weights (1/a, 1/b): here a = 2, b = 3
-    p = mf.HermitianPolynomial.from_terms({(2, 0, 2, 0): 1, (0, 3, 0, 3): 1})
+    p = mf.real_polynomial({(2, 0, 2, 0): 1, (0, 3, 0, 3): 1})
     assert mf.weighted_homogeneity_check(p, 0.5, 1 / 3, trials=500) < 1e-10
 
 
@@ -415,7 +415,7 @@ def test_burns_rejects_inhomogeneous(corpus):
 
 
 def test_burns_rejects_nonpositive(sphere_2000):
-    p = mf.HermitianPolynomial.from_terms(
+    p = mf.real_polynomial(
         {(2, 0, 2, 0): 1, (0, 2, 0, 2): 1, (3, 0, 0, 1): 2, (0, 1, 3, 0): 2}
     )
     with pytest.raises(mf.NotPositive) as err:

@@ -87,7 +87,7 @@ def test_odd_types_at_the_origin_carry_the_sign(m):
     assert got.pairing_value == -value.to_complex() != 0  # (-1)^m with m odd
 
 
-def random_nonpsh(rng: random.Random) -> mf.HermitianPolynomial:
+def random_nonpsh(rng: random.Random) -> mf.Polynomial:
     """1 + 2 Re(z2) + P(z1) + Re(z2 Q): P has lowest degree 3, 4 or 5 in z1 and is
     not psh, Q couples z2 to z1 with a term of degree 2 or more."""
     c = lambda: complex(rng.randint(-3, 3), rng.randint(-3, 3))
@@ -111,7 +111,7 @@ def test_point_type_equals_the_bracket_oracle_on_random_nonpsh_inputs(seed):
 def test_pinned_33_forms_have_type_6():
     # |l1^3|^2 + |l2^3|^2 at a point of {l1 = 0}: the exact type is 6; the float bracket
     # search with a tolerance read 5 and 4 here
-    base = mf.HermitianPolynomial.from_terms({(3, 0, 3, 0): 1, (0, 3, 0, 3): 1})
+    base = mf.real_polynomial({(3, 0, 3, 0): 1, (0, 3, 0, 3): 1})
     for M, q in (([[1j, 1 + 1j], [-1 + 2j, -2 - 1j]], (-1 - 1j, 1j)),
                  ([[-1, -1 + 2j], [-2 + 1j, 2 + 2j]], (-2 - 1j, 1j))):
         p = substitute_linear(base, M)

@@ -27,17 +27,17 @@ from test_batch_eval import forms_rho
 Z1, Z2 = Polynomial.variable("z1"), Polynomial.variable("z2")
 
 
-def sum_of_squares(*fs) -> mf.HermitianPolynomial:
+def sum_of_squares(*fs) -> mf.Polynomial:
     total = Polynomial.zero()
     for f in fs:
         total = total + f * f.conjugate()
-    return mf.HermitianPolynomial.from_terms(total.terms)
+    return mf.real_polynomial(total.terms)
 
 
-def bad_like(key, c) -> mf.HermitianPolynomial:
+def bad_like(key, c) -> mf.Polynomial:
     """|z1|^4 + |z2|^4 + 2 Re(c m / 4) for the monomial m with exponent key."""
     m = Polynomial({key: complex(*c) / 4})
-    return mf.HermitianPolynomial.from_terms((mf.load("quartic") + m + m.conjugate()).terms)
+    return mf.real_polynomial((mf.load("quartic") + m + m.conjugate()).terms)
 
 
 # |l1^a|^2 + |l2^b|^2 for linear forms with Gaussian-integer coefficients
@@ -114,9 +114,9 @@ def test_verdict_is_invariant_under_rational_coordinates_and_scale(name):
     assert mf.is_ma_exact(p * Fraction(3, 7)) is ma
 
 
-def shear_rho(c, d) -> mf.HermitianPolynomial:
+def shear_rho(c, d) -> mf.Polynomial:
     """|z1 + c z2^2|^2 + |z2|^2 written out, with d in the place of |c|^2."""
-    return mf.HermitianPolynomial.from_terms({
+    return mf.real_polynomial({
         (1, 0, 1, 0): 1, (0, 2, 1, 0): c, (1, 0, 0, 2): c, (0, 2, 0, 2): d, (0, 1, 0, 1): 1})
 
 
@@ -134,7 +134,7 @@ def test_rounding_keeps_a_pure_bidegree_input_ma():
     # every positive rho of pure bidegree (k, k) solves the equation, whatever its
     # coefficients: |z1^2 + z2^2 / 3|^2 + |z1 z2|^2 stays MA with 1/3 and 1/9 rounded
     for third, ninth in ((Fraction(1, 3), Fraction(1, 9)), (1 / 3, 1 / 9)):
-        p = mf.HermitianPolynomial.from_terms({
+        p = mf.real_polynomial({
             (2, 0, 2, 0): 1, (2, 0, 0, 2): third, (0, 2, 2, 0): third, (0, 2, 0, 2): ninth,
             (1, 1, 1, 1): 1})
         assert mf.is_ma_exact(p)

@@ -204,7 +204,7 @@ def test_scaling_covariance(corpus):
     rng = np.random.default_rng(139)
     p = corpus["quartic"]
     c = 3
-    pc = mf.HermitianPolynomial.from_terms(
+    pc = mf.real_polynomial(
         {k: (c * coeff.re, c * coeff.im) for k, coeff in p.terms.items()}
     )
     for q in admissible_points(p, rng, 20):

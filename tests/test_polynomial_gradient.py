@@ -43,11 +43,11 @@ def linear(c1, c2) -> Polynomial:
     return z1.scaled(c1) + z2.scaled(c2)
 
 
-def shear_rho(a: int, b: int) -> mf.HermitianPolynomial:
+def shear_rho(a: int, b: int) -> mf.Polynomial:
     """|f1^a|^2 + |z2^b|^2 with f1 = z1 + c z2^2."""
     f1 = z1 + (z2 * z2).scaled(SHEAR_C)
     r = f1**a * (f1**a).conjugate() + z2**b * (z2**b).conjugate()
-    return mf.HermitianPolynomial.from_terms(r.terms)
+    return mf.real_polynomial(r.terms)
 
 
 def random_polynomial(rng: random.Random, terms: int, degree: int) -> Polynomial:

@@ -141,7 +141,7 @@ LIMIT_CASES = {
     "weighted-10": (mf.load("weighted"), (-0.5j, 0.0)),
     "nondiag31-order3": (NONDIAG31, (-1 - 1j, -1 + 1j)), "bad-01": (mf.load("bad"), (0.0, 1.0)),
     # 1 + |z2|^2 + |z1 z2|^2: n1 is the zero polynomial and det = |z2|^2, so Z -> (0, 0)
-    "n1-zero-10": (mf.HermitianPolynomial.from_terms({(0, 0, 0, 0): 1, (0, 1, 0, 1): 1,
+    "n1-zero-10": (mf.real_polynomial({(0, 0, 0, 0): 1, (0, 1, 0, 1): 1,
                                                        (1, 1, 1, 1): 1}), (1.0, 0.0)),
 }
 
@@ -209,7 +209,7 @@ def test_where_det_is_positive_the_exact_value_needs_no_ray(monkeypatch):
         raise AssertionError("on_line was called")
 
     monkeypatch.setattr(finite_type, "on_line", no_rays)
-    base = mf.HermitianPolynomial.from_terms({(3, 0, 3, 0): 1, (0, 3, 0, 3): 1})
+    base = mf.real_polynomial({(3, 0, 3, 0): 1, (0, 3, 0, 3): 1})
     p = mf.substitute_linear(base, [[1j, 1 + 1j], [-1 + 2j, -2 - 1j]])
     jp = mf.calculus.jet_polynomials(p)
     for q in ((-1 - 1j + 2**-12, 1j), (-1 - 1j + 2**-20, 1j)):
@@ -223,7 +223,7 @@ def test_where_det_is_positive_the_exact_value_needs_no_ray(monkeypatch):
 def test_rays_where_det_is_negative_do_not_count():
     # rho = |z2|^2 - |z1|^2 Re(z1) / 2 has det = -Re(z1): zero at (0, 1), and negative, or
     # zero, along every ray from there, so no ray reaches points where the Levi form is definite
-    p = mf.HermitianPolynomial.from_terms({(0, 1, 0, 1): 1, (2, 0, 1, 0): Fraction(-1, 4),
+    p = mf.real_polynomial({(0, 1, 0, 1): 1, (2, 0, 1, 0): Fraction(-1, 4),
                                            (1, 0, 2, 0): Fraction(-1, 4)})
     assert sp.expand(sympy_cofactors(p)[0] + (Z1 + B1) / 2) == 0
     with pytest.raises(mf.AllRaysDegenerate):
