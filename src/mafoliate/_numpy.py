@@ -1,8 +1,8 @@
 """numpy, imported on its first attribute access.
 
 Every module takes ``np`` from here, so a command that never touches an array
-(``type-at``, ``gradient``, ``trace-leaf``, ``--help``) does not pay for numpy's
-import; ``check-ma``, ``burns``, ``weights``, ``transport`` and ``report`` do.
+(``type-at``, ``gradient``, ``trace-leaf``, ``transport``, ``--help``) does not pay
+for numpy's import; ``check-ma``, ``burns``, ``weights`` and ``report`` do.
 numpy stays a hard dependency: without it, importing this module fails.  The
 recipe is the one for ``importlib.util.LazyLoader`` in the Python documentation.
 """

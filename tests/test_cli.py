@@ -339,7 +339,7 @@ def test_a_critical_level_is_an_error_and_report_records_it(tmp_path, capsys):
                     '{"a": [1, 0], "b": [1, 0], "re": 1}, {"a": [0, 1], "b": [0, 1], "re": 1}]}')
     assert run(["transport", "--poly", poly, "--r1", 1, "--r2", 2, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: rho = 1.0 is a critical level: along [") and err.count("\n") == 1
+    assert err.startswith("error: rho = 1.0 is a critical level: along ((") and err.count("\n") == 1
 
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"samples": 100, "fit_samples": 30, "trials": 20,

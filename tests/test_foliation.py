@@ -353,16 +353,16 @@ def test_level_set_samples_raise_where_no_regular_point_is_found():
                               '{"a": [1, 0], "b": [1, 0], "re": 1}, '
                               '{"a": [0, 1], "b": [0, 1], "re": 1}]}')
     # 1 is the minimum of 1 + |z|^2, taken at its critical point 0
-    with pytest.raises(mf.UnreachableLevel, match=r"^rho = 1.0 is a critical level: along \["):
+    with pytest.raises(mf.UnreachableLevel, match=r"^rho = 1.0 is a critical level: along \(\("):
         mf.level_set_samples(one, 1.0, 1)
     # below the minimum, rho - r has one sign along the whole ray
     with pytest.raises(mf.UnreachableLevel, match=r"^cannot bracket the level rho = 0.5 along "
-                       r"\[.*\]: f\(a\) and f\(b\) must have different signs$"):
+                       r"\(.*\): f\(a\) and f\(b\) must have different signs$"):
         mf.level_set_samples(one, 0.5, 1)
     # a constant never reaches a higher level
     constant = mf.parse_polynomial('{"terms": [{"a": [0, 0], "b": [0, 0], "re": 1}]}')
     with pytest.raises(mf.UnreachableLevel, match=r"^cannot bracket the level rho = 2.0 along "
-                       r"\[[^]]*\]$"):
+                       r"\([^,]*, [^,]*\)$"):
         mf.level_set_samples(constant, 2.0, 1)
 
 

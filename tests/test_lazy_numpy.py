@@ -1,5 +1,6 @@
-"""Commands that never touch an array, trace-leaf among them, load neither numpy nor the
-dataclass machinery."""
+"""Commands that never touch an array, trace-leaf and transport among them, load neither
+numpy nor the dataclass machinery; only a command that samples loads the pure-Python
+generator, so `import mafoliate.cli` never does."""
 
 from __future__ import annotations
 
@@ -14,10 +15,11 @@ import pytest
 import mafoliate as mf
 
 SRC = str(Path(mf.__file__).resolve().parents[1])
-WATCHED = ("numpy.linalg", "dataclasses", "inspect")
+WATCHED = ("numpy.linalg", "dataclasses", "inspect", "mafoliate.pcg64")
 
 # runs `python -m mafoliate.cli ARGS` and reports, at exit, which watched modules were
-# imported: numpy.linalg stands for numpy having run its package __init__
+# imported: numpy.linalg stands for numpy having run its package __init__, and
+# mafoliate.pcg64, the pure-Python generator, is loaded only by a command that samples
 PROBE = f"""
 import atexit, runpy, sys
 atexit.register(lambda: sys.stderr.write(
@@ -39,7 +41,7 @@ def _loaded(tmp_path, *args) -> set[str]:
 @pytest.mark.parametrize("args", [
     ("type-at", "--poly", "weighted", "--point=0,0,1,0"), ("--help",), ("--version",)])
 def test_commands_without_arrays_leave_numpy_unloaded(tmp_path, args):
-    # nor dataclasses, whose import loads inspect, ast, dis and tokenize
+    # nor dataclasses, whose import loads inspect, ast, dis and tokenize, nor the generator
     assert _loaded(tmp_path, *args) == set()
 
 
@@ -48,10 +50,10 @@ def test_check_ma_loads_numpy(tmp_path):
     assert "numpy.linalg" in _loaded(tmp_path, "check-ma", "--poly", "euc", "--grid", "4")
 
 
-def test_transport_loads_numpy(tmp_path):
-    # it shares the flows with trace-leaf, but draws its samples from a numpy generator
-    assert "numpy.linalg" in _loaded(tmp_path, "transport", "--poly", "fub", "--r1", "1",
-                                     "--r2", "2", "--samples", "1")
+def test_transport_loads_the_generator_and_not_numpy(tmp_path):
+    # it shares the flows with trace-leaf and draws its samples from the pure-Python port
+    assert _loaded(tmp_path, "transport", "--poly", "fub", "--r1", "1", "--r2", "2",
+                   "--samples", "1") == {"mafoliate.pcg64"}
 
 
 def _no_polynomial_Z(tmp_path) -> str:

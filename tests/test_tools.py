@@ -118,3 +118,24 @@ def test_compare_trees_summary_lines_count_the_pairs_the_change_won(monkeypatch)
         "type-deep: median pass wall s 2.00 / 1.50; change faster in 2/3 pairs")
     assert import_line({"parent": [0.1, 0.12, 0.2], "change": [0.09, 0.13, 0.1]}) == (
         "import mafoliate.cli: median wall s 0.120 / 0.100; change faster in 2/3 pairs")
+
+
+def test_compare_trees_rss_line_counts_the_jobs_the_change_used_less_in(monkeypatch):
+    monkeypatch.setattr(sys, "path", [str(ROOT / "tools"), *sys.path])
+    from compare_trees import rss_line
+
+    rss = {"parent": [20.8, 35.8, 35.7], "change": [20.8, 20.7, 20.75]}
+    assert rss_line("leaf-degenerate", rss) == (
+        "leaf-degenerate: largest job peak RSS MB 35.8 / 20.8; change used less in 2/3 jobs")
+
+
+def test_compare_trees_run_job_reads_the_peak_rss_of_the_job(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", [str(ROOT / "tools"), *sys.path])
+    from types import SimpleNamespace
+
+    from compare_trees import run_job
+
+    job = SimpleNamespace(argv=["--version"], output="none.json")
+    code, stderr, doc, wall, mb = run_job(ROOT, job, tmp_path / "out", tmp_path)
+    assert (code, stderr, doc) == (0, "", None)
+    assert wall > 0.0 and 1.0 < mb < 1000.0

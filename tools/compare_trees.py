@@ -9,7 +9,8 @@ comes from this checkout's bench/workloads.py, built once, so both trees see the
 same inputs.  Each job runs --repeats times (default 1) per tree as a fresh
 ``python3 -m mafoliate.cli`` process, the two trees in turn, and the tree that
 goes first alternates from one repeat to the next.  Per job this prints the two
-exit codes, each side's wall seconds (the median over the repeats), whether
+exit codes, each side's wall seconds and peak RSS (``ru_maxrss`` from
+``os.wait4``, as bench/run.py reads it; each the median over the repeats), whether
 stderr is equal, each side's gate result (mismatches, known defect), and for
 every output file of the first repeat but ``*_meta.json`` either "equal" or the
 dotted JSON paths that differ with the largest absolute difference of their
@@ -19,7 +20,11 @@ and attempted job runs (a run fails when its gate reports a mismatch, as in
 bench/run.py), the failures by known-defect name, the failures that match no
 known defect, and the wall seconds of all its runs; then, per workload, each
 side's median wall seconds of one pass over its jobs (one repeat at one seed)
-and in how many of those pairs of passes the change took less time.  After the
+and in how many of those pairs of passes the change took less time; then, per
+workload, each side's largest job peak RSS and in how many of its jobs (one job
+at one seed) the change's peak RSS was lower.  Unlike bench/run.py's
+``peak_rss_mb``, a maximum over a number of runs that grows with speed, this
+compares the same jobs on both sides.  After the
 jobs of each workload and seed, each tree runs five bare ``python3 -c "import
 mafoliate.cli"`` processes per repeat (what bench/run.py's ``setup_s`` takes the
 median of), in pairs whose first tree alternates; the summary's last timing line
@@ -59,18 +64,26 @@ def load_workloads():
     return workloads
 
 
-def run_job(tree: Path, job, out: Path, cwd: Path) -> tuple[int, str, dict | None, float]:
-    """Exit code, stderr, the parsed output (None if the job failed) and wall seconds."""
+def run_job(tree: Path, job, out: Path,
+            cwd: Path) -> tuple[int, str, dict | None, float, float]:
+    """Exit code, stderr, the parsed output (None if the job failed), wall seconds and
+    peak RSS in MB."""
     out.mkdir(parents=True)
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "mafoliate.cli", *job.argv, "--out", str(out)],
-                          cwd=cwd, env=_env(tree), capture_output=True, text=True)
-    wall = time.perf_counter() - start
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        cmd = [sys.executable, "-m", "mafoliate.cli", *job.argv, "--out", str(out)]
+        proc = subprocess.Popen(cmd, cwd=cwd, env=_env(tree), stdout=subprocess.DEVNULL,
+                                stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        stderr = err.read().decode()
     try:
         doc = json.loads((out / job.output).read_text("utf-8")) if proc.returncode == 0 else None
     except (OSError, ValueError):
         doc = None
-    return proc.returncode, proc.stderr, doc, wall
+    return proc.returncode, stderr, doc, wall, usage.ru_maxrss / 1024.0
 
 
 def time_import(tree: Path, cwd: Path) -> float:
@@ -158,6 +171,13 @@ def pass_line(workload: str, passes: dict[str, list[float]]) -> str:
             f"{len(passes['change'])} pairs")
 
 
+def rss_line(workload: str, rss: dict[str, list[float]]) -> str:
+    """Each side's largest job peak RSS and the jobs the change used less memory in."""
+    won = sum(b < a for a, b in zip(rss["parent"], rss["change"]))
+    return (f"{workload}: largest job peak RSS MB {max(rss['parent']):.1f} / "
+            f"{max(rss['change']):.1f}; change used less in {won}/{len(rss['change'])} jobs")
+
+
 def import_line(imports: dict[str, list[float]]) -> str:
     """Each side's median bare-import wall and the pairs of imports the change took less time in."""
     won = sum(b < a for a, b in zip(imports["parent"], imports["change"]))
@@ -188,6 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     gates: dict[tuple[str, str], list] = {}  # (workload, side) -> gate results of its runs
     walls: dict[tuple[str, str], list] = {}  # (workload, side) -> wall seconds of its runs
     passes: dict[str, dict[str, list]] = {}  # workload -> side -> wall seconds of each pass
+    rss: dict[str, dict[str, list]] = {}  # workload -> side -> median peak RSS MB of each job
     imports: dict[str, list] = {side: [] for side in trees}  # wall seconds of each bare import
     for workload in dict.fromkeys(args.workload):
         for seed in dict.fromkeys(args.seed):
@@ -199,12 +220,14 @@ def main(argv: list[str] | None = None) -> int:
                 for job in jobs:
                     results = {side: [] for side in trees}  # (code, stderr, gate) per repeat
                     job_walls = {side: [] for side in trees}
+                    job_rss = {side: [] for side in trees}
                     for r in range(args.repeats):
                         for side in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
                             out = work / (side if r == 0 else f"{side}-{r}") / job.id
-                            code, err, doc, wall = run_job(trees[side], job, out, work)
+                            code, err, doc, wall, mb = run_job(trees[side], job, out, work)
                             results[side].append((code, err, gate(job, code, doc, err)))
                             job_walls[side].append(wall)
+                            job_rss[side].append(mb)
                             pass_walls[side][r] += wall
                     for side in trees:
                         gates.setdefault((workload, side), []).extend(
@@ -216,8 +239,13 @@ def main(argv: list[str] | None = None) -> int:
                                for side in trees for res in results[side])
                     differs |= not same
                     wall_a, wall_b = (statistics.median(job_walls[side]) for side in trees)
+                    rss_a, rss_b = (statistics.median(job_rss[side]) for side in trees)
+                    rss.setdefault(workload, {"parent": [], "change": []})
+                    rss[workload]["parent"].append(rss_a)
+                    rss[workload]["change"].append(rss_b)
                     print(f"{job.id}: {'same' if same else 'DIFFERENT'}")
                     print(f"  exit codes {code_a} / {code_b}; wall s {wall_a:.2f} / {wall_b:.2f}; "
+                          f"peak RSS MB {rss_a:.1f} / {rss_b:.1f}; "
                           f"stderr {'equal' if err_a == err_b else 'differs'}")
                     print(f"  gate parent {gate_a}; change {gate_b}")
                     for line in compare_outputs(work / "parent" / job.id,
@@ -234,6 +262,8 @@ def main(argv: list[str] | None = None) -> int:
         print(tally_line(workload, side, results, walls[workload, side]))
     for workload, sides in passes.items():
         print(pass_line(workload, sides))
+    for workload, sides in rss.items():
+        print(rss_line(workload, sides))
     print(import_line(imports))
     verdict = "differ" if differs else "are equal"
     print(f"exit codes, stderr and gate results {verdict}")
