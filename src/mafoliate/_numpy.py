@@ -5,6 +5,11 @@ Every module takes ``np`` from here, so a command that never touches an array
 for numpy's import; ``check-ma``, ``burns``, ``weights`` and ``report`` do.
 numpy stays a hard dependency: without it, importing this module fails.  The
 recipe is the one for ``importlib.util.LazyLoader`` in the Python documentation.
+
+This module leaves OpenBLAS's thread count alone, so importing the package never
+changes the BLAS of a host process.  ``cli.main`` sets ``OPENBLAS_NUM_THREADS=1``
+unless the caller set it: no operand here is large enough for a second BLAS thread,
+and starting one takes about half of numpy's import.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -337,8 +338,9 @@ def _cmd_transport(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bo
 def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     # burns' generator is loaded before the stages allocate, as when every stage drew from
     # numpy: loaded inside burns, after the scans, it raised a (3,3) report's peak RSS by
-    # 1.3 MB
-    import numpy.random  # noqa: F401
+    # 1.3 MB; it loads numpy, so its clock bills numpy's import
+    with clock("numpy_import"):
+        import numpy.random  # noqa: F401
 
     from .pcg64 import default_rng
 
@@ -462,6 +464,12 @@ def _glue_point_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Pins OpenBLAS to one thread before numpy is first imported: the largest BLAS operand
+    is the fit's 48x6 least-squares matrix, and the worker thread that OpenBLAS starts
+    by default doubles numpy's import time.  A value the user set wins."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(_glue_point_values(argv))

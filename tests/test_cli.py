@@ -188,9 +188,11 @@ def test_meta_side_channel_has_timestamp(tmp_path):
                                     "transport_samples": 2, "trace_step": 0.1}))
     assert run(["report", "--poly", "euc", "--config", cfg_path, "--out", tmp_path]) == 0
     stage_s = read_json(tmp_path / "report_meta.json")["stage_s"]
-    assert sorted(stage_s) == sorted(["ma", "bracket_identities", "type", "burns",
-                                      "fit_and_weights", "transport", "trace"])
+    assert sorted(stage_s) == sorted(["numpy_import", "ma", "bracket_identities", "type",
+                                      "burns", "fit_and_weights", "transport", "trace"])
     assert all(s >= 0 for s in stage_s.values())
+    # numpy's import is billed to its own stage, which is a float like every other stage
+    assert isinstance(stage_s["numpy_import"], float) and stage_s["numpy_import"] >= 0.0
 
 
 def test_point_with_leading_minus_in_either_spelling(tmp_path):

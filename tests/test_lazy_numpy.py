@@ -1,6 +1,8 @@
 """Commands that never touch an array, trace-leaf and transport among them, load neither
 numpy nor the dataclass machinery; only a command that samples loads the pure-Python
-generator, so `import mafoliate.cli` never does."""
+generator, so `import mafoliate.cli` never does.  A command that loads numpy runs OpenBLAS
+with one thread unless the caller's environment sets OPENBLAS_NUM_THREADS, and a bare
+`import mafoliate.cli` leaves that variable alone."""
 
 from __future__ import annotations
 
@@ -16,26 +18,39 @@ import mafoliate as mf
 
 SRC = str(Path(mf.__file__).resolve().parents[1])
 WATCHED = ("numpy.linalg", "dataclasses", "inspect", "mafoliate.pcg64")
+TASKS = Path("/proc/self/task")  # one entry per thread of the process, where it exists
 
 # runs `python -m mafoliate.cli ARGS` and reports, at exit, which watched modules were
-# imported: numpy.linalg stands for numpy having run its package __init__, and
+# imported, the process's thread count (-1 without /proc/self/task) and its
+# OPENBLAS_NUM_THREADS: numpy.linalg stands for numpy having run its package __init__, and
 # mafoliate.pcg64, the pure-Python generator, is loaded only by a command that samples
 PROBE = f"""
-import atexit, runpy, sys
-atexit.register(lambda: sys.stderr.write(
-    "\\nloaded=" + ",".join(m for m in {WATCHED!r} if m in sys.modules) + "\\n"))
+import atexit, json, os, runpy, sys
+atexit.register(lambda: sys.stderr.write("\\n" + json.dumps({{
+    "loaded": [m for m in {WATCHED!r} if m in sys.modules],
+    "threads": len(os.listdir({str(TASKS)!r})) if os.path.isdir({str(TASKS)!r}) else -1,
+    "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}}) + "\\n"))
 sys.argv = ["mafoliate", *sys.argv[1:]]
 runpy.run_module("mafoliate.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def _loaded(tmp_path, *args) -> set[str]:
+def _child_env(**extra: str) -> dict:
+    """This process's environment without OPENBLAS_NUM_THREADS, which an earlier in-process
+    main() call sets here, with the source tree on the path and the extra entries."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": SRC, **extra}
+
+
+def _probe(tmp_path, *args, env: dict | None = None) -> dict:
     proc = subprocess.run([sys.executable, "-c", PROBE, *args], capture_output=True, text=True,
-                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+                          cwd=tmp_path, env=env or _child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    last = proc.stderr.splitlines()[-1]
-    assert last.startswith("loaded="), proc.stderr
-    return set(filter(None, last[len("loaded="):].split(",")))
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+def _loaded(tmp_path, *args) -> set[str]:
+    return set(_probe(tmp_path, *args)["loaded"])
 
 
 @pytest.mark.parametrize("args", [
@@ -48,6 +63,31 @@ def test_commands_without_arrays_leave_numpy_unloaded(tmp_path, args):
 def test_check_ma_loads_numpy(tmp_path):
     # the control: the probe sees numpy when a command does use it
     assert "numpy.linalg" in _loaded(tmp_path, "check-ma", "--poly", "euc", "--grid", "4")
+
+
+@pytest.mark.skipif(not TASKS.is_dir(), reason="no /proc/self/task to count threads")
+def test_check_ma_runs_openblas_with_one_thread(tmp_path):
+    probe = _probe(tmp_path, "check-ma", "--poly", "euc", "--grid", "4")
+    assert "numpy.linalg" in probe["loaded"]
+    assert (probe["threads"], probe["openblas"]) == (1, "1")
+
+
+def test_a_thread_count_the_caller_sets_wins(tmp_path):
+    probe = _probe(tmp_path, "check-ma", "--poly", "euc", "--grid", "4",
+                   env=_child_env(OPENBLAS_NUM_THREADS="2"))
+    assert probe["openblas"] == "2"
+    # OpenBLAS caps its threads at the CPUs the process may run on
+    if TASKS.is_dir() and len(os.sched_getaffinity(0)) >= 2:
+        assert probe["threads"] == 2
+
+
+def test_importing_the_cli_leaves_the_thread_count_unset(tmp_path):
+    # a library import must not change the BLAS of a host process that loads numpy later
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, mafoliate.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(), timeout=120, check=True)
+    assert proc.stdout == "None\n"
 
 
 def test_transport_loads_the_generator_and_not_numpy(tmp_path):

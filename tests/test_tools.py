@@ -129,6 +129,18 @@ def test_compare_trees_rss_line_counts_the_jobs_the_change_used_less_in(monkeypa
         "leaf-degenerate: largest job peak RSS MB 35.8 / 20.8; change used less in 2/3 jobs")
 
 
+def test_compare_trees_job_line_gives_the_median_job_wall_and_the_jobs_the_change_won(
+        monkeypatch):
+    monkeypatch.setattr(sys, "path", [str(ROOT / "tools"), *sys.path])
+    from compare_trees import job_line
+
+    # the medians are over every run; the count is over each job's median wall
+    runs = {"parent": [0.30, 0.32, 0.31, 0.29, 0.50], "change": [0.24, 0.23, 0.25, 0.30, 0.40]}
+    jobs = {"parent": [0.31, 0.30, 0.20], "change": [0.24, 0.35, 0.19]}
+    assert job_line("report-mix", runs, jobs) == (
+        "report-mix: median job wall s 0.310 / 0.250; change faster in 2/3 jobs")
+
+
 def test_compare_trees_run_job_reads_the_peak_rss_of_the_job(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "path", [str(ROOT / "tools"), *sys.path])
     from types import SimpleNamespace

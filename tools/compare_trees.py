@@ -21,15 +21,17 @@ bench/run.py), the failures by known-defect name, the failures that match no
 known defect, and the wall seconds of all its runs; then, per workload, each
 side's median wall seconds of one pass over its jobs (one repeat at one seed)
 and in how many of those pairs of passes the change took less time; then, per
-workload, each side's largest job peak RSS and in how many of its jobs (one job
-at one seed) the change's peak RSS was lower.  Unlike bench/run.py's
-``peak_rss_mb``, a maximum over a number of runs that grows with speed, this
-compares the same jobs on both sides.  After the
-jobs of each workload and seed, each tree runs five bare ``python3 -c "import
-mafoliate.cli"`` processes per repeat (what bench/run.py's ``setup_s`` takes the
-median of), in pairs whose first tree alternates; the summary's last timing line
-gives each side's median import wall seconds over all of them and in how many
-pairs the change was faster.
+workload, each side's median job wall seconds over all its job runs (what
+bench/run.py reports as ``job_p50_s``) and in how many of its jobs (one job at one
+seed) the change's median wall was lower; then, per workload, each side's largest
+job peak RSS and in how many of its jobs the change's peak RSS was lower.  Unlike
+bench/run.py's ``peak_rss_mb``, a maximum over a number of runs that grows with
+speed, this compares the same jobs on both sides.  After the jobs of each
+workload and seed, each tree runs five bare ``python3 -c "import mafoliate.cli"``
+processes per repeat (what bench/run.py's ``setup_s`` takes the median of), in
+pairs whose first tree alternates; the summary's last timing line gives each
+side's median import wall seconds over all of them and in how many pairs the
+change was faster.
 
 Exit status: 1 when any exit code, stderr or gate result differs, between the
 trees or between the repeats, else 0.
@@ -171,6 +173,15 @@ def pass_line(workload: str, passes: dict[str, list[float]]) -> str:
             f"{len(passes['change'])} pairs")
 
 
+def job_line(workload: str, runs: dict[str, list[float]], jobs: dict[str, list[float]]) -> str:
+    """Each side's median wall over all job runs (bench/run.py's job_p50_s) and the jobs whose
+    median wall the change lowered."""
+    won = sum(b < a for a, b in zip(jobs["parent"], jobs["change"]))
+    return (f"{workload}: median job wall s {statistics.median(runs['parent']):.3f} / "
+            f"{statistics.median(runs['change']):.3f}; change faster in {won}/"
+            f"{len(jobs['change'])} jobs")
+
+
 def rss_line(workload: str, rss: dict[str, list[float]]) -> str:
     """Each side's largest job peak RSS and the jobs the change used less memory in."""
     won = sum(b < a for a, b in zip(rss["parent"], rss["change"]))
@@ -208,6 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     gates: dict[tuple[str, str], list] = {}  # (workload, side) -> gate results of its runs
     walls: dict[tuple[str, str], list] = {}  # (workload, side) -> wall seconds of its runs
     passes: dict[str, dict[str, list]] = {}  # workload -> side -> wall seconds of each pass
+    job_medians: dict[str, dict[str, list]] = {}  # workload -> side -> median wall of each job
     rss: dict[str, dict[str, list]] = {}  # workload -> side -> median peak RSS MB of each job
     imports: dict[str, list] = {side: [] for side in trees}  # wall seconds of each bare import
     for workload in dict.fromkeys(args.workload):
@@ -240,9 +252,10 @@ def main(argv: list[str] | None = None) -> int:
                     differs |= not same
                     wall_a, wall_b = (statistics.median(job_walls[side]) for side in trees)
                     rss_a, rss_b = (statistics.median(job_rss[side]) for side in trees)
-                    rss.setdefault(workload, {"parent": [], "change": []})
-                    rss[workload]["parent"].append(rss_a)
-                    rss[workload]["change"].append(rss_b)
+                    for side, wall_med, mb in (("parent", wall_a, rss_a),
+                                               ("change", wall_b, rss_b)):
+                        job_medians.setdefault(workload, {}).setdefault(side, []).append(wall_med)
+                        rss.setdefault(workload, {}).setdefault(side, []).append(mb)
                     print(f"{job.id}: {'same' if same else 'DIFFERENT'}")
                     print(f"  exit codes {code_a} / {code_b}; wall s {wall_a:.2f} / {wall_b:.2f}; "
                           f"peak RSS MB {rss_a:.1f} / {rss_b:.1f}; "
@@ -262,6 +275,8 @@ def main(argv: list[str] | None = None) -> int:
         print(tally_line(workload, side, results, walls[workload, side]))
     for workload, sides in passes.items():
         print(pass_line(workload, sides))
+    for workload, sides in job_medians.items():
+        print(job_line(workload, {side: walls[workload, side] for side in trees}, sides))
     for workload, sides in rss.items():
         print(rss_line(workload, sides))
     print(import_line(imports))
