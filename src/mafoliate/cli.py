@@ -193,7 +193,8 @@ def _write_meta(path: Path, argv: list[str], clock: _StageClock) -> None:
 
 def _sample_points(p: Polynomial, rng, count: int) -> list[Point]:
     """Seeded cloud in the annulus 0.5 <= |z| <= 1.5, rejecting rho <= 0 and
-    Levi-degenerate points (det <= SAMPLE_D_CUTOFF).
+    Levi-degenerate points (det <= SAMPLE_D_CUTOFF * rho^2, a bound that does not depend
+    on the units of rho: det scales as c^2 under rho -> c rho).
 
     Candidates are drawn in batches of the missing count and tested together,
     which leaves the generator's stream that of drawing them one at a time."""
@@ -207,7 +208,7 @@ def _sample_points(p: Polynomial, rng, count: int) -> list[Point]:
         # the tuples beside the points cost 0.35 MB of peak RSS on a (3,3) report
         vs = np.array([random_vector(rng, 0.5, 1.5) for _ in range(draws)], dtype=complex)
         rho, det = evaluate_many(polys, vs[:, 0], vs[:, 1]).real
-        out += [Point(a, b) for a, b in vs[~((rho <= 0.0) | (det <= SAMPLE_D_CUTOFF))]]
+        out += [Point(a, b) for a, b in vs[~((rho <= 0.0) | (det <= SAMPLE_D_CUTOFF * rho * rho))]]
     if len(out) < count:
         raise MafoliateError(f"could only sample {len(out)}/{count} admissible points")
     return out
@@ -338,7 +339,9 @@ def _cmd_transport(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bo
 def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     # burns' generator is loaded before the stages allocate, as when every stage drew from
     # numpy: loaded inside burns, after the scans, it raised a (3,3) report's peak RSS by
-    # 1.3 MB; it loads numpy, so its clock bills numpy's import
+    # 1.3 MB; it loads numpy, so its clock bills numpy's import, and OpenSSL's libcrypto
+    # (numpy.random.bit_generator imports secrets, whose hmac loads _hashlib), which no
+    # command without numpy.random maps
     with clock("numpy_import"):
         import numpy.random  # noqa: F401
 

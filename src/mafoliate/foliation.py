@@ -52,7 +52,6 @@ pure-Python copy of numpy's seeded stream, so ``level_set_samples`` and
 
 from __future__ import annotations
 
-import csv
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -329,6 +328,8 @@ LEAF_CSV_COLUMNS = ("t", "s", "x1", "y1", "x2", "y2", "rho", "u")
 
 
 def write_leaf_csv(trace: LeafTrace, path, version: str) -> None:
+    import csv
+
     with open(path, "w", newline="") as fh:
         fh.write(f"# mafoliate {version}\n")
         fh.write(f"# poly_sha256 {polynomial_hash(trace.poly)}\n")

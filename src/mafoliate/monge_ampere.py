@@ -42,7 +42,6 @@ object, since only those combinations extend across degenerate points.
 
 from __future__ import annotations
 
-import csv
 from typing import Iterable, NamedTuple, Sequence
 
 from .calculus import (
@@ -57,7 +56,7 @@ from .calculus import (
 from .errors import DegenerateLevi, NonPositiveRho
 
 EPS_D_DEFAULT = 1e-10  # D <= this is Levi-degenerate: no cofactor formula there
-SAMPLE_D_CUTOFF = 1e-6  # sampled points keep the det polynomial above this
+SAMPLE_D_CUTOFF = 1e-6  # sampled points keep the det polynomial above this times rho^2
 
 Vector = tuple[complex, complex]
 
@@ -156,6 +155,8 @@ MA_CSV_COLUMNS = ("x1", "y1", "x2", "y2", "rho", "D", "B", "residual", "normaliz
 
 def write_ma_csv(reports: Sequence[MAReport], path, version: str, poly_hash: str) -> None:
     """Plot-ready residual table; metadata rides in leading comment lines."""
+    import csv
+
     with open(path, "w", newline="") as fh:
         fh.write(f"# mafoliate {version}\n")
         fh.write(f"# poly_sha256 {poly_hash}\n")

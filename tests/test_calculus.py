@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +92,49 @@ def test_corpus_files_parse_and_hash_is_stable(corpus):
     h1 = mf.polynomial_hash(corpus["quartic"])
     h2 = mf.polynomial_hash(mf.parse_polynomial(mf.canonical_json(corpus["quartic"])))
     assert h1 == h2
+
+
+def _generated_polynomials(count: int = 40) -> list[Polynomial]:
+    """Real polynomials of degree up to 12 with integer, dyadic and non-dyadic coefficients,
+    as q + conj(q) for q with random terms."""
+    rng = random.Random(34)
+
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 8, 1024]))
+
+    def key():
+        return tuple(rng.randint(0, 3) if rng.random() < 0.5 else 0 for _ in range(4))
+
+    qs = [Polynomial({key(): (part(), part()) for _ in range(rng.randint(0, 6))})
+          for _ in range(count)]
+    return [q + q.conjugate() for q in qs]
+
+
+def _hash_oracle(p: Polynomial) -> str:
+    return hashlib.sha256(mf.canonical_json(p).encode("ascii")).hexdigest()
+
+
+def test_polynomial_hash_is_the_sha256_of_the_canonical_json(corpus):
+    polys = [*corpus.values(), *_generated_polynomials()]
+    assert [mf.polynomial_hash(p) for p in polys] == [_hash_oracle(p) for p in polys]
+
+
+def test_the_hashlib_fallback_gives_the_same_digests(corpus):
+    # an interpreter built without its own sha256 module hashes through hashlib
+    polys = [*corpus.values(), *_generated_polynomials()]
+    script = """
+import hashlib, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import mafoliate as mf
+from mafoliate import calculus
+assert calculus._sha256 is hashlib.sha256
+print(json.dumps([mf.polynomial_hash(mf.parse_polynomial(t)) for t in json.load(sys.stdin)]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps([mf.canonical_json(p) for p in polys]),
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(mf.__file__).resolve().parents[1])})
+    assert json.loads(proc.stdout) == [_hash_oracle(p) for p in polys]
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,8 @@ HOSTILE = {
     "zero": {},
     "minus_ball": {k: -1 for k in BALL},
     "1e300_ball": {k: 1e300 for k in BALL},
+    "1e-3_ball": {k: 1e-3 for k in BALL},
+    "1e-4_ball": {k: 1e-4 for k in BALL},
     "1e-300_ball": {k: 1e-300 for k in BALL},
 }
 SMALL = {"samples": 50, "fit_samples": 40, "trials": 50, "transport_samples": 2, "grid": 5}
@@ -106,6 +108,19 @@ def test_every_subcommand_ends_in_a_verdict_or_a_typed_error(name, tmp_path, sma
     for k, command in enumerate(COMMANDS):
         code = run([*command, "--poly", poly, "--config", small_config, "--out", tmp_path / str(k)])
         assert code in (0, 2), command
+
+
+@pytest.mark.parametrize("name, code, error", [
+    ("1e-3_ball", 0, ""),
+    ("1e-4_ball", 0, ""),
+    ("1e-300_ball", 2, "error: could only sample 0/1600 admissible points\n"),  # rho^2 underflows
+], ids=["1e-3", "1e-4", "1e-300"])
+def test_the_sampler_admits_a_ball_in_any_units(name, code, error, tmp_path, capsys):
+    """det scales as c^2 under rho -> c rho, and so does the sampler's bound on it."""
+    args = ["check-ma", "--poly", poly_file(tmp_path, HOSTILE[name]), "--out", tmp_path]
+    assert (run(args), capsys.readouterr().err) == (code, error)
+    if code == 0:
+        assert json.loads((tmp_path / "ma_summary.json").read_text("utf-8"))["analysis"]["is_ma"]
 
 
 @pytest.mark.parametrize("r1, r2, error", [

@@ -1,7 +1,9 @@
 """Commands that never touch an array, trace-leaf and transport among them, load neither
 numpy nor the dataclass machinery; only a command that samples loads the pure-Python
-generator, so `import mafoliate.cli` never does.  A command that loads numpy runs OpenBLAS
-with one thread unless the caller's environment sets OPENBLAS_NUM_THREADS, and a bare
+generator, so `import mafoliate.cli` never does.  No command maps OpenSSL (`_hashlib`)
+unless it imports numpy.random, as burns and report do: the poly_sha256 digest comes from
+the interpreter's own sha256 module.  A command that loads numpy runs OpenBLAS with one
+thread unless the caller's environment sets OPENBLAS_NUM_THREADS, and a bare
 `import mafoliate.cli` leaves that variable alone."""
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ import pytest
 import mafoliate as mf
 
 SRC = str(Path(mf.__file__).resolve().parents[1])
-WATCHED = ("numpy.linalg", "dataclasses", "inspect", "mafoliate.pcg64")
+WATCHED = ("numpy.linalg", "dataclasses", "inspect", "mafoliate.pcg64", "_hashlib")
 TASKS = Path("/proc/self/task")  # one entry per thread of the process, where it exists
 
 # runs `python -m mafoliate.cli ARGS` and reports, at exit, which watched modules were
 # imported, the process's thread count (-1 without /proc/self/task) and its
-# OPENBLAS_NUM_THREADS: numpy.linalg stands for numpy having run its package __init__, and
-# mafoliate.pcg64, the pure-Python generator, is loaded only by a command that samples
+# OPENBLAS_NUM_THREADS: numpy.linalg stands for numpy having run its package __init__,
+# mafoliate.pcg64, the pure-Python generator, is loaded only by a command that samples, and
+# _hashlib is the module that maps OpenSSL's libcrypto
 PROBE = f"""
 import atexit, json, os, runpy, sys
 atexit.register(lambda: sys.stderr.write("\\n" + json.dumps({{
@@ -56,8 +59,25 @@ def _loaded(tmp_path, *args) -> set[str]:
 @pytest.mark.parametrize("args", [
     ("type-at", "--poly", "weighted", "--point=0,0,1,0"), ("--help",), ("--version",)])
 def test_commands_without_arrays_leave_numpy_unloaded(tmp_path, args):
-    # nor dataclasses, whose import loads inspect, ast, dis and tokenize, nor the generator
+    # nor dataclasses, whose import loads inspect, ast, dis and tokenize, nor the generator,
+    # nor OpenSSL
     assert _loaded(tmp_path, *args) == set()
+
+
+@pytest.mark.parametrize("args", [
+    ("gradient", "--poly", "fub", "--point=1,0,0,0"),
+    ("trace-leaf", "--poly", "fub", "--point=1,0,0,0"),
+    ("transport", "--poly", "fub", "--r1", "1", "--r2", "2", "--samples", "1"),
+    ("check-ma", "--poly", "euc", "--grid", "4"),
+    ("weights", "--poly", "weighted")], ids=lambda args: args[0])
+def test_commands_without_numpy_random_leave_openssl_unmapped(tmp_path, args):
+    assert "_hashlib" not in _loaded(tmp_path, *args)
+
+
+def test_burns_maps_openssl_through_numpy_random(tmp_path):
+    # the control: numpy.random.bit_generator imports secrets, which imports hmac and so
+    # _hashlib; burns draws its sphere samples from numpy's generator
+    assert "_hashlib" in _loaded(tmp_path, "burns", "--poly", "fub")
 
 
 def test_check_ma_loads_numpy(tmp_path):
