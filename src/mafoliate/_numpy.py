@@ -2,7 +2,10 @@
 
 Every module takes ``np`` from here, so a command that never touches an array
 (``type-at``, ``gradient``, ``trace-leaf``, ``transport``, ``--help``) does not pay
-for numpy's import; ``check-ma``, ``burns``, ``weights`` and ``report`` do.
+for numpy's import; ``check-ma``, ``burns``, ``weights`` and ``report`` do.  None of
+them loads ``numpy.random``: every sampler draws from ``mafoliate.pcg64``, which takes
+``np`` from here only for its array draw, so ``secrets``, ``hmac`` and OpenSSL, which
+``numpy.random`` imports, stay out of every command.
 numpy stays a hard dependency: without it, importing this module fails.  The
 recipe is the one for ``importlib.util.LazyLoader`` in the Python documentation.
 

@@ -185,16 +185,21 @@ class _StageClock:
         finally:
             self.stage_s[name] = time.perf_counter() - start
 
+    def samples(self, stage: str) -> dict:
+        """The record under ``samples.<stage>`` that ``_sample_points`` fills."""
+        return self.counters.setdefault("samples", {}).setdefault(stage, {})
+
 
 def _write_meta(path: Path, argv: list[str], clock: _StageClock) -> None:
     meta = {"written_at_unix": time.time(), "argv": argv, "stage_s": clock.stage_s, **clock.counters}
     path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n", "utf-8")
 
 
-def _sample_points(p: Polynomial, rng, count: int) -> list[Point]:
+def _sample_points(p: Polynomial, rng, count: int, tally: dict) -> list[Point]:
     """Seeded cloud in the annulus 0.5 <= |z| <= 1.5, rejecting rho <= 0 and
     Levi-degenerate points (det <= SAMPLE_D_CUTOFF * rho^2, a bound that does not depend
-    on the units of rho: det scales as c^2 under rho -> c rho).
+    on the units of rho: det scales as c^2 under rho -> c rho).  ``tally`` gets how many
+    points were drawn and admitted, also when too few were.
 
     Candidates are drawn in batches of the missing count and tested together,
     which leaves the generator's stream that of drawing them one at a time."""
@@ -209,6 +214,7 @@ def _sample_points(p: Polynomial, rng, count: int) -> list[Point]:
         vs = np.array([random_vector(rng, 0.5, 1.5) for _ in range(draws)], dtype=complex)
         rho, det = evaluate_many(polys, vs[:, 0], vs[:, 1]).real
         out += [Point(a, b) for a, b in vs[~((rho <= 0.0) | (det <= SAMPLE_D_CUTOFF * rho * rho))]]
+        tally.update(drawn=attempts, admitted=len(out))
     if len(out) < count:
         raise MafoliateError(f"could only sample {len(out)}/{count} admissible points")
     return out
@@ -244,8 +250,9 @@ def _transport_stage(p, cfg: RunConfig, r1: float, r2: float) -> dict:
     return _record(level_transport(p, r1, r2, samples, cfg.flow()))
 
 
-def _fit_weights_dict(p, cfg: RunConfig, rng) -> dict:
-    fit = fit_holomorphic_Z(p, _sample_points(p, rng, cfg.fit_samples), cfg.fit_degree)
+def _fit_weights_dict(p, cfg: RunConfig, rng, clock: _StageClock) -> dict:
+    fit = fit_holomorphic_Z(p, _sample_points(p, rng, cfg.fit_samples, clock.samples("fit")),
+                            cfg.fit_degree)
     zero = zero_set_check(fit)
     est = estimate_weights(fit)
     return _record(fit, zero_set=_record(zero), weights=_record(est),
@@ -275,7 +282,7 @@ def _cmd_check_ma(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> boo
     from .pcg64 import default_rng
 
     with clock("ma"):
-        pts = _sample_points(p, default_rng(cfg.seed), cfg.grid * cfg.grid)
+        pts = _sample_points(p, default_rng(cfg.seed), cfg.grid * cfg.grid, clock.samples("ma"))
         reports, summary = _ma_stage(p, pts)
     write_ma_csv(reports, out / "ma_scan.csv", __version__, polynomial_hash(p))
     _write_json(out / "ma_summary.json", p, summary)
@@ -324,7 +331,7 @@ def _cmd_weights(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool
     from .pcg64 import default_rng
 
     with clock("fit_and_weights"):
-        doc = _fit_weights_dict(p, cfg, default_rng(cfg.seed))
+        doc = _fit_weights_dict(p, cfg, default_rng(cfg.seed), clock)
     _write_json(out / "weights.json", p, doc)
     return _weights_ok(doc)
 
@@ -337,13 +344,12 @@ def _cmd_transport(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bo
 
 
 def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
-    # burns' generator is loaded before the stages allocate, as when every stage drew from
-    # numpy: loaded inside burns, after the scans, it raised a (3,3) report's peak RSS by
-    # 1.3 MB; it loads numpy, so its clock bills numpy's import, and OpenSSL's libcrypto
-    # (numpy.random.bit_generator imports secrets, whose hmac loads _hashlib), which no
-    # command without numpy.random maps
+    # numpy is imported before the first stage, under its own clock, so that no stage's
+    # time holds it; and a report's peak RSS moves with the order in which it loads its
+    # modules (numpy.random, once loaded inside burns after the scans, raised a (3,3)
+    # report's peak by 1.3 MB), so the order stays fixed here
     with clock("numpy_import"):
-        import numpy.random  # noqa: F401
+        import numpy  # noqa: F401  (the statement runs the lazy module's import)
 
     from .pcg64 import default_rng
 
@@ -353,7 +359,7 @@ def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     doc: dict = {"config": cfg_echo, "polynomial": serialize_polynomial(p)}
 
     with clock("ma"):
-        pts = _sample_points(p, rng, cfg.samples)
+        pts = _sample_points(p, rng, cfg.samples, clock.samples("ma"))
         _, doc["ma"] = _ma_stage(p, pts)
 
     oks = [doc["ma"]["is_ma"]]
@@ -385,7 +391,7 @@ def _cmd_report(p, cfg: RunConfig, out: Path, args, clock: _StageClock) -> bool:
     # errors are analysis outcomes and belong in the record, not on stderr
     for name, stage, passed in (
             ("type", type_stage, _type_ok),
-            ("fit_and_weights", lambda: _fit_weights_dict(p, cfg, rng), _weights_ok),
+            ("fit_and_weights", lambda: _fit_weights_dict(p, cfg, rng, clock), _weights_ok),
             ("transport", lambda: _transport_stage(p, cfg, 1.0, 2.0), _transport_ok),
             ("trace", trace_stage, lambda rec: rec["monotone_growth"])):
         try:

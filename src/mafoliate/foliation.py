@@ -44,10 +44,10 @@ The verdict operations:
   Z, timed by the growth rate of rho measured on a probe flow (FlowEscape
   where rho does not grow), and checks landing and round-trip accuracy.
 
-Sampling draws one vector at a time (``random_vector``) from ``pcg64``, the
-pure-Python copy of numpy's seeded stream, so ``level_set_samples`` and
-``level_transport`` need no numpy either; only the sphere sampler of
-``burns_verify`` draws its directions as arrays from numpy's generator.
+Every sampler draws from ``pcg64``, the copy of numpy's seeded stream that needs no
+``numpy.random``.  Most draw one vector at a time (``random_vector``), so
+``level_set_samples`` and ``level_transport`` need no numpy either; the sphere sampler of
+``burns_verify`` draws its normals as arrays (``pcg64.Generator.normals``).
 """
 
 from __future__ import annotations
@@ -704,12 +704,15 @@ def _positive_min_on_sphere(p: Polynomial, n_samples: int, seed: int) -> tuple[f
     """The least sampled rho on the unit sphere and its direction: the special directions
     and n_samples - 8 Gaussian ones, then three clouds of 2,000 around the least so far.
 
-    The draws come from numpy's generator, not ``pcg64``'s: with SPHERE_SAMPLES they are
-    about 16,000 directions, 64,000 normals in four array calls, which take about 1 ms
-    in numpy and about 55 ms drawn one at a time in pure Python (0.8 us each)."""
-    rng = np.random.default_rng(seed)
+    The normals are numpy's ``default_rng(seed).normal(size=(m, 4))``, drawn as arrays by
+    ``pcg64``'s ``normals``: with SPHERE_SAMPLES about 64,000 of them, which take 5-7 ms,
+    where one at a time they take about 55 ms, and numpy's own draw 1 ms after the 13-16 ms
+    of ``import numpy.random``."""
+    from .pcg64 import default_rng
+
+    rng = default_rng(seed)
     dirs = np.array(_SPHERE_SPECIAL, dtype=complex)
-    raw = rng.normal(size=(max(n_samples - len(dirs), 0), 4))
+    raw = rng.normals(4 * max(n_samples - len(dirs), 0)).reshape(-1, 4)
     cloud = np.empty((len(raw), 2), dtype=complex)
     cloud[:, 0] = raw[:, 0] + 1j * raw[:, 1]
     cloud[:, 1] = raw[:, 2] + 1j * raw[:, 3]
@@ -717,7 +720,7 @@ def _positive_min_on_sphere(p: Polynomial, n_samples: int, seed: int) -> tuple[f
     best_val, best_dir = _first_minimum(p, np.concatenate([dirs, cloud]), math.inf, dirs[0])
     # local refinement around the worst direction
     for shrink in (0.3, 0.1, 0.03):
-        raw = rng.normal(size=(2000, 4))
+        raw = rng.normals(8000).reshape(2000, 4)
         pert = np.empty((len(raw), 2), dtype=complex)
         pert[:, 0] = best_dir[0] + shrink * (raw[:, 0] + 1j * raw[:, 1])
         pert[:, 1] = best_dir[1] + shrink * (raw[:, 2] + 1j * raw[:, 3])

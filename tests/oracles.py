@@ -401,3 +401,28 @@ def sampled_growth_bound(p, k, rng) -> float:
             val = math.log(values[r * (len(mags) + 1) + 1 + m])
             growth = max(growth, abs(val - 2 * k * math.log(mag) - base))
     return growth
+
+
+def numpy_positive_min_on_sphere(p, n_samples, seed):
+    """``foliation._positive_min_on_sphere`` as it drew its normals from numpy's own
+    generator, ``numpy.random.default_rng(seed).normal(size=(m, 4))``: the least sampled
+    rho on the unit sphere and its direction."""
+    from mafoliate.calculus import Point
+    from mafoliate.foliation import _SPHERE_SPECIAL, _first_minimum
+
+    rng = np.random.default_rng(seed)
+    dirs = np.array(_SPHERE_SPECIAL, dtype=complex)
+    raw = rng.normal(size=(max(n_samples - len(dirs), 0), 4))
+    cloud = np.empty((len(raw), 2), dtype=complex)
+    cloud[:, 0] = raw[:, 0] + 1j * raw[:, 1]
+    cloud[:, 1] = raw[:, 2] + 1j * raw[:, 3]
+    cloud /= np.linalg.norm(cloud, axis=1)[:, None]
+    best_val, best_dir = _first_minimum(p, np.concatenate([dirs, cloud]), math.inf, dirs[0])
+    for shrink in (0.3, 0.1, 0.03):
+        raw = rng.normal(size=(2000, 4))
+        pert = np.empty((len(raw), 2), dtype=complex)
+        pert[:, 0] = best_dir[0] + shrink * (raw[:, 0] + 1j * raw[:, 1])
+        pert[:, 1] = best_dir[1] + shrink * (raw[:, 2] + 1j * raw[:, 3])
+        pert /= np.linalg.norm(pert, axis=1)[:, None]
+        best_val, best_dir = _first_minimum(p, pert, best_val, best_dir)
+    return best_val, Point(best_dir[0], best_dir[1])

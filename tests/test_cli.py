@@ -9,7 +9,11 @@ import pytest
 import mafoliate as mf
 from mafoliate import cli
 from mafoliate.cli import main
+from mafoliate.calculus import jet_polynomials
 from mafoliate.corpus import corpus_text
+from mafoliate.foliation import random_vector
+from mafoliate.monge_ampere import SAMPLE_D_CUTOFF
+from mafoliate.pcg64 import default_rng
 
 from test_ray_limit import pullback_terms
 
@@ -193,6 +197,41 @@ def test_meta_side_channel_has_timestamp(tmp_path):
     assert all(s >= 0 for s in stage_s.values())
     # numpy's import is billed to its own stage, which is a float like every other stage
     assert isinstance(stage_s["numpy_import"], float) and stage_s["numpy_import"] >= 0.0
+
+
+def _drawn_until(p, rng, count: int) -> int:
+    """How many random_vector draws it takes, one at a time, to admit count sample points."""
+    det, drawn, admitted = jet_polynomials(p).det, 0, 0
+    while admitted < count:
+        z = random_vector(rng, 0.5, 1.5)
+        drawn += 1
+        rho = p(*z).real
+        admitted += rho > 0.0 and det(*z).real > SAMPLE_D_CUTOFF * rho * rho
+    return drawn
+
+
+def test_meta_counts_the_points_each_sampler_drew_and_admitted(tmp_path):
+    bad = mf.load("bad")  # det < 0 on part of the annulus, so the sampler rejects points
+    assert run(["check-ma", "--poly", "bad", "--grid", 10, "--out", tmp_path]) == 0
+    drawn = _drawn_until(bad, default_rng(0), 100)
+    assert drawn > 100
+    assert read_json(tmp_path / "check_ma_meta.json")["samples"] == {
+        "ma": {"drawn": drawn, "admitted": 100}}
+
+    assert run(["weights", "--poly", "fub", "--out", tmp_path]) == 0
+    assert read_json(tmp_path / "weights_meta.json")["samples"] == {
+        "fit": {"drawn": 60, "admitted": 60}}
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"samples": 100, "fit_samples": 30, "trials": 20,
+                                    "transport_samples": 2, "trace_step": 0.1}))
+    assert run(["report", "--poly", "bad", "--config", cfg_path, "--out", tmp_path]) == 0
+    rng = default_rng(0)  # the fit draws on from where the scan's sampler stopped
+    assert read_json(tmp_path / "report_meta.json")["samples"] == {
+        "ma": {"drawn": _drawn_until(bad, rng, 100), "admitted": 100},
+        "fit": {"drawn": _drawn_until(bad, rng, 30), "admitted": 30}}
+    # the counts stay out of the analysis document
+    assert "samples" not in read_json(tmp_path / "report.json")["analysis"]
 
 
 def test_point_with_leading_minus_in_either_spelling(tmp_path):

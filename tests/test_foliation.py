@@ -10,7 +10,7 @@ from mafoliate import foliation
 from mafoliate.foliation import _GradientFlow, _flow_states, _pack
 
 from conftest import admissible_points
-from oracles import sampled_growth_bound
+from oracles import numpy_positive_min_on_sphere, sampled_growth_bound
 from test_batch_eval import forms_rho
 from test_bracket_batch import NONDIAGONAL
 
@@ -407,6 +407,29 @@ def test_burns_growth_bound_only_for_pure_bidegree(corpus, sphere_2000):
         v = mf.burns_verify(p)
         assert v.bidegree_pure and v.growth_bound == 0.0
         assert sampled_growth_bound(p, v.k, np.random.default_rng(7)) < 1e-9
+
+
+def _bits(value: float, point: mf.Point) -> tuple[str, ...]:
+    return (repr(value), *(repr(complex(z)) for z in point.as_pair()))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1008])
+def test_the_sphere_sampler_draws_what_numpys_generator_draws(corpus, seed):
+    z1, z2 = mf.Polynomial.variable("z1"), mf.Polynomial.variable("z2")
+    torus = z1 * z1.conjugate() - z2 * z2.conjugate() * 2  # its square vanishes on a torus
+    inputs = [corpus["euc"], corpus["fub"], corpus["quartic"], mf.real_polynomial(
+        (torus * torus).terms), forms_rho(NONDIAGONAL, 2, 2), forms_rho(NONDIAGONAL, 3, 3)]
+    for p in inputs:
+        want = numpy_positive_min_on_sphere(p, foliation.SPHERE_SAMPLES, seed)
+        got = foliation._positive_min_on_sphere(p, foliation.SPHERE_SAMPLES, seed)
+        assert _bits(*got) == _bits(*want)
+        assert repr(mf.burns_verify(p, seed=seed).min_on_sphere) == repr(want[0])
+    # a negative minimum is reported at the oracle's direction
+    p = mf.real_polynomial({(2, 0, 2, 0): 1, (0, 2, 0, 2): 1, (3, 0, 0, 1): 2, (0, 1, 3, 0): 2})
+    value, direction = numpy_positive_min_on_sphere(p, foliation.SPHERE_SAMPLES, seed)
+    with pytest.raises(mf.NotPositive, match=f"^rho = {value!r} at ") as err:
+        mf.burns_verify(p, seed=seed)
+    assert _bits(value, err.value.witness) == _bits(value, direction)
 
 
 def test_burns_rejects_inhomogeneous(corpus):

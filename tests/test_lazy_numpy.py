@@ -1,10 +1,11 @@
 """Commands that never touch an array, trace-leaf and transport among them, load neither
 numpy nor the dataclass machinery; only a command that samples loads the pure-Python
-generator, so `import mafoliate.cli` never does.  No command maps OpenSSL (`_hashlib`)
-unless it imports numpy.random, as burns and report do: the poly_sha256 digest comes from
-the interpreter's own sha256 module.  A command that loads numpy runs OpenBLAS with one
-thread unless the caller's environment sets OPENBLAS_NUM_THREADS, and a bare
-`import mafoliate.cli` leaves that variable alone."""
+generator, so `import mafoliate.cli` never does.  No command loads numpy.random, whose
+bit_generator imports secrets and so, through hmac, maps OpenSSL (`_hashlib`): every
+sampler draws from mafoliate.pcg64, burns' sphere sampler included, and the poly_sha256
+digest comes from the interpreter's own sha256 module.  A command that loads numpy runs
+OpenBLAS with one thread unless the caller's environment sets OPENBLAS_NUM_THREADS, and a
+bare `import mafoliate.cli` leaves that variable alone."""
 
 from __future__ import annotations
 
@@ -19,14 +20,17 @@ import pytest
 import mafoliate as mf
 
 SRC = str(Path(mf.__file__).resolve().parents[1])
-WATCHED = ("numpy.linalg", "dataclasses", "inspect", "mafoliate.pcg64", "_hashlib")
+WATCHED = ("numpy.linalg", "dataclasses", "inspect", "mafoliate.pcg64", "_hashlib",
+           "numpy.random", "secrets")
+OPENSSL = {"numpy.random", "secrets", "_hashlib"}  # the modules by which a command maps it
 TASKS = Path("/proc/self/task")  # one entry per thread of the process, where it exists
 
 # runs `python -m mafoliate.cli ARGS` and reports, at exit, which watched modules were
 # imported, the process's thread count (-1 without /proc/self/task) and its
 # OPENBLAS_NUM_THREADS: numpy.linalg stands for numpy having run its package __init__,
-# mafoliate.pcg64, the pure-Python generator, is loaded only by a command that samples, and
-# _hashlib is the module that maps OpenSSL's libcrypto
+# mafoliate.pcg64, the pure-Python generator, is loaded only by a command that samples,
+# _hashlib is the module that maps OpenSSL's libcrypto, and numpy.random and secrets are
+# the imports by which numpy's generator loaded it
 PROBE = f"""
 import atexit, json, os, runpy, sys
 atexit.register(lambda: sys.stderr.write("\\n" + json.dumps({{
@@ -71,13 +75,16 @@ def test_commands_without_arrays_leave_numpy_unloaded(tmp_path, args):
     ("check-ma", "--poly", "euc", "--grid", "4"),
     ("weights", "--poly", "weighted")], ids=lambda args: args[0])
 def test_commands_without_numpy_random_leave_openssl_unmapped(tmp_path, args):
-    assert "_hashlib" not in _loaded(tmp_path, *args)
+    assert not OPENSSL & _loaded(tmp_path, *args)
 
 
-def test_burns_maps_openssl_through_numpy_random(tmp_path):
-    # the control: numpy.random.bit_generator imports secrets, which imports hmac and so
-    # _hashlib; burns draws its sphere samples from numpy's generator
-    assert "_hashlib" in _loaded(tmp_path, "burns", "--poly", "fub")
+def test_burns_and_report_load_neither_numpy_random_nor_openssl(tmp_path):
+    # they load numpy, and burns' sphere sampler draws its 64,000 normals as arrays, from
+    # mafoliate.pcg64 and not from numpy's generator
+    for args in (("burns", "--poly", "fub"), ("report", "--poly", "fub")):
+        loaded = _loaded(tmp_path, *args)
+        assert "numpy.linalg" in loaded and "mafoliate.pcg64" in loaded
+        assert not OPENSSL & loaded, args
 
 
 def test_check_ma_loads_numpy(tmp_path):

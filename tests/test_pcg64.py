@@ -1,5 +1,5 @@
-"""The pure-Python generator against numpy's, and the norm that random_vector scales by
-against its definition in exact rationals."""
+"""The pure-Python generator and its array draw against numpy's, and the norm that
+random_vector scales by against its definition in exact rationals."""
 
 from __future__ import annotations
 
@@ -11,8 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mafoliate import pcg64
 from mafoliate.foliation import _norm, random_vector
-from mafoliate.pcg64 import default_rng
+from mafoliate.pcg64 import Generator, default_rng
 
 SEEDS = [0, 1, 7, 301, 718281828, 2**64, 2**128 - 1, 12345678901234567890, 2**200 + 7]
 BOUNDS = [(0.5, 1.5), (-1.0, 1.0), (-math.pi, math.pi), (0.0, 1e-300), (-2.5e6, 7.0)]
@@ -29,6 +30,71 @@ def test_interleaved_draws_equal_numpys(seed):
         want += [theirs.normal(), theirs.uniform(lo, hi)]
     assert got == want  # equal values; no draw is a nan
     assert any(abs(x) > TAIL for x in got[::2])  # the tail loop ran
+
+
+class _SlowPaths:
+    """Counts the attempts ``normals`` finishes in Python, tail and wedge apart, and the
+    outputs it reads past the end of a block from the scalar stream."""
+
+    def __init__(self, monkeypatch):
+        self.tail = self.wedge = self.past_block = 0
+        self._scalar = False
+        finish, next64 = pcg64._finish, Generator._next64
+
+        def counting_finish(idx, rabs, x, read):
+            if idx == 0:
+                self.tail += 1
+            else:
+                self.wedge += 1
+            return finish(idx, rabs, x, read)
+
+        def counting_next64(rng):
+            self.past_block += not self._scalar
+            return next64(rng)
+
+        monkeypatch.setattr(pcg64, "_finish", counting_finish)
+        monkeypatch.setattr(Generator, "_next64", counting_next64)
+
+    def scalar(self, draw):
+        """draw(), whose outputs are not counted as read past a block."""
+        self._scalar = True
+        try:
+            return draw()
+        finally:
+            self._scalar = False
+
+
+ARRAY_SEEDS = [*range(30), 718281828, 2**200 + 7]  # the last seed is seven 32-bit words
+SIZES = [0, 1, 7, 8000, 39968]
+
+
+def _assert_successive_draws_equal_numpys(seed, sizes, slow):
+    ours, theirs = default_rng(seed), np.random.default_rng(seed)
+    for n in sizes:
+        got, want = ours.normals(n), theirs.normal(size=n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (seed, n)
+        # attempts that fail after the n-th value belong to the next draw
+        assert slow.scalar(ours.normal) == theirs.normal(), (seed, n)
+        assert slow.scalar(lambda: ours.uniform(-1.0, 1.0)) == theirs.uniform(-1.0, 1.0)
+
+
+def test_array_normals_equal_numpys_on_successive_calls(monkeypatch):
+    slow = _SlowPaths(monkeypatch)
+    for seed in ARRAY_SEEDS:
+        tail, wedge = slow.tail, slow.wedge
+        _assert_successive_draws_equal_numpys(seed, SIZES, slow)
+        assert slow.tail > tail and slow.wedge > wedge, seed  # both slow paths ran
+    assert slow.past_block > 0  # some slow path ran past the end of an 8,192-output block
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_slow_paths_that_cross_a_block_end_read_on(monkeypatch, block):
+    # with short blocks, tails and wedges often start on a block's last output
+    monkeypatch.setattr(pcg64, "_BLOCK", block)
+    slow = _SlowPaths(monkeypatch)
+    for seed in (0, 718281828):
+        _assert_successive_draws_equal_numpys(seed, [1, 7, 2500, 0, 300], slow)
+    assert slow.past_block > 0 and slow.tail > 0 and slow.wedge > 0
 
 
 def test_a_negative_seed_is_refused_as_numpys_is():
